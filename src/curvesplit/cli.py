@@ -19,7 +19,7 @@ from .conjscan import (
     R7_FAMILIES,
     ScanRecord,
     classification7_spotcheck,
-    scan_record,
+    scan_conjecture9,
     search_min_product,
 )
 from .exactla import MODULUS, check_modulus
@@ -37,6 +37,7 @@ from .param import parameterize, parameterize_with_trace, random_points
 from .splitting import min_syzygy, saturation_degree, splitting_moving_lines, splitting_saturation
 
 DEFAULT_SEED = 1
+DEGREE_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,17 @@ class Config:
     p: int
     seed: int
     fmt: str
-    degree_cap: int = 200
-    retries: int = 24
 
     def __post_init__(self):
         check_modulus(self.p)
         if self.fmt not in ("json", "table"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.p <= self.degree_cap:
-            raise ValueError(f"modulus {self.p} must exceed the degree cap {self.degree_cap}")
-        if self.retries < 1:
-            raise ValueError("need at least one attempt")
+        if self.p <= DEGREE_CAP:
+            raise ValueError(f"modulus {self.p} must exceed the degree cap {DEGREE_CAP}")
 
     def check_degree(self, k: int) -> int:
-        if k > self.degree_cap:
-            raise ValueError(f"degree {k} exceeds the configured cap {self.degree_cap}")
+        if k > DEGREE_CAP:
+            raise ValueError(f"degree {k} exceeds the configured cap {DEGREE_CAP}")
         return k
 
 
@@ -137,7 +134,7 @@ def _cmd_param(args, cfg: Config) -> int:
             cfg,
         )
     else:
-        triple = parameterize(T, pts, cfg.seed, max_retries=cfg.retries)
+        triple = parameterize(T, pts, cfg.seed)
         _emit({"type": T.to_json(), "seed": cfg.seed, "p": cfg.p, "triple": triple.to_json()}, cfg)
     return 0
 
@@ -146,7 +143,7 @@ def _cmd_split(args, cfg: Config) -> int:
     T = _parse_type(args.type)
     cfg.check_degree(T.d)
     pts = _points_for(T, cfg)
-    triple = parameterize(T, pts, cfg.seed, max_retries=cfg.retries)
+    triple = parameterize(T, pts, cfg.seed)
     ml = splitting_moving_lines(triple)
     sat = splitting_saturation(triple)
     syz = min_syzygy(triple)
@@ -193,59 +190,21 @@ def _cmd_fatpoints(args, cfg: Config) -> int:
 
 def _cmd_scan(args, cfg: Config) -> int:
     cfg.check_degree(args.dmax)
-    types = sorted(enum_exceptional(9, args.dmax), key=lambda t: t.sort_key())
-    done: dict[tuple, dict] = {}
+    resumed = []
     if args.resume and args.out and os.path.exists(args.out):
         with open(args.out) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if "type" in obj:
-                    done[tuple(obj["type"])] = obj
-    records_json: list[dict] = []
-    records: list[ScanRecord] = []
-    for T in types:
-        key = tuple(T.to_json())
-        if key in done:
-            records_json.append(done[key])
-            continue
-        rec = scan_record(T, cfg.seed, cfg.p, certify=args.certify)
-        records.append(rec)
-        records_json.append(rec.to_json())
-    summary = _summary_from_json(records_json)
+            lines = [json.loads(line) for line in fh if line.strip()]
+        resumed = [ScanRecord.from_json(obj) for obj in lines if "type" in obj]
+    records, summary = scan_conjecture9(args.dmax, cfg.seed, cfg.p, certify=args.certify, resumed=resumed)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for obj in records_json:
-            print(json.dumps(obj), file=out)
+        for rec in records:
+            print(json.dumps(rec.to_json()), file=out)
         print(json.dumps({"summary": summary}), file=out)
     finally:
         if args.out:
             out.close()
     return 0
-
-
-def _summary_from_json(records: list[dict]) -> dict:
-    gaps = [r["split"]["gap"] if r["split"] else None for r in records]
-    semiadj = [r["semiadjoint"] is not None for r in records]
-    errors = [r for r in records if r.get("error")]
-    proved_viol = [
-        r["type"]
-        for r, g, s in zip(records, gaps, semiadj)
-        if s and g is not None and g < 2
-    ]
-    converse = [r["type"] for r, g, s in zip(records, gaps, semiadj) if g is not None and g > 1 and not s]
-    return {
-        "n_types": len(records),
-        "n_semiadjoint": sum(semiadj),
-        "n_gap_gt1": sum(1 for g in gaps if g is not None and g > 1),
-        "n_errors": len(errors),
-        "max_gap": max((g for g in gaps if g is not None), default=None),
-        "proved_direction_violations": proved_viol,
-        "converse_failures": converse,
-        "conjecture_consistent": not proved_viol and not converse and not errors,
-    }
 
 
 def _cmd_search(args, cfg: Config) -> int:

@@ -16,7 +16,7 @@ Three pipelines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .exactla import MODULUS
 from .fatpoints import h0_class, h1_class, linear_excess
@@ -84,6 +84,24 @@ class ScanRecord:
             "le_a": self.le_a,
         }
 
+    @classmethod
+    def from_json(cls, data: dict) -> "ScanRecord":
+        """Inverse of ``to_json``; ValueError on a malformed record."""
+        try:
+            sa, split = data["semiadjoint"], data["split"]
+            return cls(
+                ntype=NumType.from_json(data["type"]),
+                ascenzi=data["ascenzi"],
+                semiadjoint=tuple(sa) if sa is not None else None,
+                split=SplitType(split["a"], split["b"]) if split is not None else None,
+                seed=data["seed"],
+                error=data["error"],
+                h1_a=data["h1_a"],
+                le_a=data["le_a"],
+            )
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed scan record {data!r}") from exc
+
 
 def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -> ScanRecord:
     """Process one type with a sub-seed derived from the type itself."""
@@ -113,16 +131,37 @@ def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -
 
 
 def scan_conjecture9(
-    dmax: int, seed: int, p: int = MODULUS, certify: bool = False
+    dmax: int,
+    seed: int,
+    p: int = MODULUS,
+    certify: bool = False,
+    resumed: Iterable[ScanRecord] = (),
 ) -> tuple[list[ScanRecord], dict]:
     """Scan every r = 9 exceptional type with degree <= dmax.
 
     Returns the records (in deterministic type order) and a summary counting
     both directions of the conjectured biconditional
-    "semi-adjoint exists <=> gap > 1".
+    "semi-adjoint exists <=> gap > 1".  A type with a record in ``resumed``
+    reuses it instead of being scanned again.  A resumed record must carry
+    the sub-seed that ``seed`` derives for its type, and h1_a exactly when
+    ``certify`` computes it; otherwise ValueError.  The modulus is not
+    recorded, so a record scanned at another p cannot be detected.
     """
+    done: dict[NumType, ScanRecord] = {}
+    for rec in resumed:
+        want = mix_seed(seed, rec.ntype.d, *rec.ntype.m)
+        if rec.seed != want:
+            raise ValueError(
+                f"resumed record {rec.ntype.to_json()} has seed {rec.seed}, but seed {seed} gives {want}"
+            )
+        if rec.semiadjoint is not None and (rec.h1_a is None) == certify:
+            state = "lacks" if certify else "has"
+            raise ValueError(
+                f"resumed record {rec.ntype.to_json()} {state} h1_a; it was scanned with certify={not certify}"
+            )
+        done[rec.ntype] = rec
     types = sorted(enum_exceptional(9, dmax), key=lambda t: t.sort_key())
-    records = [scan_record(T, seed, p, certify=certify) for T in types]
+    records = [done[T] if T in done else scan_record(T, seed, p, certify=certify) for T in types]
     return records, summarize_scan(records)
 
 

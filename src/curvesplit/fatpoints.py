@@ -304,13 +304,9 @@ def check_nongeneric_resolution(cprime: DivClass, points: PointSet) -> Resolutio
     Z = FatScheme(points, tuple(3 * mp + 1 for mp in mprime))
     alpha_expected = 3 * dprime - 1
     alpha = alpha_degree(Z)
-    dim_alpha = ideal_dim(Z, alpha)
-    hilbert_maximal = (
-        alpha == alpha_expected
-        and dim_alpha == dim_forms(alpha) - Z.length
-        and ideal_dim(Z, alpha - 1) == 0
-    )
     report = mu_rank(Z, alpha)
+    # (I_Z)_{alpha-1} = 0 is alpha_degree's exit condition, so it holds whenever alpha >= 1
+    hilbert_maximal = alpha == alpha_expected and report.dim_k == dim_forms(alpha) - Z.length
     expected_cok = report.dim_k_plus_1 - 3 * report.dim_k
     return ResolutionReport(
         cprime=(cprime.d, *cprime.m),

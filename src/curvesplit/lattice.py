@@ -235,11 +235,11 @@ def _quad_images(T: NumType) -> Iterable[NumType]:
 def enum_exceptional(r: int, dmax: int | None) -> set[NumType]:
     """All normalized exceptional numerical types with degree <= dmax.
 
-    Breadth-first closure under quad reflections, seeded from the type of
-    E_1 and de-duplicated on sort-normalized types.  Every exceptional class
-    reduces to an E_i through degree-decreasing quads, so the reversed path
-    stays under the cap and the closure is exhaustive.  For r <= 8 the Weyl
-    group is finite and ``dmax=None`` enumerates everything.
+    The ``orbit_closure`` of E_r (every E_i has the same normalized type).
+    Every exceptional class reduces to an E_i through degree-decreasing
+    quads, so the reversed path stays under the cap and the closure is
+    exhaustive.  For r <= 8 the Weyl group is finite and ``dmax=None``
+    enumerates everything.
     """
     if not 3 <= r <= 9:
         raise ValueError(f"r={r} outside the supported range 3..9")
@@ -248,20 +248,7 @@ def enum_exceptional(r: int, dmax: int | None) -> set[NumType]:
             raise ValueError("r=9 has infinitely many exceptional classes; a degree cap is required")
     elif dmax < 0:
         raise ValueError("dmax must be non-negative")
-    seed = NumType(0, (0,) * (r - 1) + (-1,))
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        new: list[NumType] = []
-        for T in frontier:
-            for img in _quad_images(T):
-                if dmax is not None and img.d > dmax:
-                    continue
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-    return seen
+    return orbit_closure(point_class(r, r), dmax)
 
 
 def is_ascenzi(T: NumType) -> bool:
@@ -342,7 +329,8 @@ def ascenzi_degree_bound(j: int) -> int:
 def orbit_closure(D: DivClass, dmax: int | None = None) -> set[NumType]:
     """Weyl-orbit of D as normalized types, capped at degree dmax.
 
-    For r <= 8 the group is finite and no cap is needed; for r >= 9 a cap is
+    Breadth-first closure under quad reflections, de-duplicated on
+    sort-normalized types.  For r <= 8 the group is finite and no cap is needed; for r >= 9 a cap is
     mandatory.
     """
     if dmax is None and D.r > 8:

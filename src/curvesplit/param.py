@@ -29,13 +29,22 @@ from .plane import PlaneForm, eval_row
 _MASK = (1 << 64) - 1
 
 
-def _mv(mat: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    """Overflow-safe matrix-vector product mod p (reduce before summing)."""
-    return (mat * vec % p).sum(axis=1) % p
+def _bilinear(x: np.ndarray, mat: MatFp, y: np.ndarray) -> int:
+    p = mat.p
+    return int((x * mat.matvec(y) % p).sum() % p)
 
 
-def _bilinear(x: np.ndarray, mat: np.ndarray, y: np.ndarray, p: int) -> int:
-    return int((x * _mv(mat, y, p) % p).sum() % p)
+def _combine(matrix: np.ndarray, forms, p: int) -> list[BinForm]:
+    """The three forms sum_l matrix[c, l] * forms[l], for c = 0, 1, 2."""
+    out = []
+    for c in range(3):
+        acc = BinForm.zero(p)
+        for l in range(3):
+            if forms[l].is_zero or matrix[c, l] == 0:
+                continue
+            acc = acc + forms[l].scale(int(matrix[c, l]))
+        out.append(acc)
+    return out
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -175,10 +184,7 @@ class CremonaStep:
 
     def apply_point(self, pt: PlanePoint) -> PlanePoint:
         """Forward image of a point not on any fundamental line."""
-        vals = tuple(q.eval(pt.x) for q in self.quad_forms)
-        if sum(1 for v in vals if v == 0) >= 2:
-            raise DegenerateConfigurationError(f"{pt} lies on a fundamental line")
-        return PlanePoint(vals, self.p)
+        return _forward_image(self.quad_forms, pt, self.p, str(pt))
 
     def pull_back(self, phis: tuple[BinForm, BinForm, BinForm]) -> tuple[BinForm, BinForm, BinForm]:
         """Compose the inverse map with a parameterization of the image curve.
@@ -188,15 +194,7 @@ class CremonaStep:
         """
         f0, f1, f2 = phis
         prods = (f1 * f2, f0 * f2, f0 * f1)
-        ninv = self.n_matrix.inverse().entries
-        combined = []
-        for c in range(3):
-            acc = BinForm.zero(self.p)
-            for l in range(3):
-                if prods[l].is_zero or ninv[c, l] == 0:
-                    continue
-                acc = acc + prods[l].scale(int(ninv[c, l]))
-            combined.append(acc)
+        combined = _combine(self.n_matrix.inverse().entries, prods, self.p)
         if all(f.is_zero for f in combined):
             raise DegenerateConfigurationError("pull-back collapsed to zero")
         g = gcd_many(combined)
@@ -209,6 +207,14 @@ class CremonaStep:
             "points_before": [pt.to_json() for pt in self.points_before],
             "points_after": [pt.to_json() for pt in self.points_after],
         }
+
+
+def _forward_image(quad_forms, pt: PlanePoint, p: int, label: str) -> PlanePoint:
+    """Image of a point under the conics; ``label`` names it in the error."""
+    vals = tuple(q.eval(pt.x) for q in quad_forms)
+    if sum(1 for v in vals if v == 0) >= 2:
+        raise DegenerateConfigurationError(f"{label} lies on a fundamental line")
+    return PlanePoint(vals, p)
 
 
 def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int = MODULUS) -> CremonaStep:
@@ -231,11 +237,8 @@ def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int
     for idx, pt in enumerate(points, start=1):
         if idx in coord:
             after.append(coord[idx])
-            continue
-        vals = tuple(q.eval(pt.x) for q in quad_forms)
-        if sum(1 for v in vals if v == 0) >= 2:
-            raise DegenerateConfigurationError(f"point {idx} lies on a fundamental line")
-        after.append(PlanePoint(vals, p))
+        else:
+            after.append(_forward_image(quad_forms, pt, p, f"point {idx}"))
     if len(set(after)) != len(after):
         raise DegenerateConfigurationError("transformed points collide")
     return CremonaStep((i, j, k), quad_forms, tuple(points), tuple(after), n_matrix)
@@ -333,14 +336,14 @@ def _parameterize_line(mults, points, rng: SeededRng, p: int):
     raise DegenerateConfigurationError("could not place a generic line")
 
 
-def _conic_point(mat: np.ndarray, rng: SeededRng, p: int) -> tuple[int, int, int] | None:
+def _conic_point(mat: MatFp, rng: SeededRng, p: int) -> tuple[int, int, int] | None:
     """A rational point on x^T mat x = 0 via random line sections."""
     for _ in range(64):
         a = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
         b = np.array([0, 1, rng.below(p)], dtype=np.int64)
-        qa = _bilinear(a, mat, a, p)
-        qb = _bilinear(b, mat, b, p)
-        qab = _bilinear(a, mat, b, p)
+        qa = _bilinear(a, mat, a)
+        qb = _bilinear(b, mat, b)
+        qab = _bilinear(a, mat, b)
         if qa == 0:
             return tuple(int(v) for v in a)
         disc = (qab * qab - qa * qb) % p
@@ -372,16 +375,19 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
             continue
         v = kernel[0]
         inv2 = pow(2, -1, p)
-        mat = np.array(
-            [
-                [v[0], v[1] * inv2, v[2] * inv2],
-                [v[1] * inv2, v[3], v[4] * inv2],
-                [v[2] * inv2, v[4] * inv2, v[5]],
-            ],
-            dtype=np.int64,
-        ) % p
+        mat = MatFp(
+            np.array(
+                [
+                    [v[0], v[1] * inv2, v[2] * inv2],
+                    [v[1] * inv2, v[3], v[4] * inv2],
+                    [v[2] * inv2, v[4] * inv2, v[5]],
+                ],
+                dtype=np.int64,
+            ),
+            p,
+        )
         try:
-            MatFp(mat, p).inverse()
+            mat.inverse()
         except ValueError:
             if not extras:
                 raise DegenerateConfigurationError("assigned points lie on a singular conic")
@@ -399,11 +405,11 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
             except ValueError:
                 continue
             p0 = np.array(pt0, dtype=np.int64)
-            qu = _bilinear(u, mat, u, p)
-            qw = _bilinear(w, mat, w, p)
-            quw = _bilinear(u, mat, w, p)
-            lu = _bilinear(p0, mat, u, p)
-            lw = _bilinear(p0, mat, w, p)
+            qu = _bilinear(u, mat, u)
+            qw = _bilinear(w, mat, w)
+            quw = _bilinear(u, mat, w)
+            lu = _bilinear(p0, mat, u)
+            lw = _bilinear(p0, mat, w)
             # phi = -Q(su+tw) * p0 + 2 * (p0^T M (su+tw)) * (su+tw)
             comps = []
             for c in range(3):
@@ -440,14 +446,14 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
         w = np.array([0, 1, rng.below(p)], dtype=np.int64)
         umat = np.vstack([u, w, np.array(center.x, dtype=np.int64)]).T % p
         try:
-            uinv = MatFp(umat, p).inverse().entries
+            uinv = MatFp(umat, p).inverse()
         except ValueError:
             continue
         taus = []
         rows = []
         ok = True
         for idx in simple:
-            bx = _mv(uinv, np.array(points[idx].x, dtype=np.int64), p)
+            bx = uinv.matvec(points[idx].x)
             a, b, cc = (int(v) for v in bx)
             if a == 0 and b == 0:
                 ok = False
@@ -480,16 +486,7 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
             zero_pad = np.zeros(1, dtype=np.int64)
             sg = _binform_from(np.concatenate([gvec, zero_pad]), p)
             tg = _binform_from(np.concatenate([zero_pad, gvec]), p)
-            mh = -h
-            frame = (sg, tg, mh)
-            comps = []
-            for c in range(3):
-                acc = BinForm.zero(p)
-                for l in range(3):
-                    if frame[l].is_zero or umat[c, l] == 0:
-                        continue
-                    acc = acc + frame[l].scale(int(umat[c, l]))
-                comps.append(acc)
+            comps = _combine(umat, (sg, tg, -h), p)
             if all(f.is_zero for f in comps):
                 continue
             return tuple(comps)
@@ -500,7 +497,9 @@ class ParameterizationError(ValueError):
     """The requested type cannot be parameterized by this engine."""
 
 
-def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng, verify: bool) -> ParamTriple:
+def _parameterize_once(
+    D: DivClass, pts: PointSet, rng: SeededRng, verify: bool
+) -> tuple[ParamTriple, list[CremonaStep]]:
     p = pts.p
     word, base = reduce_to_base(D)
     classes = [D]
@@ -539,7 +538,37 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng, verify: bool)
             got = multiplicity_at(triple, pts.points[idx])
             if got != m:
                 raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
-    return triple
+    return triple, steps
+
+
+def _parameterize(
+    ntype: NumType | DivClass, points: PointSet, seed: int, verify: bool, max_retries: int
+) -> tuple[ParamTriple, list[CremonaStep]]:
+    """Validate and pad the type, then run the retry loop; the one path
+    behind ``parameterize`` and ``parameterize_with_trace``."""
+    D = ntype.to_divclass() if isinstance(ntype, NumType) else ntype
+    if D.d < 1:
+        raise ValueError("degree must be >= 1")
+    if any(m < 0 for m in D.m):
+        raise ValueError("multiplicities must be non-negative")
+    if not smooth_rational_numerics_ok(D):
+        raise ValueError(f"{D} fails the rational smoothness numerics")
+    if D.r > points.r:
+        raise ValueError(f"type needs {D.r} points but only {points.r} given")
+    if D.r < points.r:
+        D = DivClass(D.d, D.m + (0,) * (points.r - D.r))
+
+    pts = points
+    last = "no attempt"
+    for attempt in range(max_retries):
+        if attempt:
+            pts = random_points(points.r, mix_seed(seed, attempt, 0x52455452), points.p)
+        rng = SeededRng(mix_seed(seed, attempt, 0x504152))
+        try:
+            return _parameterize_once(D, pts, rng, verify)
+        except DegenerateConfigurationError as exc:
+            last = str(exc)
+    raise RetryLimitError(f"parameterization failed after {max_retries} attempts: {last}")
 
 
 def parameterize(
@@ -556,28 +585,7 @@ def parameterize(
     are points, not parameterization targets).  Degenerate configurations
     retry with fresh points derived from seed and the retry counter.
     """
-    D = ntype.to_divclass() if isinstance(ntype, NumType) else ntype
-    if D.d < 1:
-        raise ValueError("degree must be >= 1")
-    if any(m < 0 for m in D.m):
-        raise ValueError("multiplicities must be non-negative")
-    if not smooth_rational_numerics_ok(D):
-        raise ValueError(f"{D} fails the rational smoothness numerics")
-    if D.r > points.r:
-        raise ValueError(f"type needs {D.r} points but only {points.r} given")
-    if D.r < points.r:
-        D = DivClass(D.d, D.m + (0,) * (points.r - D.r))
-
-    pts = points
-    last = "no attempt"
-    for attempt in range(max_retries):
-        rng = SeededRng(mix_seed(seed, attempt, 0x504152))
-        try:
-            return _parameterize_once(D, pts, rng, verify)
-        except DegenerateConfigurationError as exc:
-            last = str(exc)
-            pts = random_points(points.r, mix_seed(seed, attempt + 1, 0x52455452), points.p)
-    raise RetryLimitError(f"parameterization failed after {max_retries} attempts: {last}")
+    return _parameterize(ntype, points, seed, verify, max_retries)[0]
 
 
 def parameterize_with_trace(
@@ -585,18 +593,8 @@ def parameterize_with_trace(
 ) -> tuple[ParamTriple, list[CremonaStep]]:
     """Like parameterize, but also returns the Cremona steps for audit.
 
-    Retries are not folded in here: a degenerate configuration surfaces as an
-    exception so the caller sees exactly the trace of the points handed in.
+    One attempt only: a degenerate configuration raises RetryLimitError
+    instead of swapping in fresh points, so the steps always belong to the
+    points handed in.
     """
-    D = ntype.to_divclass() if isinstance(ntype, NumType) else ntype
-    if D.r < points.r:
-        D = DivClass(D.d, D.m + (0,) * (points.r - D.r))
-    word, _ = reduce_to_base(D)
-    steps = []
-    current = points.points
-    for quad in word:
-        step = cremona_apply(current, quad.i, quad.j, quad.k, points.p)
-        steps.append(step)
-        current = step.points_after
-    triple = parameterize(ntype, points, seed, verify=verify, max_retries=1)
-    return triple, steps
+    return _parameterize(ntype, points, seed, verify, max_retries=1)

@@ -124,3 +124,53 @@ def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "classify", "--type", "2,1,1,1,1,1", "--format", "table")
     assert code == 0
     assert "ascenzi" in out and "{" not in out.splitlines()[0]
+
+
+def test_scan_stdout_is_the_library_scan(capsys):
+    from curvesplit.conjscan import scan_conjecture9
+
+    code, out, _ = run_cli(capsys, "scan-conj9", "--dmax", "8")
+    assert code == 0
+    records, summary = scan_conjecture9(8, seed=1)
+    expected = [json.dumps(r.to_json()) for r in records] + [json.dumps({"summary": summary})]
+    assert out == "\n".join(expected) + "\n"
+
+
+def _scan_lines(capsys, out_path, *flags):
+    code, _, _ = run_cli(capsys, "scan-conj9", "--dmax", "8", "--out", str(out_path), *flags)
+    assert code == 0
+    return out_path.read_text().splitlines()
+
+
+def test_resume_refuses_records_of_another_seed(tmp_path, capsys):
+    out_path = tmp_path / "scan.jsonl"
+    lines = _scan_lines(capsys, out_path, "--seed", "5")
+    out_path.write_text("\n".join(lines[:3]) + "\n")
+    code, _, err = run_cli(
+        capsys, "scan-conj9", "--dmax", "8", "--seed", "6", "--out", str(out_path), "--resume"
+    )
+    assert code == 1
+    assert err.startswith("error:") and "seed" in err
+    # the refused file is left as it was
+    assert out_path.read_text().splitlines() == lines[:3]
+
+
+@pytest.mark.parametrize("first, second", [((), ("--certify",)), (("--certify",), ())])
+def test_resume_refuses_records_of_the_other_certify_mode(tmp_path, capsys, first, second):
+    out_path = tmp_path / "scan.jsonl"
+    lines = _scan_lines(capsys, out_path, *first)
+    with_sa = [l for l in lines[:-1] if json.loads(l)["semiadjoint"] is not None]
+    assert with_sa
+    out_path.write_text(with_sa[0] + "\n")
+    code, _, err = run_cli(
+        capsys, "scan-conj9", "--dmax", "8", "--out", str(out_path), "--resume", *second
+    )
+    assert code == 1
+    assert err.startswith("error:") and "h1_a" in err
+
+
+def test_resume_with_matching_certify_reproduces_the_scan(tmp_path, capsys):
+    out_path = tmp_path / "scan.jsonl"
+    lines = _scan_lines(capsys, out_path, "--certify")
+    out_path.write_text("\n".join(lines[:10]) + "\n")
+    assert _scan_lines(capsys, out_path, "--certify", "--resume") == lines

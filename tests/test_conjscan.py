@@ -1,5 +1,11 @@
+import dataclasses
+import json
+
+import pytest
+
 from curvesplit.conjscan import (
     R7_FAMILIES,
+    ScanRecord,
     certify_unbalanced,
     classification7_spotcheck,
     scan_conjecture9,
@@ -111,3 +117,44 @@ class TestSpotcheck:
         rows = classification7_spotcheck(fam, range(3), seed=13)
         assert len(rows) == 1
         assert rows[0].computed_gap == 0 and rows[0].ok
+
+
+class TestScanDriver:
+    def test_record_json_roundtrip(self):
+        records, _ = scan_conjecture9(8, seed=5, certify=True)
+        records.append(ScanRecord(NumType(5, (2,) * 6), False, None, None, 3, error="gave up"))
+        for rec in records:
+            data = rec.to_json()
+            assert ScanRecord.from_json(data) == rec
+            assert ScanRecord.from_json(json.loads(json.dumps(data))).to_json() == data
+
+    def test_malformed_record_is_a_value_error(self):
+        with pytest.raises(ValueError, match="malformed"):
+            ScanRecord.from_json({"type": [1, 0, 0]})
+
+    def test_resumed_records_are_reused(self):
+        records, summary = scan_conjecture9(8, seed=5)
+        # a marked record proves the driver took it rather than rescanning
+        marked = dataclasses.replace(records[-1], error="resumed")
+        again, summary2 = scan_conjecture9(8, seed=5, resumed=[marked])
+        assert again[:-1] == records[:-1] and again[-1] is marked
+        assert summary2["n_errors"] == 1 and summary["n_errors"] == 0
+
+    def test_retry_path_at_a_small_prime(self, monkeypatch):
+        # at p = 211 degenerate configurations are common; the retries must
+        # run and still reproduce the default-modulus summary
+        from curvesplit import param
+
+        redraws = []
+        real = param.random_points
+
+        def counting(*args, **kwargs):
+            redraws.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(param, "random_points", counting)
+        _, small = scan_conjecture9(16, seed=7, p=211)
+        monkeypatch.undo()
+        assert len(redraws) == 7
+        _, default = scan_conjecture9(16, seed=7)
+        assert small == default

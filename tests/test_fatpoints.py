@@ -217,3 +217,17 @@ class TestNongenericResolution:
     def test_rejects_small_degree(self, points9):
         with pytest.raises(ValueError):
             check_nongeneric_resolution(DivClass(2, (1, 1, 1, 1, 1, 0, 0, 0, 0)), points9)
+
+    def test_each_condition_matrix_built_once(self, points9, monkeypatch):
+        import curvesplit.fatpoints as fp
+
+        degrees = []
+        real = fp.conditions_matrix
+
+        def counting(Z, k):
+            degrees.append(k)
+            return real(Z, k)
+
+        monkeypatch.setattr(fp, "conditions_matrix", counting)
+        check_nongeneric_resolution(DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)), points9)
+        assert sorted(degrees) == [4, 5, 6]

@@ -203,3 +203,37 @@ class TestParameterize:
 def test_mix_seed_stable():
     assert mix_seed(1, 2, 3) == mix_seed(1, 2, 3)
     assert mix_seed(1, 2, 3) != mix_seed(1, 2, 4)
+
+
+class TestParameterizePaths:
+    QUARTIC = NumType(4, (2, 2, 2, 1, 1, 1, 1, 1))
+
+    def test_trace_triple_is_the_parameterization(self, points9):
+        phi, _ = parameterize_with_trace(self.QUARTIC, points9, seed=9)
+        assert phi == parameterize(self.QUARTIC, points9, seed=9)
+
+    def test_trace_steps_start_at_the_given_points(self, points9):
+        _, steps = parameterize_with_trace(self.QUARTIC, points9, seed=9)
+        assert steps[0].points_before == points9.points
+        for before, after in zip(steps, steps[1:]):
+            assert after.points_before == before.points_after
+
+    def test_no_redraw_after_the_last_attempt(self, points9, monkeypatch):
+        from curvesplit import param
+        from curvesplit.param import RetryLimitError
+
+        def always_degenerate(*args):
+            raise DegenerateConfigurationError("forced")
+
+        seeds = []
+
+        def counting(r, seed, p=P):
+            seeds.append(seed)
+            return random_points(r, seed, p)
+
+        monkeypatch.setattr(param, "_parameterize_once", always_degenerate)
+        monkeypatch.setattr(param, "random_points", counting)
+        with pytest.raises(RetryLimitError, match="after 3 attempts: forced"):
+            parameterize(self.QUARTIC, points9, seed=9, max_retries=3)
+        # attempts 1 and 2 draw fresh points, from the same seeds as before
+        assert seeds == [mix_seed(9, attempt, 0x52455452) for attempt in (1, 2)]
