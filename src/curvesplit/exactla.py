@@ -2,13 +2,23 @@
 
 Matrices are stored as numpy ``int64`` arrays with entries reduced to
 ``[0, p)``.  All elimination is done with modular inverses, so results are
-exact.  The modulus must satisfy ``(p - 1)**2 < 2**63`` so that a product of
-two reduced entries never overflows ``int64``; the default modulus
+exact.  There is one 2-D elimination, ``MatFp.rref``: a forward pass to
+row-echelon form that touches only the rows below each pivot that are
+nonzero in its column, on the columns from the pivot on, then
+back-substitution on the free columns of the pivot rows.  ``rank``,
+``kernel_basis`` and ``inverse`` all go through it.  ``all_nonsingular``
+tests a whole stack of small square matrices at once with a batched forward
+pass.
+
+The modulus must satisfy ``(p - 1)**2 < 2**63``: every update, the batched
+one included, reduces each product of two reduced entries before the next
+subtraction, so no intermediate overflows ``int64``; the default modulus
 ``2**31 - 1`` leaves ample headroom.
 """
 
 from __future__ import annotations
 
+import bisect
 from functools import lru_cache
 
 import numpy as np
@@ -59,9 +69,11 @@ def check_modulus(p: int) -> int:
 class MatFp:
     """A dense matrix over F_p supporting rank and kernel-basis extraction.
 
-    The entry array is owned by the instance and never mutated after
-    construction; elimination always works on an internal copy, so instances
-    can be shared freely between threads.
+    Rank, kernel basis and inverse are all read off ``rref`` (forward
+    elimination, then back-substitution on the free columns).  The entry
+    array is owned by the instance and never mutated after construction;
+    elimination always works on an internal copy, so instances can be shared
+    freely between threads.
     """
 
     __slots__ = ("entries", "p")
@@ -104,8 +116,21 @@ class MatFp:
         """Reduced row-echelon form and the tuple of pivot columns.
 
         Pivots are chosen as the first nonzero entry in each column (partial
-        pivoting by first nonzero); the pivot column is cleared in all other
-        rows, so the result is the unique RREF over F_p.
+        pivoting by first nonzero), so the result is the unique RREF over F_p.
+        It is computed in two passes:
+
+        * forward elimination to row-echelon form with unit pivots.  Each
+          pivot row is normalized from its pivot column on, and only the rows
+          below that are nonzero in the pivot column are updated, on the
+          columns from the pivot column on (everything left of it is already
+          zero);
+        * back-substitution, from the last pivot upwards, on the free
+          (non-pivot) columns of the pivot rows only; the pivot columns are
+          then overwritten with the identity.  With no free columns, as in a
+          full-column-rank rank check, this pass is skipped.
+
+        Every update subtracts a product of two reduced entries from a reduced
+        entry, so it stays within ``(p - 1)**2 < 2**63``.
         """
         p = self.p
         a = self.entries.copy()
@@ -115,21 +140,33 @@ class MatFp:
         for c in range(ncols):
             if r == nrows:
                 break
-            nz = np.nonzero(a[r:, c])[0]
+            nz = np.flatnonzero(a[r:, c])
             if nz.size == 0:
                 continue
-            pr = r + int(nz[0])
-            if pr != r:
-                a[[r, pr]] = a[[pr, r]]
-            inv = pow(int(a[r, c]), -1, p)
-            a[r] = a[r] * inv % p
-            col = a[:, c].copy()
-            col[r] = 0
-            other = np.nonzero(col)[0]
-            if other.size:
-                a[other] = (a[other] - np.outer(col[other], a[r])) % p
+            if nz[0]:
+                # both rows are zero left of c; the one swapped down is zero at c
+                a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
+            row = a[r, c:]
+            row *= pow(int(row[0]), -1, p)
+            row %= p
+            if nz.size > 1:
+                below = nz[1:] + r
+                a[below, c:] = (a[below, c:] - np.outer(a[below, c], row)) % p
             pivots.append(c)
             r += 1
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        if free and r > 1:
+            fb = a[:r, free]
+            for i in range(r - 1, 0, -1):
+                # row i is zero on the free columns left of its pivot
+                s = bisect.bisect(free, pivots[i])
+                if s < len(free):
+                    blk = fb[:i, s:]
+                    blk -= np.outer(a[:i, pivots[i]], fb[i, s:])
+                    blk %= p
+            a[:r, free] = fb
+        a[:r, pivots] = np.eye(r, dtype=np.int64)
         return a, tuple(pivots)
 
     def rank(self) -> int:
@@ -147,7 +184,6 @@ class MatFp:
         pivot coordinates filled from the RREF.  ``len(result) == cols - rank``
         and ``M v == 0`` for every returned vector.
         """
-        p = self.p
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -155,8 +191,7 @@ class MatFp:
         for f in free:
             v = np.zeros(self.cols, dtype=np.int64)
             v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = (-int(red[i, f])) % p
+            v[list(pivots)] = (-red[: len(pivots), f]) % self.p
             v.flags.writeable = False
             basis.append(v)
         return basis
@@ -180,3 +215,31 @@ class MatFp:
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular over F_p")
         return MatFp(red[:, n:], self.p)
+
+
+def all_nonsingular(stack, p: int = MODULUS) -> bool:
+    """Whether every matrix of a ``(B, n, n)`` stack is nonsingular over F_p.
+
+    One forward elimination runs over the whole stack: at each column every
+    matrix pivots on its first nonzero entry on or below the diagonal, and
+    the answer is False as soon as some matrix has none.  The rows below are
+    cleared fraction-free (row * pivot - pivot row * entry, each product
+    reduced before the subtraction), which keeps every intermediate within
+    ``(p - 1)**2 < 2**63`` and needs no modular inverse.
+    """
+    check_modulus(p)
+    a = np.remainder(np.asarray(stack, dtype=np.int64), p)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
+    which = np.arange(a.shape[0])
+    for c in range(a.shape[1]):
+        nz = a[:, c:, c] != 0
+        if not nz.any(axis=1).all():
+            return False
+        pr = c + nz.argmax(axis=1)
+        prow = a[which, pr, c:]
+        # row c moves to the pivot's place; later columns never read row c
+        a[which, pr, c:] = a[:, c, c:]
+        blk = a[:, c + 1 :, c:]
+        a[:, c + 1 :, c:] = (blk * prow[:, None, :1] % p - blk[:, :, :1] * prow[:, None, :] % p) % p
+    return True

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binform import BinForm, ParamTriple, div_exact, gcd_many
-from .exactla import MODULUS, MatFp, check_modulus
+from .exactla import MODULUS, MatFp, all_nonsingular, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
 from .plane import PlaneForm, eval_row
 
@@ -124,10 +124,10 @@ def genericity_certificate(points: tuple[PlanePoint, ...], p: int) -> bool:
         if _eval_line(_line_through(a, b, p), c, p) == 0:
             return False
     if len(points) >= 6:
-        for six in itertools.combinations(points, 6):
-            rows = np.vstack([eval_row(pt.x, 2, p) for pt in six])
-            if MatFp(rows, p).rank() < 6:
-                return False
+        # the 6x6 conic minors of the evaluation rows, tested as one stack
+        rows = np.vstack([eval_row(pt.x, 2, p) for pt in points])
+        sixes = np.array(list(itertools.combinations(range(len(points)), 6)))
+        return all_nonsingular(rows[sixes], p)
     return True
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesplit.exactla import MODULUS, MatFp, check_modulus, is_prime
+from curvesplit.exactla import MODULUS, MatFp, all_nonsingular, check_modulus, is_prime
 
 P = MODULUS
 
@@ -109,3 +109,146 @@ def test_rank_invariant_under_row_ops(m, data):
 def test_kernel_vectors_all_annihilated(m):
     for v in m.kernel_basis():
         assert not m.matvec(v).any()
+
+
+def reference_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Textbook Gauss-Jordan in Python integers: first nonzero pivot per column."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, tuple(pivots)
+
+
+@st.composite
+def small_entry_matrices(draw):
+    # entries 0..3 mod 7 make zero columns, repeated rows and low rank common
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(st.integers(min_value=0, max_value=3), min_size=cols, max_size=cols)
+    return MatFp(draw(st.lists(row, min_size=rows, max_size=rows)), 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=small_entry_matrices())
+def test_rref_matches_reference_mod_7(m):
+    red, pivots = m.rref()
+    ref, ref_pivots = reference_rref(m.entries.tolist(), m.p)
+    assert pivots == ref_pivots
+    assert red.dtype == np.int64 and red.shape == m.entries.shape
+    assert red.tolist() == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=small_matrices())
+def test_rref_matches_reference_default_modulus(m):
+    red, pivots = m.rref()
+    ref, ref_pivots = reference_rref(m.entries.tolist(), m.p)
+    assert pivots == ref_pivots
+    assert red.tolist() == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=small_entry_matrices())
+def test_kernel_basis_reduced_normal_form_mod_7(m):
+    ref, pivots = reference_rref(m.entries.tolist(), m.p)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = m.kernel_basis()
+    assert len(basis) == len(free)
+    for f, v in zip(free, basis):
+        expect = [0] * m.cols
+        expect[f] = 1
+        for i, c in enumerate(pivots):
+            expect[c] = -ref[i][f] % m.p
+        assert v.dtype == np.int64 and v.tolist() == expect
+        assert not v.flags.writeable
+
+
+def _product(a: MatFp, b: MatFp) -> list[list[int]]:
+    n = a.rows
+    return [
+        [sum(int(a.entries[i, k]) * int(b.entries[k, j]) for k in range(n)) % a.p for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("p", [7, P])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_roundtrip_or_singular(p, data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=0, max_value=3 if p == 7 else p - 1)
+    m = MatFp(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)), p)
+    if len(reference_rref(m.entries.tolist(), p)[1]) < n:
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    identity = np.eye(n, dtype=np.int64).tolist()
+    assert _product(m, inv) == identity
+    assert _product(inv, m) == identity
+
+
+@pytest.mark.parametrize("p", [7, P])
+def test_singular_inverse_raises_at_both_moduli(p):
+    with pytest.raises(ValueError):
+        MatFp([[1, 2, 3], [2, 4, 6], [0, 1, 1]], p).inverse()
+
+
+def test_all_nonsingular_matches_rank_on_random_stacks():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        stack = rng.integers(0, 7, size=(int(rng.integers(1, 12)), 6, 6))
+        expect = all(MatFp(m, 7).rank() == 6 for m in stack)
+        assert all_nonsingular(stack, 7) == expect
+
+
+def test_all_nonsingular_finds_the_one_singular_matrix():
+    rng = np.random.default_rng(7)
+    found = 0
+    while found < 40:
+        stack = rng.integers(0, 7, size=(8, 6, 6))
+        ranks = [MatFp(m, 7).rank() for m in stack]
+        if ranks.count(6) != 7:
+            continue
+        found += 1
+        assert not all_nonsingular(stack, 7)
+        singular = ranks.index(min(ranks))
+        assert all_nonsingular(np.delete(stack, singular, axis=0), 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_all_nonsingular_matches_rank_mod_7(data):
+    b = data.draw(st.integers(min_value=1, max_value=5))
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)
+    matrix = st.lists(row, min_size=n, max_size=n)
+    stack = np.array(data.draw(st.lists(matrix, min_size=b, max_size=b)))
+    assert all_nonsingular(stack, 7) == all(MatFp(m, 7).rank() == n for m in stack)
+
+
+def test_all_nonsingular_default_modulus_and_shapes():
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, P, size=(84, 6, 6))
+    assert all_nonsingular(stack, P) == all(MatFp(m, P).rank() == 6 for m in stack)
+    stack[41, 5] = 2 * stack[41, 0] + stack[41, 3]
+    assert not all_nonsingular(stack, P)
+    assert all_nonsingular(np.zeros((0, 6, 6), dtype=np.int64), P)
+    with pytest.raises(ValueError):
+        all_nonsingular(np.zeros((2, 3, 4), dtype=np.int64), P)
+

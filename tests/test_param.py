@@ -35,6 +35,28 @@ class TestRandomPoints:
         pts = random_points(9, seed=99)
         assert genericity_certificate(pts.points, P)
 
+    def test_five_points_need_no_conic_check(self):
+        assert genericity_certificate(random_points(5, seed=11).points, P)
+        # any five points lie on a conic; only six or more can fail that check
+        on_conic = tuple(PlanePoint((1, t, t * t), P) for t in range(1, 6))
+        assert genericity_certificate(on_conic, P)
+
+    def test_six_on_a_conic_rejected(self):
+        # six points on x0*x2 = x1^2 and three more: no three are collinear,
+        # so only the conic check can reject the set
+        on_conic = tuple(PlanePoint((1, t, t * t), P) for t in range(1, 7))
+        pts = on_conic + random_points(3, seed=5).points
+        assert not genericity_certificate(pts, P)
+        assert genericity_certificate(on_conic[1:] + random_points(3, seed=5).points, P)
+
+    def test_collinear_triple_rejected(self):
+        line = tuple(PlanePoint((1, t, 0), P) for t in range(3))
+        assert not genericity_certificate(line + random_points(6, seed=8).points, P)
+
+    def test_repeated_point_rejected(self):
+        pts = random_points(8, seed=9).points
+        assert not genericity_certificate(pts + pts[:1], P)
+
     def test_small_modulus_exhausts(self):
         from curvesplit.param import RetryLimitError
 
