@@ -88,15 +88,6 @@ class BinForm:
     def zero(cls, p: int = MODULUS) -> "BinForm":
         return cls((), p)
 
-    @classmethod
-    def monomial(cls, degree: int, t_exp: int, p: int = MODULUS, c: int = 1) -> "BinForm":
-        """c * s^(degree - t_exp) * t^t_exp."""
-        if not 0 <= t_exp <= degree:
-            raise ValueError(f"t exponent {t_exp} out of range for degree {degree}")
-        coeffs = np.zeros(degree + 1, dtype=np.int64)
-        coeffs[t_exp] = c
-        return cls(coeffs, p)
-
     @property
     def is_zero(self) -> bool:
         return self.coeffs.size == 0
@@ -146,14 +137,6 @@ class BinForm:
         if self.is_zero or c % self.p == 0:
             return BinForm.zero(self.p)
         return BinForm(self.coeffs * (c % self.p) % self.p, self.p)
-
-    def pow(self, e: int) -> "BinForm":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = BinForm((1,), self.p)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def eval(self, s0: int, t0: int) -> int:
         """Value at (s0, t0)."""
@@ -328,9 +311,6 @@ class ParamTriple:
     @property
     def p(self) -> int:
         return self.phi0.p
-
-    def eval(self, s0: int, t0: int) -> tuple[int, int, int]:
-        return tuple(f.eval(s0, t0) for f in self.phis)
 
     def to_json(self) -> dict:
         return {

@@ -34,7 +34,7 @@ from .lattice import (
     smooth_rational_numerics_ok,
 )
 from .param import parameterize, parameterize_with_trace, random_points
-from .splitting import min_syzygy, saturation_degree, splitting_moving_lines, splitting_saturation
+from .splitting import min_syzygy, splitting_moving_lines, splitting_saturation
 
 DEFAULT_SEED = 1
 DEGREE_CAP = 200
@@ -156,7 +156,7 @@ def _cmd_split(args, cfg: Config) -> int:
             "b": ml.b,
             "gap": ml.gap,
             "method": "moving-lines = saturation = min-syzygy",
-            "sigma": saturation_degree(triple),
+            "sigma": sat.b + triple.degree - 1,
             "syzygy": syz.to_json(),
             "seed": cfg.seed,
         },

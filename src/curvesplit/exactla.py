@@ -173,9 +173,6 @@ class MatFp:
         """Rank over F_p."""
         return len(self.rref()[1])
 
-    def nullity(self) -> int:
-        return self.cols - self.rank()
-
     def kernel_basis(self) -> list[np.ndarray]:
         """Basis of the right null-space, in reduced echelon normal form.
 

@@ -150,23 +150,23 @@ class MuReport:
         }
 
 
-def _mu_matrix(Z: FatScheme, k: int) -> tuple[MatFp, list[np.ndarray], int]:
+def _mu_matrix(Z: FatScheme, k: int) -> tuple[MatFp, list[np.ndarray]]:
     basis = ideal_basis(Z, k)
     n1 = dim_forms(k + 1)
     if not basis:
-        return MatFp.zeros(n1, 0, Z.p), basis, n1
+        return MatFp.zeros(n1, 0, Z.p), basis
     cols = []
     for b in basis:
         for j in range(3):
             col = np.zeros(n1, dtype=np.int64)
             col[var_shift(k, j)] = b
             cols.append(col)
-    return MatFp(np.column_stack(cols), Z.p), basis, n1
+    return MatFp(np.column_stack(cols), Z.p), basis
 
 
 def mu_rank(Z: FatScheme, k: int) -> MuReport:
     """Rank/kernel/cokernel of multiplication by linear forms at degree k."""
-    mat, basis, _ = _mu_matrix(Z, k)
+    mat, basis = _mu_matrix(Z, k)
     dim_k = len(basis)
     dim_k1 = ideal_dim(Z, k + 1)
     rank = mat.rank()
@@ -179,7 +179,7 @@ def plane_syzygies(Z: FatScheme, k: int) -> list[tuple[PlaneForm, PlaneForm, Pla
     These are the kernel vectors of mu_k, reassembled as forms; they are the
     raw material for syzygies of parameterizations that come from the plane.
     """
-    mat, basis, _ = _mu_matrix(Z, k)
+    mat, basis = _mu_matrix(Z, k)
     p = Z.p
     out = []
     for vec in mat.kernel_basis():
@@ -223,11 +223,17 @@ def h1_class(D: DivClass, points: PointSet) -> int:
 
 
 def linear_excess(A: DivClass, points: PointSet) -> int:
-    """dim ker of H^0(A) (x) H^0(L) -> H^0(A + L)."""
-    h0 = h0_class(A, points)
-    if h0 <= 0:
+    """dim ker of H^0(A) (x) H^0(L) -> H^0(A + L).
+
+    Computed from one basis of H^0(A) and one rank of mu at degree d_A, as
+    3 h^0(A) - rank mu; the degree-(d_A + 1) ideal is never needed.
+    """
+    basis = []
+    if A.d >= 0:
+        mat, basis = _mu_matrix(_scheme_for(A, points), A.d)
+    if not basis:
         raise ValueError(f"{A} has no sections; linear excess undefined")
-    return mu_rank(_scheme_for(A, points), A.d).kernel_dim
+    return 3 * len(basis) - mat.rank()
 
 
 def alpha_degree(Z: FatScheme) -> int:

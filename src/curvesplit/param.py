@@ -120,14 +120,15 @@ def genericity_certificate(points: tuple[PlanePoint, ...], p: int) -> bool:
     """Pairwise distinct, no 3 collinear, no 6 on a conic."""
     if len(set(points)) != len(points):
         return False
-    for a, b, c in itertools.combinations(points, 3):
-        if _eval_line(_line_through(a, b, p), c, p) == 0:
-            return False
-    if len(points) >= 6:
-        # the 6x6 conic minors of the evaluation rows, tested as one stack
-        rows = np.vstack([eval_row(pt.x, 2, p) for pt in points])
-        sixes = np.array(list(itertools.combinations(range(len(points)), 6)))
-        return all_nonsingular(rows[sixes], p)
+    # three collinear points make a singular 3x3 minor of the coordinates, six
+    # on a conic a singular 6x6 minor of the conic evaluation rows
+    coords = np.array([pt.x for pt in points], dtype=np.int64)
+    conic_rows = np.vstack([eval_row(pt.x, 2, p) for pt in points])
+    for n, rows in ((3, coords), (6, conic_rows)):
+        if len(points) >= n:
+            subsets = np.array(list(itertools.combinations(range(len(points)), n)))
+            if not all_nonsingular(rows[subsets], p):
+                return False
     return True
 
 
@@ -142,9 +143,6 @@ class PointSet:
     @property
     def r(self) -> int:
         return len(self.points)
-
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "p": self.p, "points": [pt.to_json() for pt in self.points]}
 
 
 def random_points(r: int, seed: int, p: int = MODULUS, max_tries: int = 32) -> PointSet:
@@ -307,13 +305,9 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return root
 
 
-def _binform_from(coeffs, p: int) -> BinForm:
-    return BinForm(np.asarray(coeffs, dtype=np.int64), p)
-
-
 def _line_triple(a: PlanePoint, b: PlanePoint, p: int) -> tuple[BinForm, BinForm, BinForm]:
     """phi(s, t) = s*a + t*b."""
-    return tuple(_binform_from((a.x[c], b.x[c]), p) for c in range(3))
+    return tuple(BinForm((a.x[c], b.x[c]), p) for c in range(3))
 
 
 def _parameterize_line(mults, points, rng: SeededRng, p: int):
@@ -417,7 +411,7 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
                 cs2 = (-qu * p0c + 2 * lu * uc) % p
                 cst = (-2 * quw * p0c + 2 * (lu * wc + lw * uc)) % p
                 ct2 = (-qw * p0c + 2 * lw * wc) % p
-                comps.append(_binform_from((cs2, cst, ct2), p))
+                comps.append(BinForm((cs2, cst, ct2), p))
             if all(f.is_zero for f in comps):
                 continue
             return tuple(comps)
@@ -465,10 +459,7 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
             rows.append([cc * v % p for v in gpows] + hpows)
         if not ok or len({(a * pow(b, -1, p) if b else -1) for a, b in taus}) != len(taus):
             raise DegenerateConfigurationError("simple points collide in the pencil through the center")
-        if rows:
-            kernel = MatFp(np.array(rows, dtype=np.int64), p).kernel_basis()
-        else:
-            kernel = [np.eye(2 * d + 1, dtype=np.int64)[i] for i in range(2 * d + 1)]
+        kernel = MatFp(np.array(rows, dtype=np.int64).reshape(-1, 2 * d + 1), p).kernel_basis()
         if not kernel:
             raise DegenerateConfigurationError("no pencil curve through the prescribed points")
         for _ in range(16):
@@ -478,14 +469,14 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
             gvec, hvec = coeffs[:d], coeffs[d:]
             if not gvec.any() or not hvec.any():
                 continue
-            g = _binform_from(gvec, p)
-            h = _binform_from(hvec, p)
+            g = BinForm(gvec, p)
+            h = BinForm(hvec, p)
             if not g.is_zero and not h.is_zero and gcd_many([g, h]).degree != 0:
                 continue
             # phi0 in the normalized frame, then back through the frame change
             zero_pad = np.zeros(1, dtype=np.int64)
-            sg = _binform_from(np.concatenate([gvec, zero_pad]), p)
-            tg = _binform_from(np.concatenate([zero_pad, gvec]), p)
+            sg = BinForm(np.concatenate([gvec, zero_pad]), p)
+            tg = BinForm(np.concatenate([zero_pad, gvec]), p)
             comps = _combine(umat, (sg, tg, -h), p)
             if all(f.is_zero for f in comps):
                 continue
@@ -497,9 +488,7 @@ class ParameterizationError(ValueError):
     """The requested type cannot be parameterized by this engine."""
 
 
-def _parameterize_once(
-    D: DivClass, pts: PointSet, rng: SeededRng, verify: bool
-) -> tuple[ParamTriple, list[CremonaStep]]:
+def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> tuple[ParamTriple, list[CremonaStep]]:
     p = pts.p
     word, base = reduce_to_base(D)
     classes = [D]
@@ -533,16 +522,15 @@ def _parameterize_once(
         raise DegenerateConfigurationError(str(exc)) from exc
     if triple.degree != D.d:
         raise DegenerateConfigurationError("final degree disagrees with the class")
-    if verify:
-        for idx, m in enumerate(D.m):
-            got = multiplicity_at(triple, pts.points[idx])
-            if got != m:
-                raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
+    for idx, m in enumerate(D.m):
+        got = multiplicity_at(triple, pts.points[idx])
+        if got != m:
+            raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
     return triple, steps
 
 
 def _parameterize(
-    ntype: NumType | DivClass, points: PointSet, seed: int, verify: bool, max_retries: int
+    ntype: NumType | DivClass, points: PointSet, seed: int, max_retries: int
 ) -> tuple[ParamTriple, list[CremonaStep]]:
     """Validate and pad the type, then run the retry loop; the one path
     behind ``parameterize`` and ``parameterize_with_trace``."""
@@ -565,7 +553,7 @@ def _parameterize(
             pts = random_points(points.r, mix_seed(seed, attempt, 0x52455452), points.p)
         rng = SeededRng(mix_seed(seed, attempt, 0x504152))
         try:
-            return _parameterize_once(D, pts, rng, verify)
+            return _parameterize_once(D, pts, rng)
         except DegenerateConfigurationError as exc:
             last = str(exc)
     raise RetryLimitError(f"parameterization failed after {max_retries} attempts: {last}")
@@ -575,26 +563,28 @@ def parameterize(
     ntype: NumType | DivClass,
     points: PointSet,
     seed: int,
-    verify: bool = True,
     max_retries: int = 24,
 ) -> ParamTriple:
     """Parameterize a curve of the given type through the given points.
 
     The i-th multiplicity is imposed at the i-th point.  The type must pass
     the rational-smoothness numerics and have degree >= 1 (degree-0 classes
-    are points, not parameterization targets).  Degenerate configurations
-    retry with fresh points derived from seed and the retry counter.
+    are points, not parameterization targets).  Every multiplicity of the
+    result is always verified at its point; a mismatch counts as a degenerate
+    configuration.  Degenerate configurations retry with fresh points derived
+    from seed and the retry counter.
     """
-    return _parameterize(ntype, points, seed, verify, max_retries)[0]
+    return _parameterize(ntype, points, seed, max_retries)[0]
 
 
 def parameterize_with_trace(
-    ntype: NumType | DivClass, points: PointSet, seed: int, verify: bool = True
+    ntype: NumType | DivClass, points: PointSet, seed: int
 ) -> tuple[ParamTriple, list[CremonaStep]]:
     """Like parameterize, but also returns the Cremona steps for audit.
 
-    One attempt only: a degenerate configuration raises RetryLimitError
-    instead of swapping in fresh points, so the steps always belong to the
-    points handed in.
+    Every multiplicity is always verified, as in parameterize.  One attempt
+    only: a degenerate configuration raises RetryLimitError instead of
+    swapping in fresh points, so the steps always belong to the points
+    handed in.
     """
-    return _parameterize(ntype, points, seed, verify, max_retries=1)
+    return _parameterize(ntype, points, seed, max_retries=1)

@@ -139,19 +139,13 @@ def splitting_saturation(phi: ParamTriple) -> SplitType:
     the least k with dim J_k = k + 1 is sigma = b + d - 1 and is at most
     2d - 2 for any honest parameterization.
     """
-    sigma = saturation_degree(phi)
-    d = phi.degree
-    b = sigma - d + 1
-    return SplitType(d - b, b)
-
-
-def saturation_degree(phi: ParamTriple) -> int:
     d = phi.degree
     if d < 2:
         raise ValueError("saturation analysis needs degree >= 2")
-    for k in range(d, 2 * d - 1):
-        if syzygy_matrix(phi, k - d).rank() == k + 1:
-            return k
+    for sigma in range(d, 2 * d - 1):
+        if syzygy_matrix(phi, sigma - d).rank() == sigma + 1:
+            b = sigma - d + 1
+            return SplitType(d - b, b)
     raise ValueError("saturation cap 2d-2 exceeded; components share a factor or the map is degenerate")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,26 @@ def test_split_flagship(capsys):
     assert data["gap"] == 2
     assert data["sigma"] == 12
     assert data["seed"] == 1
+
+
+def test_split_runs_the_saturation_once(capsys, monkeypatch):
+    import curvesplit.splitting as splitting
+
+    calls = []
+    real = splitting.syzygy_matrix
+
+    def counting(phi, k):
+        calls.append(k)
+        return real(phi, k)
+
+    monkeypatch.setattr(splitting, "syzygy_matrix", counting)
+    code, out, _ = run_cli(capsys, "split", "--type", "8,3,3,3,3,3,3,3")
+    assert code == 0
+    data = json.loads(out)
+    a, b = data["a"], data["b"]
+    assert data["sigma"] == b + 8 - 1
+    # one moving-line matrix, b saturation ranks (degrees d..sigma), a syzygy degrees
+    assert len(calls) == 1 + a + b == 9
 
 
 def test_enum_count(capsys):
@@ -174,3 +195,26 @@ def test_resume_with_matching_certify_reproduces_the_scan(tmp_path, capsys):
     lines = _scan_lines(capsys, out_path, "--certify")
     out_path.write_text("\n".join(lines[:10]) + "\n")
     assert _scan_lines(capsys, out_path, "--certify", "--resume") == lines
+
+
+# sha256 of the stdout of each command, pinned when the outputs were last
+# checked by hand; any change to these bytes is a change of results
+PINNED_DIGESTS = {
+    "param --type 4,2,2,2,1,1,1,1,1 --seed 3 --trace": "686202bd3caaa1b11f61ec3f20ae9da51c6929eb48a3df93639698a2fd7b2574",
+    "param --type 3,2 --seed 1": "7d3c891a42dabcc9f593b508c5298afb92f20b0dedf63037a25bd160c4cadbf6",
+    "split --type 8,3,3,3,3,3,3,3 --seed 1": "d61e55c0df0b875b1347a83e432d3c216322126b01f6fa7cdaf6e04652c31e61",
+    "fatpoints --mults 4,1,1,1,1,1,1,1,1 --k 4..6 --seed 7": "790c54c2a3a3321a1e2c6b229991dda2a9bcb146e2e2b8ac97ddd35ff9a707c0",
+    "scan-conj9 --dmax 20 --seed 1 --certify": "e14d0ec33fcba83f37243e35a05694960d8f83d2ceb6ed072bfdbd62c767b784",
+    "list7-check --seed 1": "6c4bd32fa14455b89ccdf722533ff52ea52847f1236647b9db88573370d65330",
+}
+
+
+def test_outputs_match_pinned_digests(capsys, monkeypatch):
+    monkeypatch.delenv("CURVESPLIT_P", raising=False)
+    monkeypatch.delenv("CURVESPLIT_SEED", raising=False)
+    got = {}
+    for cmd in PINNED_DIGESTS:
+        code, out, _ = run_cli(capsys, *cmd.split())
+        assert code == 0, cmd
+        got[cmd] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_DIGESTS

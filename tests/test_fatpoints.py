@@ -22,6 +22,22 @@ from curvesplit.plane import dim_forms, eval_row
 P = MODULUS
 
 
+@pytest.fixture
+def condition_degrees(monkeypatch):
+    """The degree of every condition matrix built while the test runs."""
+    import curvesplit.fatpoints as fp
+
+    degrees = []
+    real = fp.conditions_matrix
+
+    def counting(Z, k):
+        degrees.append(k)
+        return real(Z, k)
+
+    monkeypatch.setattr(fp, "conditions_matrix", counting)
+    return degrees
+
+
 class TestIdealDim:
     def test_single_simple_point(self, points9):
         Z = FatScheme(points9, (1, 0, 0, 0, 0, 0, 0, 0, 0))
@@ -127,8 +143,9 @@ class TestCohomology:
         assert linear_excess(DivClass(1, (0,) * 9), points9) == 3
 
     def test_linear_excess_needs_sections(self, points9):
-        with pytest.raises(ValueError):
-            linear_excess(DivClass(1, (1, 1, 1, 0, 0, 0, 0, 0, 0)), points9)
+        for A in (DivClass(1, (1, 1, 1, 0, 0, 0, 0, 0, 0)), DivClass(-1, (0,) * 9)):
+            with pytest.raises(ValueError, match="has no sections; linear excess undefined"):
+                linear_excess(A, points9)
 
     def test_le_criterion(self, points9):
         # whenever h1 = 0, -K.A = 2, d >= 0 and A^2 + 1 >= L.A the excess is >= 1
@@ -218,16 +235,26 @@ class TestNongenericResolution:
         with pytest.raises(ValueError):
             check_nongeneric_resolution(DivClass(2, (1, 1, 1, 1, 1, 0, 0, 0, 0)), points9)
 
-    def test_each_condition_matrix_built_once(self, points9, monkeypatch):
-        import curvesplit.fatpoints as fp
-
-        degrees = []
-        real = fp.conditions_matrix
-
-        def counting(Z, k):
-            degrees.append(k)
-            return real(Z, k)
-
-        monkeypatch.setattr(fp, "conditions_matrix", counting)
+    def test_each_condition_matrix_built_once(self, points9, condition_degrees):
         check_nongeneric_resolution(DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)), points9)
-        assert sorted(degrees) == [4, 5, 6]
+        assert sorted(condition_degrees) == [4, 5, 6]
+
+
+class TestEliminationCounts:
+    """Each quantity builds the condition matrices it needs once."""
+
+    def test_linear_excess_eliminates_once(self, points9, condition_degrees):
+        A = DivClass(3, (1,) * 7 + (0, 0))
+        assert linear_excess(A, points9) == 1
+        assert condition_degrees == [A.d]
+
+    def test_certified_scan_record_builds_two(self, condition_degrees):
+        from curvesplit.conjscan import scan_record
+        from curvesplit.lattice import NumType, semi_adjoint
+
+        T = NumType(8, (3, 3, 3, 3, 3, 3, 3, 1, 1))
+        A = semi_adjoint(T.to_divclass())
+        rec = scan_record(T, 1, certify=True)
+        assert (rec.h1_a, rec.le_a) == (0, 1)
+        # one in h1_class, one in linear_excess
+        assert condition_degrees == [A.d, A.d]

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from curvesplit.binform import BinForm, ParamTriple
@@ -18,6 +21,42 @@ from curvesplit.param import (
 )
 
 P = MODULUS
+
+
+def _rank_mod(rows, p):
+    """Rank of a list of int rows over F_p by plain Gauss-Jordan."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_certificate(points, p):
+    """Distinct, every triple's determinant nonzero, every six conic rows of rank 6."""
+    xs = [pt.x for pt in points]
+    if len(set(xs)) != len(xs):
+        return False
+    for a, b, c in itertools.combinations(xs, 3):
+        det = (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        if det % p == 0:
+            return False
+    conic = [[x * x, x * y, x * z, y * y, y * z, z * z] for x, y, z in xs]
+    return all(_rank_mod(list(six), p) == 6 for six in itertools.combinations(conic, 6))
 
 
 class TestRandomPoints:
@@ -56,6 +95,23 @@ class TestRandomPoints:
     def test_repeated_point_rejected(self):
         pts = random_points(8, seed=9).points
         assert not genericity_certificate(pts + pts[:1], P)
+
+    def test_certificate_matches_reference(self):
+        # raw sets at small primes, where repeats, collinear triples and six
+        # points on a conic are all common; r = 3..5 never reach the conic check
+        verdicts = set()
+        for p in (7, 31):
+            rng = random.Random(p)
+            for r in list(range(3, 10)) * 40:
+                pts = []
+                while len(pts) < r:
+                    x = tuple(rng.randrange(p) for _ in range(3))
+                    if any(x):
+                        pts.append(PlanePoint(x, p))
+                want = _reference_certificate(pts, p)
+                assert genericity_certificate(tuple(pts), p) == want, (p, pts)
+                verdicts.add((r >= 6, want))
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_small_modulus_exhausts(self):
         from curvesplit.param import RetryLimitError
