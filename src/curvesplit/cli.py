@@ -1,10 +1,8 @@
 """Command-line surface: enumeration, classification, parameterization,
 splitting, fat points and the conjecture scans.
 
-Every subcommand is deterministic given (argv, seed, p).  The prime modulus
-and the seed can also be set through the CURVESPLIT_P and CURVESPLIT_SEED
-environment variables; explicit flags win.  Exit codes: 0 success, 1 domain
-error, 2 usage error.
+Every subcommand is deterministic given (argv, seed, p), and the run is read
+from argv alone.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .conjscan import (
     search_min_product,
 )
 from .exactla import MODULUS, check_modulus
-from .fatpoints import FatScheme, alpha_degree, mu_rank
+from .fatpoints import FatScheme, alpha_degree, betti_report
 from .lattice import (
     NumType,
     ascenzi_classify,
@@ -170,10 +168,7 @@ def _cmd_fatpoints(args, cfg: Config) -> int:
     pts = random_points(len(mults), cfg.seed, cfg.p)
     Z = FatScheme(pts, mults)
     krange = [cfg.check_degree(k) for k in _parse_krange(args.k)]
-    table = []
-    for k in krange:
-        rep = mu_rank(Z, k)
-        table.append(rep.to_json())
+    table = [rep.to_json() for rep in betti_report(Z, krange)]
     _emit(
         {
             "mults": list(mults),
@@ -243,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Splitting types of rational plane curves over a large prime field.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None, help="prime modulus (default 2^31-1)")
-    common.add_argument("--seed", type=int, default=None, help="global seed (default 1)")
+    common.add_argument("--p", type=int, default=MODULUS, help="prime modulus (default 2^31-1)")
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="global seed (default 1)")
     common.add_argument("--format", choices=("json", "table"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,10 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    p = args.p if args.p is not None else int(os.environ.get("CURVESPLIT_P", MODULUS))
-    seed = args.seed if args.seed is not None else int(os.environ.get("CURVESPLIT_SEED", DEFAULT_SEED))
     try:
-        cfg = Config(p=p, seed=seed, fmt=args.format)
+        cfg = Config(p=args.p, seed=args.seed, fmt=args.format)
         return args.func(args, cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -356,8 +356,10 @@ def reduce_to_base(D: DivClass) -> tuple[WeylWord, DivClass]:
 
     While the degree is at least 2 and some index triple has multiplicity sum
     exceeding the degree, reflect in the triple with the largest sum (ties:
-    lexicographically least triple).  Each applied step strictly decreases
-    the degree, so the loop runs at most d times.  The returned base class is
+    lexicographically least triple).  That triple holds the three largest
+    multiplicities, the lowest indices first among equal ones, so a stable
+    sort on -m finds it.  Each applied step strictly decreases the degree, so
+    the loop runs at most d times.  The returned base class is
     directly parameterizable for every class this engine feeds it: a line, a
     conic, or a curve with a point of multiplicity d-1.
     """
@@ -367,15 +369,9 @@ def reduce_to_base(D: DivClass) -> tuple[WeylWord, DivClass]:
         raise ValueError(f"{D} fails the rational smoothness numerics")
     word: list[Reflection] = []
     cur = D
-    while cur.d >= 2:
-        best_sum = None
-        best: tuple[int, int, int] | None = None
-        for i, j, k in itertools.combinations(range(cur.r), 3):
-            s = cur.m[i] + cur.m[j] + cur.m[k]
-            if best_sum is None or s > best_sum:
-                best_sum = s
-                best = (i, j, k)
-        if best is None or best_sum <= cur.d:
+    while cur.d >= 2 and cur.r >= 3:
+        best = sorted(sorted(range(cur.r), key=lambda idx: -cur.m[idx])[:3])
+        if sum(cur.m[idx] for idx in best) <= cur.d:
             break
         quad = Quad(best[0] + 1, best[1] + 1, best[2] + 1)
         word.append(quad)

@@ -162,16 +162,14 @@ def random_points(r: int, seed: int, p: int = MODULUS, max_tries: int = 32) -> P
 class CremonaStep:
     """One quadratic Cremona map centered at three of the current points.
 
-    ``quad_forms`` are the three forward conics (products of the lines
-    joining the centers); evaluating them maps non-center points.  The three
-    center slots of ``points_after`` hold the coordinate points.  ``n_matrix``
-    is the linear map sending the centers to the coordinate triangle; the
-    inverse map factors as n_matrix^{-1} after the standard involution
-    (y1 y2, y0 y2, y0 y1), which is what ``pull_back`` uses.
+    The map is x -> sigma(N x): ``n_matrix`` N (rows h_jk, h_ik, h_ij, the
+    lines joining the centers) sends the centers to the coordinate triangle,
+    then the standard involution sigma(y) = (y1 y2, y0 y2, y0 y1) follows.
+    The three center slots of ``points_after`` hold the coordinate points.
+    The inverse map is N^{-1} after sigma, which is what ``pull_back`` uses.
     """
 
     centers: tuple[int, int, int]
-    quad_forms: tuple[PlaneForm, PlaneForm, PlaneForm]
     points_before: tuple[PlanePoint, ...]
     points_after: tuple[PlanePoint, ...]
     n_matrix: MatFp
@@ -180,9 +178,21 @@ class CremonaStep:
     def p(self) -> int:
         return self.n_matrix.p
 
+    @property
+    def quad_forms(self) -> tuple[PlaneForm, PlaneForm, PlaneForm]:
+        """The forward conics: the components of sigma(N x), each a product
+        of two lines, with coefficients in the order x0^2, x0x1, x0x2, x1^2,
+        x1x2, x2^2."""
+        h = [[int(v) for v in row] for row in self.n_matrix.entries]
+        forms = []
+        for (a0, a1, a2), (b0, b1, b2) in ((h[1], h[2]), (h[0], h[2]), (h[0], h[1])):
+            coeffs = (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0, a1 * b1, a1 * b2 + a2 * b1, a2 * b2)
+            forms.append(PlaneForm(2, coeffs, self.p))
+        return tuple(forms)
+
     def apply_point(self, pt: PlanePoint) -> PlanePoint:
         """Forward image of a point not on any fundamental line."""
-        return _forward_image(self.quad_forms, pt, self.p, str(pt))
+        return _forward_image(self.n_matrix, pt, str(pt))
 
     def pull_back(self, phis: tuple[BinForm, BinForm, BinForm]) -> tuple[BinForm, BinForm, BinForm]:
         """Compose the inverse map with a parameterization of the image curve.
@@ -207,9 +217,11 @@ class CremonaStep:
         }
 
 
-def _forward_image(quad_forms, pt: PlanePoint, p: int, label: str) -> PlanePoint:
-    """Image of a point under the conics; ``label`` names it in the error."""
-    vals = tuple(q.eval(pt.x) for q in quad_forms)
+def _forward_image(n_matrix: MatFp, pt: PlanePoint, label: str) -> PlanePoint:
+    """sigma(N x) for the point x; ``label`` names it in the error."""
+    p = n_matrix.p
+    y0, y1, y2 = (int(v) for v in n_matrix.matvec(pt.x))
+    vals = (y1 * y2 % p, y0 * y2 % p, y0 * y1 % p)
     if sum(1 for v in vals if v == 0) >= 2:
         raise DegenerateConfigurationError(f"{label} lies on a fundamental line")
     return PlanePoint(vals, p)
@@ -221,14 +233,10 @@ def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int
     if not (1 <= i < j < k <= r):
         raise ValueError(f"center indices ({i}, {j}, {k}) must satisfy 1 <= i < j < k <= {r}")
     pi, pj, pk = points[i - 1], points[j - 1], points[k - 1]
-    h_ij = _line_through(pi, pj, p)
-    h_ik = _line_through(pi, pk, p)
     h_jk = _line_through(pj, pk, p)
+    n_matrix = MatFp(np.array([h_jk, _line_through(pi, pk, p), _line_through(pi, pj, p)], dtype=np.int64), p)
     if _eval_line(h_jk, pi, p) == 0:
         raise DegenerateConfigurationError("collinear centers")
-    lines = {"ij": PlaneForm.linear(*h_ij, p), "ik": PlaneForm.linear(*h_ik, p), "jk": PlaneForm.linear(*h_jk, p)}
-    quad_forms = (lines["ij"] * lines["ik"], lines["ij"] * lines["jk"], lines["ik"] * lines["jk"])
-    n_matrix = MatFp(np.array([h_jk, h_ik, h_ij], dtype=np.int64), p)
 
     coord = {i: PlanePoint((1, 0, 0), p), j: PlanePoint((0, 1, 0), p), k: PlanePoint((0, 0, 1), p)}
     after: list[PlanePoint] = []
@@ -236,10 +244,10 @@ def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int
         if idx in coord:
             after.append(coord[idx])
         else:
-            after.append(_forward_image(quad_forms, pt, p, f"point {idx}"))
+            after.append(_forward_image(n_matrix, pt, f"point {idx}"))
     if len(set(after)) != len(after):
         raise DegenerateConfigurationError("transformed points collide")
-    return CremonaStep((i, j, k), quad_forms, tuple(points), tuple(after), n_matrix)
+    return CremonaStep((i, j, k), tuple(points), tuple(after), n_matrix)
 
 
 def multiplicity_at(phi: ParamTriple, point: PlanePoint) -> int:

@@ -3,7 +3,7 @@
 Monomials of degree k are ordered with exponents (a, b, c), a + b + c = k,
 lexicographically by descending (a, b); coefficient vectors follow that
 order.  Only what the interpolation and syzygy machinery needs lives here:
-evaluation, products, variable shifts, and composition with a map P^1 -> P^2.
+evaluation, variable shifts, and composition with a map P^1 -> P^2.
 """
 
 from __future__ import annotations
@@ -89,24 +89,6 @@ class PlaneForm:
     def eval(self, point: tuple[int, int, int]) -> int:
         row = eval_row(point, self.degree, self.p)
         return int((np.array(self.coeffs, dtype=np.int64) * row % self.p).sum() % self.p)
-
-    def __mul__(self, other: "PlaneForm") -> "PlaneForm":
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-        k = self.degree + other.degree
-        idx = mono_index(k)
-        acc = [0] * dim_forms(k)
-        monos_self = monomials(self.degree)
-        monos_other = monomials(other.degree)
-        for c1, m1 in zip(self.coeffs, monos_self):
-            if c1 == 0:
-                continue
-            for c2, m2 in zip(other.coeffs, monos_other):
-                if c2 == 0:
-                    continue
-                t = idx[(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])]
-                acc[t] = (acc[t] + c1 * c2) % self.p
-        return PlaneForm(k, tuple(acc), self.p)
 
     def var_mul(self, j: int) -> "PlaneForm":
         """Product with the variable x_j."""

@@ -132,15 +132,6 @@ def test_search_subcommand(capsys):
     assert data["result"]["min_product"] == 3
 
 
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("CURVESPLIT_SEED", "17")
-    code, out, _ = run_cli(capsys, "split", "--type", "2,1,1,1,1,1")
-    data = json.loads(out)
-    assert code == 0
-    assert data["seed"] == 17
-    assert (data["a"], data["b"]) == (1, 1)
-
-
 def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "classify", "--type", "2,1,1,1,1,1", "--format", "table")
     assert code == 0
@@ -202,6 +193,8 @@ def test_resume_with_matching_certify_reproduces_the_scan(tmp_path, capsys):
 PINNED_DIGESTS = {
     "param --type 4,2,2,2,1,1,1,1,1 --seed 3 --trace": "686202bd3caaa1b11f61ec3f20ae9da51c6929eb48a3df93639698a2fd7b2574",
     "param --type 3,2 --seed 1": "7d3c891a42dabcc9f593b508c5298afb92f20b0dedf63037a25bd160c4cadbf6",
+    "param --type 10,4,4,4,4,4,4 --seed 2 --trace": "6ce12355b4727e4d48ab4337d3db87f30a03abe5e88333b11cdeeea55107e9ed",
+    "param --type 8,3,3,3,3,3,3,3,1,1 --seed 5 --trace --p 211": "b0216ec19bd9fdba6b5bdce97986521210c4991bf80afb11e9d7fcc553aa752c",
     "split --type 8,3,3,3,3,3,3,3 --seed 1": "d61e55c0df0b875b1347a83e432d3c216322126b01f6fa7cdaf6e04652c31e61",
     "fatpoints --mults 4,1,1,1,1,1,1,1,1 --k 4..6 --seed 7": "790c54c2a3a3321a1e2c6b229991dda2a9bcb146e2e2b8ac97ddd35ff9a707c0",
     "scan-conj9 --dmax 20 --seed 1 --certify": "e14d0ec33fcba83f37243e35a05694960d8f83d2ceb6ed072bfdbd62c767b784",
@@ -209,9 +202,7 @@ PINNED_DIGESTS = {
 }
 
 
-def test_outputs_match_pinned_digests(capsys, monkeypatch):
-    monkeypatch.delenv("CURVESPLIT_P", raising=False)
-    monkeypatch.delenv("CURVESPLIT_SEED", raising=False)
+def test_outputs_match_pinned_digests(capsys):
     got = {}
     for cmd in PINNED_DIGESTS:
         code, out, _ = run_cli(capsys, *cmd.split())

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -274,16 +275,12 @@ class TestReduceToBase:
         assert word == ()
         assert base == D
 
-    def test_greedy_matches_bruteforce_trace(self):
-        # independent oracle: replay the greedy rule step by step
-        D = DivClass(4, (2, 2, 2, 1, 1, 1, 1, 1))
+    @staticmethod
+    def _bruteforce_reduction(D):
+        # independent oracle: replay the greedy rule step by step over every triple
         cur = D
         expected_word = []
         while cur.d >= 2:
-            best = max(
-                itertools.combinations(range(cur.r), 3),
-                key=lambda t: (sum(cur.m[i] for i in t), tuple(-i for i in t)),
-            )
             sums = sorted((sum(cur.m[i] for i in t), tuple(t)) for t in itertools.combinations(range(cur.r), 3))
             top = max(s for s, _ in sums)
             if top <= cur.d:
@@ -292,9 +289,40 @@ class TestReduceToBase:
             q = Quad(triple[0] + 1, triple[1] + 1, triple[2] + 1)
             expected_word.append(q)
             cur = reflect(cur, [q])
-        word, base = reduce_to_base(D)
-        assert list(word) == expected_word
-        assert base == cur
+        return expected_word, cur
+
+    @staticmethod
+    def _greedy_cases():
+        # every exceptional type with r = 3..8 up to degree 30 and r = 9 up to
+        # degree 61, each with three shuffles that move tied multiplicities, plus
+        # random genus-0 classes with multiplicities >= -1
+        rng = random.Random(0)
+        cases = [DivClass(4, (2, 2, 2, 1, 1, 1, 1, 1))]
+        for r, dmax in [(r, 30) for r in range(3, 9)] + [(9, 61)]:
+            for T in sorted(enum_exceptional(r, dmax), key=lambda t: t.sort_key()):
+                if T.d < 1:
+                    continue
+                cases.append(T.to_divclass())
+                for _ in range(3):
+                    m = list(T.m)
+                    rng.shuffle(m)
+                    cases.append(DivClass(T.d, tuple(m)))
+        n_random = 0
+        while n_random < 300:
+            r, d = rng.randint(3, 9), rng.randint(1, 8)
+            D = DivClass(d, tuple(rng.randint(-1, d) for _ in range(r)))
+            if smooth_rational_numerics_ok(D):
+                cases.append(D)
+                n_random += 1
+        return cases
+
+    def test_greedy_matches_bruteforce_trace(self):
+        cases = self._greedy_cases()
+        assert len(cases) > 4500
+        for D in cases:
+            expected_word, expected_base = self._bruteforce_reduction(D)
+            word, base = reduce_to_base(D)
+            assert (list(word), base) == (expected_word, expected_base), D
 
     def test_degree_strictly_decreases(self):
         D = DivClass(16, (6,) * 7)

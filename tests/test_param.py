@@ -134,6 +134,40 @@ class TestSqrtMod:
         assert P % 4 == 3
         assert sqrt_mod(P - 1, P) is None
 
+    # p = 1 (mod 4) takes the Tonelli-Shanks branch; p - 1 has 2-adic
+    # valuation 4, 16 and 23
+    TS_PRIMES = (1009, 65537, 998244353)
+
+    @pytest.mark.parametrize("p", TS_PRIMES)
+    def test_tonelli_shanks_roundtrip(self, p):
+        assert p % 4 == 1
+        rng = SeededRng(p)
+        for _ in range(50):
+            a = rng.below(p)
+            sq = a * a % p
+            root = sqrt_mod(sq, p)
+            assert root is not None and root * root % p == sq
+
+    @pytest.mark.parametrize("p", TS_PRIMES)
+    def test_tonelli_shanks_nonresidue(self, p):
+        rng = SeededRng(p + 1)
+        found = 0
+        while found < 20:
+            a = rng.below(p)
+            if pow(a, (p - 1) // 2, p) == p - 1:
+                assert sqrt_mod(a, p) is None
+                found += 1
+
+    def test_conic_base_at_p_1_mod_4(self):
+        # (2; 1, 1) is its own base: the conic point is found through sqrt_mod
+        p = 1009
+        T = NumType(2, (1, 1))
+        for s in range(6):
+            pts = random_points(9, s, p)
+            phi = parameterize(T, pts, s)
+            assert phi.degree == 2
+            assert tuple(multiplicity_at(phi, pt) for pt in pts.points) == (1, 1) + (0,) * 7
+
 
 class TestCremona:
     def test_point_on_opposite_line_contracts(self, points9):
@@ -165,6 +199,20 @@ class TestCremona:
         c = PlanePoint((1, 2, 0), P)
         with pytest.raises(DegenerateConfigurationError):
             cremona_apply((a, b, c), 1, 2, 3, P)
+
+    @pytest.mark.parametrize("p", [P, 211])
+    def test_quad_forms_are_the_forward_map(self, p):
+        rng = SeededRng(p)
+        checked = 0
+        for seed, centers in ((1, (1, 2, 3)), (2, (2, 4, 6)), (3, (1, 5, 6))):
+            step = cremona_apply(random_points(6, seed, p).points, *centers, p)
+            for _ in range(40):
+                x = PlanePoint((1, rng.below(p), rng.below(p)), p)
+                if not step.n_matrix.matvec(x.x).all():
+                    continue  # on a fundamental line
+                assert step.apply_point(x) == PlanePoint(tuple(q.eval(x.x) for q in step.quad_forms), p)
+                checked += 1
+        assert checked >= 100
 
     def test_matches_lattice_reflection(self, points9):
         # the numerical type of the forward-transformed curve is the
