@@ -13,10 +13,8 @@ from curvesplit import (
     FatScheme,
     alpha_degree,
     check_nongeneric_resolution,
-    h0_class,
-    h1_class,
+    class_cohomology,
     ideal_dim,
-    linear_excess,
     mu_rank,
     random_points,
 )
@@ -34,9 +32,11 @@ print("dims 4..6:", [ideal_dim(Z, k) for k in (4, 5, 6)])
 print("mu_5:", mu_rank(Z, 5).to_json())
 
 # Divisor-class cohomology by interpolation: h^0, h^1, and the linear
-# excess le(A) = dim ker of H^0(A) (x) H^0(L) -> H^0(A + L).
+# excess le(A) = dim ker of H^0(A) (x) H^0(L) -> H^0(A + L), all three
+# from one condition matrix.
 A = DivClass(3, (1, 1, 1, 1, 1, 1, 1, 0, 0))
-print("h0(A) =", h0_class(A, points), " h1(A) =", h1_class(A, points), " le(A) =", linear_excess(A, points))
+h0, h1, le = class_cohomology(A, points)
+print("h0(A) =", h0, " h1(A) =", h1, " le(A) =", le)
 
 # The same story one level up: seven quadruple points and two simple ones.
 Z2 = FatScheme(points, (4, 4, 4, 4, 4, 4, 4, 1, 1))

@@ -14,10 +14,9 @@ from .fatpoints import (
     MuReport,
     alpha_degree,
     check_nongeneric_resolution,
+    class_cohomology,
     h0_class,
-    h1_class,
     ideal_dim,
-    linear_excess,
     mu_rank,
 )
 from .lattice import (

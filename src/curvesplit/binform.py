@@ -202,15 +202,6 @@ class BinForm:
             return [-1, []]
         return [self.degree, [int(c) for c in self.coeffs]]
 
-    @classmethod
-    def from_json(cls, data, p: int = MODULUS) -> "BinForm":
-        degree, coeffs = data
-        if degree < 0:
-            return cls.zero(p)
-        if len(coeffs) != degree + 1:
-            raise ValueError("coefficient list does not match degree")
-        return cls(coeffs, p)
-
 
 def _rehom(univ: np.ndarray, t_power: int, p: int) -> BinForm:
     """Homogenize a little-endian univariate poly and multiply by t^t_power."""
@@ -318,9 +309,3 @@ class ParamTriple:
             "p": self.p,
             "components": [f.to_json() for f in self.phis],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "ParamTriple":
-        p = data["p"]
-        f0, f1, f2 = (BinForm.from_json(c, p) for c in data["components"])
-        return cls(f0, f1, f2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .exactla import MODULUS
-from .fatpoints import h0_class, h1_class, linear_excess
+from .fatpoints import class_cohomology, h0_class
 from .lattice import (
     DivClass,
     NumType,
@@ -104,17 +104,21 @@ class ScanRecord:
 
 
 def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -> ScanRecord:
-    """Process one type with a sub-seed derived from the type itself."""
+    """Process one type with a sub-seed derived from the type itself.
+
+    Any exception raised while processing the type becomes the record's
+    ``error``: the message of a ``RetryLimitError``, otherwise the
+    exception's class name and message.
+    """
     sub_seed = mix_seed(seed, T.d, *T.m)
     A = semi_adjoint(T.to_divclass())
     sa = (A.d, *A.m) if A is not None else None
     h1_a = le_a = None
     points = None
-    if A is not None and certify:
-        points = random_points(T.r, sub_seed, p)
-        h1_a = h1_class(A, points)
-        le_a = linear_excess(A, points)
     try:
+        if A is not None and certify:
+            points = random_points(T.r, sub_seed, p)
+            _, h1_a, le_a = class_cohomology(A, points)
         if T.d == 0:
             split = None
         elif T.d == 1:
@@ -125,8 +129,9 @@ def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -
                 points = random_points(T.r, sub_seed, p)
             phi = parameterize(T, points, sub_seed)
             split = splitting_moving_lines(phi)
-    except RetryLimitError as exc:
-        return ScanRecord(T, is_ascenzi(T), sa, None, sub_seed, error=str(exc), h1_a=h1_a, le_a=le_a)
+    except Exception as exc:
+        error = str(exc) if isinstance(exc, RetryLimitError) else f"{type(exc).__name__}: {exc}"
+        return ScanRecord(T, is_ascenzi(T), sa, None, sub_seed, error=error, h1_a=h1_a, le_a=le_a)
     return ScanRecord(T, is_ascenzi(T), sa, split, sub_seed, h1_a=h1_a, le_a=le_a)
 
 
@@ -190,7 +195,7 @@ class UnbalancedCertificate:
     etype: tuple[int, ...]
     a_class: tuple[int, ...]
     h1_a: int
-    le_a: int
+    le_a: int | None
     h0_residual: int
     product_bound: int
     computed: SplitType
@@ -199,6 +204,7 @@ class UnbalancedCertificate:
     def valid(self) -> bool:
         return (
             self.h1_a == 0
+            and self.le_a is not None
             and self.le_a >= 1
             and self.h0_residual == 0
             and self.computed.a <= self.product_bound
@@ -230,8 +236,7 @@ def certify_unbalanced(E: DivClass, points: PointSet, seed: int) -> UnbalancedCe
         return None
     from .lattice import line_class
 
-    h1_a = h1_class(A, points)
-    le_a = linear_excess(A, points)
+    _, h1_a, le_a = class_cohomology(A, points)
     residual = h0_class(A - E + line_class(E.r), points)
     phi = parameterize(NumType.of(E), points, seed)
     split = splitting_moving_lines(phi)
@@ -307,11 +312,9 @@ def search_min_product(
     for prod, d_a, m in candidates:
         A = DivClass(d_a, m)
         tested += 1
-        if h0_class(A, points) <= 0:
-            continue
-        if h1_class(A, points) != 0:
-            continue
-        if linear_excess(A, points) != 1:
+        _, h1, le = class_cohomology(A, points)
+        # le is None when A has no sections
+        if h1 != 0 or le != 1:
             continue
         computed = None
         if compare_seed is not None:

@@ -5,10 +5,9 @@ Matrices are stored as numpy ``int64`` arrays with entries reduced to
 exact.  There is one 2-D elimination, ``MatFp.rref``: a forward pass to
 row-echelon form that touches only the rows below each pivot that are
 nonzero in its column, on the columns from the pivot on, then
-back-substitution on the free columns of the pivot rows.  ``rank``,
-``kernel_basis`` and ``inverse`` all go through it.  ``all_nonsingular``
-tests a whole stack of small square matrices at once with a batched forward
-pass.
+back-substitution on the free columns of the pivot rows.  ``rank`` and
+``kernel_basis`` are its only users.  ``all_nonsingular`` tests a whole
+stack of small square matrices at once with a batched forward pass.
 
 The modulus must satisfy ``(p - 1)**2 < 2**63``: every update, the batched
 one included, reduces each product of two reduced entries before the next
@@ -69,11 +68,11 @@ def check_modulus(p: int) -> int:
 class MatFp:
     """A dense matrix over F_p supporting rank and kernel-basis extraction.
 
-    Rank, kernel basis and inverse are all read off ``rref`` (forward
-    elimination, then back-substitution on the free columns).  The entry
-    array is owned by the instance and never mutated after construction;
-    elimination always works on an internal copy, so instances can be shared
-    freely between threads.
+    Rank and kernel basis are both read off ``rref`` (forward elimination,
+    then back-substitution on the free columns).  The entry array is owned
+    by the instance and never mutated after construction; elimination always
+    works on an internal copy, so instances can be shared freely between
+    threads.
     """
 
     __slots__ = ("entries", "p")
@@ -91,10 +90,6 @@ class MatFp:
     @classmethod
     def zeros(cls, rows: int, cols: int, p: int = MODULUS) -> "MatFp":
         return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
-    def identity(cls, n: int, p: int = MODULUS) -> "MatFp":
-        return cls(np.eye(n, dtype=np.int64), p)
 
     @property
     def rows(self) -> int:
@@ -201,17 +196,6 @@ class MatFp:
         # Reduce each product before summing: column sums of values < p stay
         # far below the int64 limit for any realistic width.
         return (self.entries * v % self.p).sum(axis=1) % self.p
-
-    def inverse(self) -> "MatFp":
-        """Inverse of a square matrix; raises ValueError if singular."""
-        if self.rows != self.cols:
-            raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        aug = MatFp(np.hstack([self.entries, np.eye(n, dtype=np.int64)]), self.p)
-        red, pivots = aug.rref()
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular over F_p")
-        return MatFp(red[:, n:], self.p)
 
 
 def all_nonsingular(stack, p: int = MODULUS) -> bool:

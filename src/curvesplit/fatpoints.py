@@ -30,8 +30,7 @@ __all__ = [
     "mu_rank",
     "plane_syzygies",
     "h0_class",
-    "h1_class",
-    "linear_excess",
+    "class_cohomology",
     "alpha_degree",
     "betti_report",
     "ResolutionReport",
@@ -214,26 +213,22 @@ def h0_class(D: DivClass, points: PointSet) -> int:
     return ideal_dim(_scheme_for(D, points), D.d)
 
 
-def h1_class(D: DivClass, points: PointSet) -> int:
-    """h^1 = h^0 - chi; valid for d >= -2, which kills h^2."""
-    if D.d < -2:
-        raise ValueError("h1 computed only for degree >= -2")
-    chi = (D.dot(D) - canonical_class(D.r).dot(D)) // 2 + 1
-    return h0_class(D, points) - chi
+def class_cohomology(A: DivClass, points: PointSet) -> tuple[int, int, int | None]:
+    """(h^0, h^1, le) of a class of degree >= -2, from one condition matrix.
 
-
-def linear_excess(A: DivClass, points: PointSet) -> int:
-    """dim ker of H^0(A) (x) H^0(L) -> H^0(A + L).
-
-    Computed from one basis of H^0(A) and one rank of mu at degree d_A, as
-    3 h^0(A) - rank mu; the degree-(d_A + 1) ideal is never needed.
+    h^1 = h^0 - chi (degree >= -2 kills h^2).  The linear excess, the
+    dimension of the kernel of H^0(A) (x) H^0(L) -> H^0(A + L), is
+    3 h^0 - rank mu_{d_A} on the same basis of H^0(A); it is None when A has
+    no sections.  Negative degree builds no matrix.
     """
-    basis = []
-    if A.d >= 0:
-        mat, basis = _mu_matrix(_scheme_for(A, points), A.d)
-    if not basis:
-        raise ValueError(f"{A} has no sections; linear excess undefined")
-    return 3 * len(basis) - mat.rank()
+    if A.d < -2:
+        raise ValueError("h1 computed only for degree >= -2")
+    chi = (A.dot(A) - canonical_class(A.r).dot(A)) // 2 + 1
+    if A.d < 0:
+        return 0, -chi, None
+    mat, basis = _mu_matrix(_scheme_for(A, points), A.d)
+    h0 = len(basis)
+    return h0, h0 - chi, 3 * h0 - mat.rank() if h0 else None
 
 
 def alpha_degree(Z: FatScheme) -> int:

@@ -41,8 +41,6 @@ __all__ = [
     "orbit_closure",
     "reduce_to_base",
     "num_permutations",
-    "word_to_json",
-    "word_from_json",
 ]
 
 
@@ -388,25 +386,3 @@ def num_permutations(T: NumType) -> int:
     for v in set(T.m):
         total //= math.factorial(T.m.count(v))
     return total
-
-
-def word_to_json(word: Iterable[Reflection]) -> list[dict]:
-    out = []
-    for ref in word:
-        if isinstance(ref, Swap):
-            out.append({"op": "swap", "idx": [ref.i, ref.j]})
-        else:
-            out.append({"op": "quad", "idx": [ref.i, ref.j, ref.k]})
-    return out
-
-
-def word_from_json(data: Iterable[dict]) -> WeylWord:
-    word: list[Reflection] = []
-    for item in data:
-        if item["op"] == "swap":
-            word.append(Swap(*item["idx"]))
-        elif item["op"] == "quad":
-            word.append(Quad(*item["idx"]))
-        else:
-            raise ValueError(f"unknown reflection tag {item['op']!r}")
-    return tuple(word)

@@ -47,6 +47,28 @@ def _combine(matrix: np.ndarray, forms, p: int) -> list[BinForm]:
     return out
 
 
+def _cross(u, v, p: int) -> tuple[int, int, int]:
+    """The cross product u x v over F_p."""
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return ((u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p, (u0 * v1 - u1 * v0) % p)
+
+
+def _inverse3(m, p: int) -> MatFp | None:
+    """Inverse of a 3x3 matrix over F_p, or None when it is singular.
+
+    Row i of the inverse is the cross product of columns i+1 and i+2 of m
+    (indices mod 3) divided by det m; det m is the dot product of the first
+    such row with column 0.
+    """
+    cols = np.asarray(m, dtype=np.int64).T.tolist()
+    rows = [_cross(cols[(i + 1) % 3], cols[(i + 2) % 3], p) for i in range(3)]
+    det = sum(a * b for a, b in zip(rows[0], cols[0])) % p
+    if det == 0:
+        return None
+    inv = pow(det, -1, p)
+    return MatFp([[v * inv % p for v in row] for row in rows], p)
+
+
 class DegenerateConfigurationError(RuntimeError):
     """A random configuration failed a genericity requirement; retry."""
 
@@ -105,8 +127,7 @@ class PlanePoint:
 
 def _line_through(a: PlanePoint, b: PlanePoint, p: int) -> tuple[int, int, int]:
     """Coefficients of the line through two distinct points (cross product)."""
-    (a0, a1, a2), (b0, b1, b2) = a.x, b.x
-    line = ((a1 * b2 - a2 * b1) % p, (a2 * b0 - a0 * b2) % p, (a0 * b1 - a1 * b0) % p)
+    line = _cross(a.x, b.x, p)
     if line == (0, 0, 0):
         raise ValueError("points coincide; no unique line")
     return line
@@ -202,7 +223,7 @@ class CremonaStep:
         """
         f0, f1, f2 = phis
         prods = (f1 * f2, f0 * f2, f0 * f1)
-        combined = _combine(self.n_matrix.inverse().entries, prods, self.p)
+        combined = _combine(_inverse3(self.n_matrix.entries, self.p).entries, prods, self.p)
         if all(f.is_zero for f in combined):
             raise DegenerateConfigurationError("pull-back collapsed to zero")
         g = gcd_many(combined)
@@ -388,9 +409,7 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
             ),
             p,
         )
-        try:
-            mat.inverse()
-        except ValueError:
+        if _inverse3(mat.entries, p) is None:
             if not extras:
                 raise DegenerateConfigurationError("assigned points lie on a singular conic")
             continue
@@ -402,9 +421,7 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
             u = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
             w = np.array([0, 1, rng.below(p)], dtype=np.int64)
             basis = np.vstack([np.array(pt0, dtype=np.int64), u, w]) % p
-            try:
-                MatFp(basis, p).inverse()
-            except ValueError:
+            if _inverse3(basis, p) is None:
                 continue
             p0 = np.array(pt0, dtype=np.int64)
             qu = _bilinear(u, mat, u)
@@ -447,9 +464,8 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
         u = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
         w = np.array([0, 1, rng.below(p)], dtype=np.int64)
         umat = np.vstack([u, w, np.array(center.x, dtype=np.int64)]).T % p
-        try:
-            uinv = MatFp(umat, p).inverse()
-        except ValueError:
+        uinv = _inverse3(umat, p)
+        if uinv is None:
             continue
         taus = []
         rows = []

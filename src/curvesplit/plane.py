@@ -79,10 +79,6 @@ class PlaneForm:
     def from_vector(cls, degree: int, vec, p: int = MODULUS) -> "PlaneForm":
         return cls(degree, tuple(int(v) for v in vec), p)
 
-    @classmethod
-    def linear(cls, a0: int, a1: int, a2: int, p: int = MODULUS) -> "PlaneForm":
-        return cls(1, (a0, a1, a2), p)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

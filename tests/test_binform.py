@@ -125,11 +125,6 @@ def test_text_rendering():
     assert BinForm.zero(P).to_text() == "0"
 
 
-def test_json_roundtrip():
-    f = form(3, 1, 4, 1)
-    assert BinForm.from_json(f.to_json(), P) == f
-
-
 class TestParamTriple:
     def test_valid(self):
         tri = ParamTriple(form(1, 0, 0, 0, 0), form(0, 1, 0, 0, 0), form(0, 0, 0, 0, 1))
@@ -146,7 +141,3 @@ class TestParamTriple:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             ParamTriple(form(1), form(2), form(3))
-
-    def test_json_roundtrip(self):
-        tri = ParamTriple(form(1, 0, 0, 0, 0), form(0, 1, 0, 0, 0), form(0, 0, 0, 0, 1))
-        assert ParamTriple.from_json(tri.to_json()) == tri

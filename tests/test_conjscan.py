@@ -13,7 +13,8 @@ from curvesplit.conjscan import (
     search_min_product,
     summarize_scan,
 )
-from curvesplit.lattice import DivClass, NumType
+from curvesplit.lattice import DivClass, NumType, semi_adjoint
+from curvesplit.param import ParameterizationError, RetryLimitError
 
 
 class TestScan:
@@ -158,3 +159,51 @@ class TestScanDriver:
         assert len(redraws) == 7
         _, default = scan_conjecture9(16, seed=7)
         assert small == default
+
+
+class TestFaultInjection:
+    """A type whose processing raises costs that type's record, not the scan."""
+
+    BAD = NumType(5, (3, 2, 2, 2, 1, 1, 1, 1, 1))
+
+    def _inject(self, monkeypatch, name, exc, bad):
+        import curvesplit.conjscan as conjscan
+
+        real = getattr(conjscan, name)
+
+        def faulty(D, *args, **kwargs):
+            if D == bad:
+                raise exc
+            return real(D, *args, **kwargs)
+
+        monkeypatch.setattr(conjscan, name, faulty)
+
+    @pytest.mark.parametrize(
+        "exc_class", [ParameterizationError, ValueError, AssertionError], ids=lambda c: c.__name__
+    )
+    def test_one_error_record_and_the_scan_goes_on(self, monkeypatch, exc_class):
+        clean, _ = scan_conjecture9(8, seed=5)
+        self._inject(monkeypatch, "parameterize", exc_class("injected"), self.BAD)
+        records, summary = scan_conjecture9(8, seed=5)
+        bad = [r for r in records if r.error is not None]
+        assert [r.ntype for r in bad] == [self.BAD]
+        assert bad[0].error == f"{exc_class.__name__}: injected" and bad[0].split is None
+        assert [r for r in records if r.ntype != self.BAD] == [r for r in clean if r.ntype != self.BAD]
+        assert summary["n_errors"] == 1 and not summary["conjecture_consistent"]
+
+    def test_retry_limit_keeps_its_message(self, monkeypatch):
+        self._inject(monkeypatch, "parameterize", RetryLimitError("gave up"), self.BAD)
+        records, summary = scan_conjecture9(8, seed=5)
+        assert [r.error for r in records if r.error is not None] == ["gave up"]
+        assert summary["n_errors"] == 1
+
+    def test_certify_cohomology_fault_is_caught(self, monkeypatch):
+        T = NumType(8, (3, 3, 3, 3, 3, 3, 3, 1, 1))
+        A = semi_adjoint(T.to_divclass())
+        self._inject(monkeypatch, "class_cohomology", ValueError("injected"), A)
+        records, summary = scan_conjecture9(8, seed=5, certify=True)
+        bad = [r for r in records if r.error is not None]
+        assert [r.ntype for r in bad] == [T]
+        assert bad[0].error == "ValueError: injected"
+        assert (bad[0].h1_a, bad[0].le_a, bad[0].split) == (None, None, None)
+        assert summary["n_types"] == 15 and summary["n_errors"] == 1

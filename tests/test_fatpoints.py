@@ -7,12 +7,11 @@ from curvesplit.fatpoints import (
     alpha_degree,
     betti_report,
     check_nongeneric_resolution,
+    class_cohomology,
     conditions_matrix,
     h0_class,
-    h1_class,
     ideal_basis,
     ideal_dim,
-    linear_excess,
     mu_rank,
 )
 from curvesplit.lattice import DivClass
@@ -126,26 +125,41 @@ class TestCohomology:
         D = DivClass(1, (-1, 1, 1, 0, 0, 0, 0, 0, 0))
         assert h0_class(D, points9) == 1
 
+    def test_class_cohomology_h0_is_h0_class(self, points9):
+        for D in (
+            DivClass(3, (1, 1, 1, 1, 1, 1, 1, 0, 0)),
+            DivClass(4, (1, 1, 1, 1, 1, 1, 1, 0, 0)),
+            DivClass(1, (0,) * 9),
+            DivClass(1, (-1, 1, 1, 0, 0, 0, 0, 0, 0)),
+            DivClass(-2, (1, 0, 0)),
+        ):
+            assert class_cohomology(D, points9)[0] == h0_class(D, points9)
+
     def test_h1_examples(self, points9):
-        assert h1_class(DivClass(3, (1, 1, 1, 1, 1, 1, 1, 0, 0)), points9) == 0
-        assert h1_class(DivClass(5, (2, 2, 2, 2, 1, 1, 1, 1, 1)), points9) == 0
+        assert class_cohomology(DivClass(3, (1, 1, 1, 1, 1, 1, 1, 0, 0)), points9)[1] == 0
+        assert class_cohomology(DivClass(5, (2, 2, 2, 2, 1, 1, 1, 1, 1)), points9)[1] == 0
         # three generic points impose independent conditions on lines:
         # h^0 = 0 and chi = 0, so h^1 = 0
-        assert h1_class(DivClass(1, (1, 1, 1, 0, 0, 0, 0, 0, 0)), points9) == 0
+        assert class_cohomology(DivClass(1, (1, 1, 1, 0, 0, 0, 0, 0, 0)), points9)[1] == 0
+        # negative degree: no sections and no h^2, so h^1 = -chi = 1
+        assert class_cohomology(DivClass(-1, (1,) + (0,) * 8), points9)[1] == 1
+        assert class_cohomology(DivClass(-2, (1,) + (0,) * 8), points9)[1] == 1
 
     def test_h1_domain_guard(self, points9):
-        with pytest.raises(ValueError):
-            h1_class(DivClass(-3, (0,) * 9), points9)
+        with pytest.raises(ValueError, match="h1 computed only for degree >= -2"):
+            class_cohomology(DivClass(-3, (0,) * 9), points9)
 
     def test_linear_excess_examples(self, points9):
-        assert linear_excess(DivClass(3, (1,) * 7 + (0, 0)), points9) == 1
-        assert linear_excess(DivClass(1, (1, 0, 0, 0, 0, 0, 0, 0, 0)), points9) == 1
-        assert linear_excess(DivClass(1, (0,) * 9), points9) == 3
+        assert class_cohomology(DivClass(3, (1,) * 7 + (0, 0)), points9)[2] == 1
+        assert class_cohomology(DivClass(1, (1, 0, 0, 0, 0, 0, 0, 0, 0)), points9)[2] == 1
+        assert class_cohomology(DivClass(1, (0,) * 9), points9)[2] == 3
 
-    def test_linear_excess_needs_sections(self, points9):
-        for A in (DivClass(1, (1, 1, 1, 0, 0, 0, 0, 0, 0)), DivClass(-1, (0,) * 9)):
-            with pytest.raises(ValueError, match="has no sections; linear excess undefined"):
-                linear_excess(A, points9)
+    def test_linear_excess_needs_sections(self, points9, condition_degrees):
+        # chi is 0 for both: the line through three points, and O(-1)
+        assert class_cohomology(DivClass(1, (1, 1, 1, 0, 0, 0, 0, 0, 0)), points9) == (0, 0, None)
+        assert class_cohomology(DivClass(-1, (0,) * 9), points9) == (0, 0, None)
+        # negative degree builds no condition matrix
+        assert condition_degrees == [1]
 
     def test_le_criterion(self, points9):
         # whenever h1 = 0, -K.A = 2, d >= 0 and A^2 + 1 >= L.A the excess is >= 1
@@ -160,8 +174,9 @@ class TestCohomology:
             DivClass(7, (3, 3, 2, 2, 2, 2, 2, 2, 1)),
         ]:
             assert intersect(-1 * K, cand) == 2
-            if h1_class(cand, points9) == 0 and cand.dot(cand) + 1 >= intersect(L, cand):
-                assert linear_excess(cand, points9) >= 1
+            _, h1, le = class_cohomology(cand, points9)
+            if h1 == 0 and cand.dot(cand) + 1 >= intersect(L, cand):
+                assert le >= 1
 
 
 class TestAlphaAndBetti:
@@ -204,9 +219,9 @@ class TestSplittingBound:
             (DivClass(5, (2, 2, 2, 2, 1, 1, 1, 1, 1)), DivClass(12, (5, 5, 5, 5, 3, 3, 3, 3, 3))),
         ]
         for A, D in pairs:
-            assert h1_class(A, points9) == 0
+            _, h1, le = class_cohomology(A, points9)
+            assert h1 == 0 and le >= 1
             assert h0_class(A - D + L, points9) == 0
-            assert linear_excess(A, points9) >= 1
             phi = parameterize(NumType(D.d, D.m), points9, seed=3)
             a = splitting_moving_lines(phi).a
             assert a <= intersect(A, D)
@@ -245,10 +260,10 @@ class TestEliminationCounts:
 
     def test_linear_excess_eliminates_once(self, points9, condition_degrees):
         A = DivClass(3, (1,) * 7 + (0, 0))
-        assert linear_excess(A, points9) == 1
+        assert class_cohomology(A, points9) == (3, 0, 1)
         assert condition_degrees == [A.d]
 
-    def test_certified_scan_record_builds_two(self, condition_degrees):
+    def test_certified_scan_record_builds_one(self, condition_degrees):
         from curvesplit.conjscan import scan_record
         from curvesplit.lattice import NumType, semi_adjoint
 
@@ -256,5 +271,13 @@ class TestEliminationCounts:
         A = semi_adjoint(T.to_divclass())
         rec = scan_record(T, 1, certify=True)
         assert (rec.h1_a, rec.le_a) == (0, 1)
-        # one in h1_class, one in linear_excess
-        assert condition_degrees == [A.d, A.d]
+        # h1 and le come from one class_cohomology call
+        assert condition_degrees == [A.d]
+
+    def test_search_builds_one_per_candidate(self, points9, condition_degrees):
+        from curvesplit.conjscan import search_min_product
+
+        E = DivClass(8, (3, 3, 3, 3, 3, 3, 3, 1, 1))
+        res = search_min_product(E, points9, dA_max=3)
+        assert res is not None and res.witness == (3, 1, 1, 1, 1, 1, 1, 1, 0, 0)
+        assert len(condition_degrees) == res.tested

@@ -26,8 +26,6 @@ from curvesplit.lattice import (
     reflect,
     semi_adjoint,
     smooth_rational_numerics_ok,
-    word_from_json,
-    word_to_json,
 )
 
 E8337 = DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1))
@@ -337,12 +335,6 @@ class TestReduceToBase:
 
 
 class TestJson:
-    def test_word_roundtrip(self):
-        word = (Quad(1, 2, 3), Swap(2, 5))
-        data = word_to_json(word)
-        assert data == [{"op": "quad", "idx": [1, 2, 3]}, {"op": "swap", "idx": [2, 5]}]
-        assert word_from_json(data) == word
-
     def test_numtype_roundtrip(self):
         T = NumType(4, (1, 3, 1, 1))
         assert T.m == (3, 1, 1, 1)

@@ -145,8 +145,8 @@ class TestSyzygyFromPlane:
     def test_koszul_relation(self, points9):
         phi = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=8)
         assert gcd(phi.phi0, phi.phi1).degree == 0, "sample curve must have coprime first components"
-        x1 = PlaneForm.linear(0, 1, 0, P)
-        mx0 = PlaneForm.linear(P - 1, 0, 0, P)
+        x1 = PlaneForm(1, (0, 1, 0), P)
+        mx0 = PlaneForm(1, (P - 1, 0, 0), P)
         zero = PlaneForm(1, (0, 0, 0), P)
         syz, cof = syzygy_from_plane(phi, (x1, mx0, zero))
         assert cof.degree == 0
@@ -154,7 +154,7 @@ class TestSyzygyFromPlane:
 
     def test_rejects_non_relation(self, points9):
         phi = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=8)
-        x0 = PlaneForm.linear(1, 0, 0, P)
+        x0 = PlaneForm(1, (1, 0, 0), P)
         with pytest.raises(ValueError):
             syzygy_from_plane(phi, (x0, x0, x0))
 

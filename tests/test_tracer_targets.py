@@ -1,0 +1,36 @@
+"""Every function the benchmark tracer wraps must still exist in the package.
+
+``perfbench/tracer.py`` names the functions it wraps as ``(module,
+attribute, layer, kind)`` entries of ``TARGETS``, where the attribute is a
+function or a ``Class.method``.  The tuple is read from the source with
+``ast`` rather than imported, so this test runs without the harness.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _targets() -> list[tuple[str, str, str, str]]:
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError(f"no TARGETS assignment in {TRACER}")
+
+
+TARGETS = _targets()
+
+
+@pytest.mark.parametrize("module, attr", [t[:2] for t in TARGETS], ids=[f"{t[0]}.{t[1]}" for t in TARGETS])
+def test_target_resolves(module, attr):
+    obj = importlib.import_module(f"curvesplit.{module}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)
