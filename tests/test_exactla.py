@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvesplit.exactla import MODULUS, MatFp, all_nonsingular, check_modulus, is_prime
-from curvesplit.param import _inverse3
+from curvesplit.param import DegenerateConfigurationError, PlanePoint, _inverse3, cremona_apply
 
 P = MODULUS
 
@@ -67,6 +67,17 @@ def test_inverse_roundtrip():
     for i in range(3):
         prod[:, i] = m.matvec(inv.entries[:, i])
     assert np.array_equal(prod, np.eye(3, dtype=np.int64))
+
+
+def test_singular_inverse_raises():
+    # the frame matrix N of a Cremona step has no inverse exactly when its
+    # centers are collinear; cremona_apply refuses such centers, so
+    # CremonaStep.pull_back never meets a singular N
+    pts = tuple(PlanePoint(x, P) for x in [(1, 2, 3), (0, 1, 0), (1, 3, 3), (1, 1, 7), (2, 5, 1)])
+    with pytest.raises(DegenerateConfigurationError, match="collinear centers"):
+        cremona_apply(pts, 1, 2, 3, P)
+    step = cremona_apply(pts, 1, 4, 5, P)
+    assert _inverse3(step.n_matrix.entries, P) is not None
 
 
 @st.composite
@@ -204,6 +215,15 @@ def test_inverse_roundtrip_or_singular(p, data):
 def test_singular_inverse_is_none_at_both_moduli(p):
     assert _inverse3(np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), p) is None
     assert _inverse3(np.zeros((3, 3), dtype=np.int64), p) is None
+
+
+@pytest.mark.parametrize("p", [7, P])
+def test_singular_inverse_raises_at_both_moduli(p):
+    pts = tuple(PlanePoint(x, p) for x in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)])
+    rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    assert _inverse3(np.array(rows), p) is None
+    with pytest.raises(DegenerateConfigurationError, match="collinear centers"):
+        cremona_apply(pts, 1, 2, 3, p)
 
 
 def test_all_nonsingular_matches_rank_on_random_stacks():
