@@ -42,6 +42,7 @@ from .lattice import (
 )
 from .param import (
     CremonaStep,
+    Parameterization,
     PlanePoint,
     PointSet,
     cremona_apply,

@@ -31,7 +31,7 @@ from .lattice import (
     semi_adjoint,
     smooth_rational_numerics_ok,
 )
-from .param import parameterize, parameterize_with_trace, random_points
+from .param import parameterize, random_points
 from .splitting import min_syzygy, splitting_moving_lines, splitting_saturation
 
 DEFAULT_SEED = 1
@@ -119,21 +119,12 @@ def _cmd_param(args, cfg: Config) -> int:
     T = _parse_type(args.type)
     cfg.check_degree(T.d)
     pts = _points_for(T, cfg)
+    # a trace is audited against the given points, so it gets one attempt
+    res = parameterize(T, pts, cfg.seed, max_retries=1) if args.trace else parameterize(T, pts, cfg.seed)
+    out = {"type": T.to_json(), "seed": cfg.seed, "p": cfg.p, "triple": res.to_json()}
     if args.trace:
-        triple, steps = parameterize_with_trace(T, pts, cfg.seed)
-        _emit(
-            {
-                "type": T.to_json(),
-                "seed": cfg.seed,
-                "p": cfg.p,
-                "triple": triple.to_json(),
-                "trace": [s.to_json() for s in steps],
-            },
-            cfg,
-        )
-    else:
-        triple = parameterize(T, pts, cfg.seed)
-        _emit({"type": T.to_json(), "seed": cfg.seed, "p": cfg.p, "triple": triple.to_json()}, cfg)
+        out["trace"] = [s.to_json() for s in res.steps]
+    _emit(out, cfg)
     return 0
 
 

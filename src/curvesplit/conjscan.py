@@ -114,24 +114,20 @@ def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -
     A = semi_adjoint(T.to_divclass())
     sa = (A.d, *A.m) if A is not None else None
     h1_a = le_a = None
-    points = None
     try:
-        if A is not None and certify:
-            points = random_points(T.r, sub_seed, p)
-            _, h1_a, le_a = class_cohomology(A, points)
         if T.d == 0:
             split = None
         elif T.d == 1:
             # a line pulls the twisted cotangent bundle back to O(0) + O(-1)
             split = LINE_SPLIT
         else:
-            if points is None:
-                points = random_points(T.r, sub_seed, p)
-            phi = parameterize(T, points, sub_seed)
+            phi = parameterize(T, random_points(T.r, sub_seed, p), sub_seed)
+            if A is not None and certify:
+                _, h1_a, le_a = class_cohomology(A, phi.points)
             split = splitting_moving_lines(phi)
     except Exception as exc:
         error = str(exc) if isinstance(exc, RetryLimitError) else f"{type(exc).__name__}: {exc}"
-        return ScanRecord(T, is_ascenzi(T), sa, None, sub_seed, error=error, h1_a=h1_a, le_a=le_a)
+        return ScanRecord(T, is_ascenzi(T), sa, None, sub_seed, error=error)
     return ScanRecord(T, is_ascenzi(T), sa, split, sub_seed, h1_a=h1_a, le_a=le_a)
 
 
@@ -149,8 +145,9 @@ def scan_conjecture9(
     "semi-adjoint exists <=> gap > 1".  A type with a record in ``resumed``
     reuses it instead of being scanned again.  A resumed record must carry
     the sub-seed that ``seed`` derives for its type, and h1_a exactly when
-    ``certify`` computes it; otherwise ValueError.  The modulus is not
-    recorded, so a record scanned at another p cannot be detected.
+    ``certify`` computes it (a certified error record has none); otherwise
+    ValueError.  The modulus is not recorded, so a record scanned at another
+    p cannot be detected.
     """
     done: dict[NumType, ScanRecord] = {}
     for rec in resumed:
@@ -159,7 +156,8 @@ def scan_conjecture9(
             raise ValueError(
                 f"resumed record {rec.ntype.to_json()} has seed {rec.seed}, but seed {seed} gives {want}"
             )
-        if rec.semiadjoint is not None and (rec.h1_a is None) == certify:
+        excused = certify and rec.error is not None
+        if rec.semiadjoint is not None and (rec.h1_a is None) == certify and not excused:
             state = "lacks" if certify else "has"
             raise ValueError(
                 f"resumed record {rec.ntype.to_json()} {state} h1_a; it was scanned with certify={not certify}"
@@ -227,7 +225,8 @@ class UnbalancedCertificate:
 def certify_unbalanced(E: DivClass, points: PointSet, seed: int) -> UnbalancedCertificate | None:
     """Certify unbalanced splitting through the semi-adjoint, if one exists.
 
-    Verifies numerically that A = (E + K + L)/2 has h^1 = 0, le >= 1 and
+    Verifies numerically, at the points the parameterization of E went
+    through, that A = (E + K + L)/2 has h^1 = 0, le >= 1 and
     h^0(A - E + L) = 0, and that the computed splitting obeys
     a_E <= A.E = (d_E - 2)/2.  Returns None when E has no semi-adjoint.
     """
@@ -236,9 +235,9 @@ def certify_unbalanced(E: DivClass, points: PointSet, seed: int) -> UnbalancedCe
         return None
     from .lattice import line_class
 
-    _, h1_a, le_a = class_cohomology(A, points)
-    residual = h0_class(A - E + line_class(E.r), points)
     phi = parameterize(NumType.of(E), points, seed)
+    _, h1_a, le_a = class_cohomology(A, phi.points)
+    residual = h0_class(A - E + line_class(E.r), phi.points)
     split = splitting_moving_lines(phi)
     return UnbalancedCertificate(
         etype=(E.d, *E.m),

@@ -27,6 +27,8 @@ from .plane import PlaneForm, eval_row
 
 
 _MASK = (1 << 64) - 1
+# point sets random_points draws before it gives up on the modulus
+POINT_TRIES = 32
 
 
 def _bilinear(x: np.ndarray, mat: MatFp, y: np.ndarray) -> int:
@@ -166,12 +168,12 @@ class PointSet:
         return len(self.points)
 
 
-def random_points(r: int, seed: int, p: int = MODULUS, max_tries: int = 32) -> PointSet:
+def random_points(r: int, seed: int, p: int = MODULUS) -> PointSet:
     """Deterministic generic points; retries fold a counter into the seed."""
     if r < 1:
         raise ValueError("need at least one point")
     check_modulus(p)
-    for attempt in range(max_tries):
+    for attempt in range(POINT_TRIES):
         rng = SeededRng(mix_seed(seed, attempt, 0x70494E54))
         pts = tuple(PlanePoint((1, rng.below(p), rng.below(p)), p) for _ in range(r))
         if genericity_certificate(pts, p):
@@ -188,6 +190,7 @@ class CremonaStep:
     then the standard involution sigma(y) = (y1 y2, y0 y2, y0 y1) follows.
     The three center slots of ``points_after`` hold the coordinate points.
     The inverse map is N^{-1} after sigma, which is what ``pull_back`` uses.
+    A parameterization keeps its steps in ``Parameterization.steps``.
     """
 
     centers: tuple[int, int, int]
@@ -512,7 +515,19 @@ class ParameterizationError(ValueError):
     """The requested type cannot be parameterized by this engine."""
 
 
-def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> tuple[ParamTriple, list[CremonaStep]]:
+@dataclass(frozen=True, eq=False)
+class Parameterization(ParamTriple):
+    """A triple with the points it was built through and verified at, and
+    the Cremona steps of its reduction, the first starting at those points.
+
+    Equality, hash and ``to_json`` are the triple's.
+    """
+
+    points: PointSet
+    steps: tuple[CremonaStep, ...]
+
+
+def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameterization:
     p = pts.p
     word, base = reduce_to_base(D)
     classes = [D]
@@ -541,23 +556,33 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> tuple[Para
             raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")
 
     try:
-        triple = ParamTriple(*phis)
+        res = Parameterization(*phis, pts, tuple(steps))
     except ValueError as exc:
         raise DegenerateConfigurationError(str(exc)) from exc
-    if triple.degree != D.d:
+    if res.degree != D.d:
         raise DegenerateConfigurationError("final degree disagrees with the class")
     for idx, m in enumerate(D.m):
-        got = multiplicity_at(triple, pts.points[idx])
+        got = multiplicity_at(res, pts.points[idx])
         if got != m:
             raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
-    return triple, steps
+    return res
 
 
-def _parameterize(
-    ntype: NumType | DivClass, points: PointSet, seed: int, max_retries: int
-) -> tuple[ParamTriple, list[CremonaStep]]:
-    """Validate and pad the type, then run the retry loop; the one path
-    behind ``parameterize`` and ``parameterize_with_trace``."""
+def parameterize(
+    ntype: NumType | DivClass,
+    points: PointSet,
+    seed: int,
+    max_retries: int = 24,
+) -> Parameterization:
+    """Parameterize a curve of the given type through the given points.
+
+    The i-th multiplicity is imposed at the i-th point and verified there
+    (a mismatch is a degenerate configuration).  The type must pass the
+    rational-smoothness numerics and have degree >= 1.  A degenerate
+    configuration retries on fresh points drawn from seed and the retry
+    counter, so the result's ``points`` are the given ones only when the
+    first attempt succeeds, as ``max_retries=1`` ensures.
+    """
     D = ntype.to_divclass() if isinstance(ntype, NumType) else ntype
     if D.d < 1:
         raise ValueError("degree must be >= 1")
@@ -581,34 +606,3 @@ def _parameterize(
         except DegenerateConfigurationError as exc:
             last = str(exc)
     raise RetryLimitError(f"parameterization failed after {max_retries} attempts: {last}")
-
-
-def parameterize(
-    ntype: NumType | DivClass,
-    points: PointSet,
-    seed: int,
-    max_retries: int = 24,
-) -> ParamTriple:
-    """Parameterize a curve of the given type through the given points.
-
-    The i-th multiplicity is imposed at the i-th point.  The type must pass
-    the rational-smoothness numerics and have degree >= 1 (degree-0 classes
-    are points, not parameterization targets).  Every multiplicity of the
-    result is always verified at its point; a mismatch counts as a degenerate
-    configuration.  Degenerate configurations retry with fresh points derived
-    from seed and the retry counter.
-    """
-    return _parameterize(ntype, points, seed, max_retries)[0]
-
-
-def parameterize_with_trace(
-    ntype: NumType | DivClass, points: PointSet, seed: int
-) -> tuple[ParamTriple, list[CremonaStep]]:
-    """Like parameterize, but also returns the Cremona steps for audit.
-
-    Every multiplicity is always verified, as in parameterize.  One attempt
-    only: a degenerate configuration raises RetryLimitError instead of
-    swapping in fresh points, so the steps always belong to the points
-    handed in.
-    """
-    return _parameterize(ntype, points, seed, max_retries=1)

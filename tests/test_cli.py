@@ -82,6 +82,17 @@ def test_param_trace_flag(capsys):
     assert len(step["quad_forms"]) == 3 and len(step["quad_forms"][0]) == 6
 
 
+def test_param_trace_does_not_retry(capsys):
+    # at p = 211 the first configuration of seed 1 is degenerate: the trace
+    # reports it, while a plain parameterization retries on fresh points
+    argv = ("param", "--type", "8,3,3,3,3,3,3,3,1,1", "--seed", "1", "--p", "211")
+    code, out, err = run_cli(capsys, *argv, "--trace")
+    assert (code, out) == (1, "")
+    assert err == "error: parameterization failed after 1 attempts: point 8 lies on a fundamental line\n"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["triple"]["degree"] == 8
+
+
 def test_classify_output(capsys):
     code, out, _ = run_cli(capsys, "classify", "--type", "4,3,1,1,1,1,1,1,1,1")
     data = json.loads(out)

@@ -13,8 +13,10 @@ from curvesplit.conjscan import (
     search_min_product,
     summarize_scan,
 )
+from curvesplit.fatpoints import class_cohomology
 from curvesplit.lattice import DivClass, NumType, semi_adjoint
-from curvesplit.param import ParameterizationError, RetryLimitError
+from curvesplit.param import ParameterizationError, RetryLimitError, mix_seed, random_points
+from curvesplit.splitting import splitting_moving_lines
 
 
 class TestScan:
@@ -67,6 +69,38 @@ class TestCertify:
 
     def test_odd_degree_has_none(self, points9):
         assert certify_unbalanced(DivClass(5, (2, 2, 2, 2, 2, 2, 1, 1, 0)), points9, seed=2) is None
+
+    # at p = 1009 the first configuration drawn for this type has collinear
+    # Cremona centers, so parameterize retries on fresh points; the semi-
+    # adjoint has le = 2 on the rejected configuration and le = 1 on the
+    # one the split comes from
+    RETRIED = NumType(20, (9, 7, 7, 7, 7, 7, 5, 5, 5))
+    RETRIED_SEED = mix_seed(3, 20, 9, 7, 7, 7, 7, 7, 5, 5, 5)
+
+    def test_scan_record_certifies_on_the_points_of_its_split(self, monkeypatch):
+        import curvesplit.conjscan as conjscan
+
+        results = []
+        real = conjscan.parameterize
+
+        def keeping(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(conjscan, "parameterize", keeping)
+        rec = scan_record(self.RETRIED, 3, p=1009, certify=True)
+        [phi] = results
+        assert rec.seed == self.RETRIED_SEED and phi.points.seed != self.RETRIED_SEED
+        assert (rec.h1_a, rec.le_a) == (0, 1)
+        first = random_points(9, self.RETRIED_SEED, 1009)
+        assert class_cohomology(semi_adjoint(self.RETRIED.to_divclass()), first)[1:] == (0, 2)
+        assert rec.split == splitting_moving_lines(phi) and rec.gap == 2
+
+    def test_certificate_on_the_points_of_its_split(self):
+        first = random_points(9, self.RETRIED_SEED, 1009)
+        cert = certify_unbalanced(self.RETRIED.to_divclass(), first, self.RETRIED_SEED)
+        assert (cert.h1_a, cert.le_a, cert.h0_residual) == (0, 1, 0)
+        assert cert.valid
 
 
 class TestSearch:
@@ -196,6 +230,22 @@ class TestFaultInjection:
         records, summary = scan_conjecture9(8, seed=5)
         assert [r.error for r in records if r.error is not None] == ["gave up"]
         assert summary["n_errors"] == 1
+
+    FLAGSHIP = NumType(8, (3, 3, 3, 3, 3, 3, 3, 1, 1))
+
+    @pytest.mark.parametrize("name", ["class_cohomology", "parameterize"])
+    def test_certified_error_record_resumes(self, monkeypatch, name):
+        # a certified error record has a semi-adjoint but no h1_a, and a
+        # resume under certify takes it as it is
+        bad = semi_adjoint(self.FLAGSHIP.to_divclass()) if name == "class_cohomology" else self.FLAGSHIP
+        self._inject(monkeypatch, name, RetryLimitError("gave up"), bad)
+        records, summary = scan_conjecture9(8, seed=5, certify=True)
+        [err] = [r for r in records if r.error is not None]
+        assert err.ntype == self.FLAGSHIP and err.semiadjoint is not None
+        assert (err.h1_a, err.le_a) == (None, None)
+        again, summary2 = scan_conjecture9(8, seed=5, certify=True, resumed=[err])
+        assert again == records and summary2 == summary
+        assert again[records.index(err)] is err
 
     def test_certify_cohomology_fault_is_caught(self, monkeypatch):
         T = NumType(8, (3, 3, 3, 3, 3, 3, 3, 1, 1))

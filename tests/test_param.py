@@ -14,8 +14,8 @@ from curvesplit.param import (
     genericity_certificate,
     mix_seed,
     multiplicity_at,
+    Parameterization,
     parameterize,
-    parameterize_with_trace,
     random_points,
     sqrt_mod,
 )
@@ -113,11 +113,21 @@ class TestRandomPoints:
                 verdicts.add((r >= 6, want))
         assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
-    def test_small_modulus_exhausts(self):
+    def test_small_modulus_exhausts(self, monkeypatch):
+        from curvesplit import param
         from curvesplit.param import RetryLimitError
 
+        calls = []
+        real = param.genericity_certificate
+
+        def counting(pts, p):
+            calls.append(p)
+            return real(pts, p)
+
+        monkeypatch.setattr(param, "genericity_certificate", counting)
         with pytest.raises(RetryLimitError):
-            random_points(9, seed=1, p=3, max_tries=4)
+            random_points(9, seed=1, p=3)
+        assert len(calls) == param.POINT_TRIES
 
 
 class TestSqrtMod:
@@ -318,10 +328,10 @@ class TestParameterize:
         assert a == b
 
     def test_trace_exposed(self, points9):
-        phi, steps = parameterize_with_trace(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=9)
-        assert phi.degree == 4
-        assert steps, "the quartic needs at least one quadratic step"
-        for step in steps:
+        res = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=9, max_retries=1)
+        assert res.degree == 4
+        assert res.steps, "the quartic needs at least one quadratic step"
+        for step in res.steps:
             data = step.to_json()
             assert set(data) == {"centers", "quad_forms", "points_before", "points_after"}
 
@@ -335,14 +345,38 @@ class TestParameterizePaths:
     QUARTIC = NumType(4, (2, 2, 2, 1, 1, 1, 1, 1))
 
     def test_trace_triple_is_the_parameterization(self, points9):
-        phi, _ = parameterize_with_trace(self.QUARTIC, points9, seed=9)
-        assert phi == parameterize(self.QUARTIC, points9, seed=9)
+        res = parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
+        assert isinstance(res, Parameterization) and isinstance(res, ParamTriple)
+        assert res == parameterize(self.QUARTIC, points9, seed=9)
+        assert hash(res) == hash(parameterize(self.QUARTIC, points9, seed=9))
+        assert res.to_json() == ParamTriple(*res.phis).to_json()
 
     def test_trace_steps_start_at_the_given_points(self, points9):
-        _, steps = parameterize_with_trace(self.QUARTIC, points9, seed=9)
-        assert steps[0].points_before == points9.points
-        for before, after in zip(steps, steps[1:]):
+        res = parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
+        # nothing retried, so the result went through the points handed in
+        assert res.points is points9
+        assert res.steps[0].points_before == res.points.points
+        for before, after in zip(res.steps, res.steps[1:]):
             assert after.points_before == before.points_after
+
+    def test_retried_result_carries_its_fresh_points(self, points9, monkeypatch):
+        from curvesplit import param
+
+        real = param._parameterize_once
+        attempts = []
+
+        def fail_first(D, pts, rng):
+            attempts.append(pts)
+            if len(attempts) == 1:
+                raise DegenerateConfigurationError("forced")
+            return real(D, pts, rng)
+
+        monkeypatch.setattr(param, "_parameterize_once", fail_first)
+        res = parameterize(self.QUARTIC, points9, seed=9)
+        assert len(attempts) == 2 and res.points is attempts[1]
+        assert res.points.seed == mix_seed(9, 1, 0x52455452) and res.points != points9
+        assert res.steps[0].points_before == res.points.points
+        assert [multiplicity_at(res, pt) for pt in res.points.points] == list(self.QUARTIC.m) + [0]
 
     def test_no_redraw_after_the_last_attempt(self, points9, monkeypatch):
         from curvesplit import param

@@ -34,3 +34,28 @@ def test_target_resolves(module, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_scan_record_hands_the_split3_functions_its_parameterization(monkeypatch):
+    """The benchmark's ``scan9`` times ``parameterize`` through the name
+    ``conjscan.parameterize``, and ``split3`` passes the result of
+    ``param.parameterize`` straight to the three splitting functions."""
+    from curvesplit import conjscan, splitting
+    from curvesplit.binform import ParamTriple
+    from curvesplit.lattice import NumType
+
+    results = []
+    real = conjscan.parameterize
+
+    def counting(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(conjscan, "parameterize", counting)
+    rec = conjscan.scan_record(NumType(8, (3, 3, 3, 3, 3, 3, 3, 1, 1)), seed=1)
+    [phi] = results
+    assert isinstance(phi, ParamTriple)
+    ml = splitting.splitting_moving_lines(phi)
+    sat = splitting.splitting_saturation(phi)
+    syz = splitting.min_syzygy(phi)
+    assert ml == sat == rec.split and syz.degree == ml.a
