@@ -294,9 +294,18 @@ def search_min_product(
     the product, and the two filters are permutation-invariant at generic
     points).  Candidates are tested in increasing order of A.E, so the first
     survivor is the minimum.  Returns None if nothing qualifies.
+
+    With ``compare_seed``, E is parameterized first and its computed a_E is
+    reported; the candidates are then tested on the points of that
+    parameterization, which differ from ``points`` when it retried.
     """
     if dA_max is None:
         dA_max = E.d
+    computed = None
+    if compare_seed is not None:
+        phi = parameterize(NumType.of(E), points, compare_seed)
+        points = phi.points
+        computed = splitting_moving_lines(phi).a
     r = E.r
     e_sorted = tuple(sorted(E.m, reverse=True))
     candidates: list[tuple[int, int, tuple[int, ...]]] = []
@@ -315,10 +324,6 @@ def search_min_product(
         # le is None when A has no sections
         if h1 != 0 or le != 1:
             continue
-        computed = None
-        if compare_seed is not None:
-            phi = parameterize(NumType.of(E), points, compare_seed)
-            computed = splitting_moving_lines(phi).a
         return SearchResult(prod, (d_a, *m), tested, computed)
     return None
 

@@ -3,8 +3,10 @@
 Given a numerical type and random points, the engine reduces the class by
 greedy quadratic reflections (mirrored geometrically by Cremona maps centered
 at triples of points), parameterizes the base case directly, and
-back-substitutes through the inverse maps, stripping the common factor at
-each stage.
+back-substitutes through the inverse maps.  The fibres of the base curve over
+the points are found once, by gcd; each inverse map then divides the
+components by the fibres over its centers and hands back the fibres over the
+centers it restores, so no step needs a gcd.
 
 Randomness over a large prime field stands in for genericity: every
 degenerate configuration (collinear centers, a point landing on a fundamental
@@ -188,8 +190,14 @@ class CremonaStep:
     The map is x -> sigma(N x): ``n_matrix`` N (rows h_jk, h_ik, h_ij, the
     lines joining the centers) sends the centers to the coordinate triangle,
     then the standard involution sigma(y) = (y1 y2, y0 y2, y0 y1) follows.
-    The three center slots of ``points_after`` hold the coordinate points.
-    The inverse map is N^{-1} after sigma, which is what ``pull_back`` uses.
+    The three center slots of ``points_after`` hold the coordinate points
+    e_0, e_1, e_2.  The inverse map is N^{-1} after sigma; ``pull_back``
+    composes it with a parameterization f = (f_0, f_1, f_2) of the image
+    curve.  With g_c the monic fibre of f over e_c, f_0 = g_1 g_2 h_0,
+    f_1 = g_0 g_2 h_1 and f_2 = g_0 g_1 h_2: g_1 and g_2 both divide f_0, and
+    they are coprime because f has no common root.  Then
+    sigma(f) = g_0 g_1 g_2 (g_0 h_1 h_2, g_1 h_0 h_2, g_2 h_0 h_1), and the
+    bracket has no common factor.
     A parameterization keeps its steps in ``Parameterization.steps``.
     """
 
@@ -218,19 +226,36 @@ class CremonaStep:
         """Forward image of a point not on any fundamental line."""
         return _forward_image(self.n_matrix, pt, str(pt))
 
-    def pull_back(self, phis: tuple[BinForm, BinForm, BinForm]) -> tuple[BinForm, BinForm, BinForm]:
+    def pull_back(
+        self, phis: tuple[BinForm, BinForm, BinForm], fibres: tuple[BinForm, BinForm, BinForm]
+    ) -> tuple[tuple[BinForm, BinForm, BinForm], tuple[BinForm, BinForm, BinForm]]:
         """Compose the inverse map with a parameterization of the image curve.
 
-        Returns the components with their common factor removed; the caller
-        checks the resulting degree against the reflected class.
+        ``fibres`` are the monic fibres g_0, g_1, g_2 of ``phis`` over the
+        coordinate points e_0, e_1, e_2.  Returns N^{-1} (g_0 h_1 h_2,
+        g_1 h_0 h_2, g_2 h_0 h_1), where h_0 = f_0 / (g_1 g_2) and so on, and
+        the fibres of that curve over the centers, monic(h_0), monic(h_1) and
+        monic(h_2) in center order.  The inverse map contracts the line
+        y_c = 0 to center c, and the parameters it sends to center c are the
+        common roots of the other two bracket components; for c = 0 their gcd
+        is h_0, because g_1 h_2 and g_2 h_1 are coprime.  The caller checks
+        the degree against the reflected class.  A fibre product that does
+        not divide its component is a degenerate configuration.
         """
-        f0, f1, f2 = phis
-        prods = (f1 * f2, f0 * f2, f0 * f1)
-        combined = _combine(_inverse3(self.n_matrix.entries, self.p).entries, prods, self.p)
-        if all(f.is_zero for f in combined):
-            raise DegenerateConfigurationError("pull-back collapsed to zero")
-        g = gcd_many(combined)
-        return tuple(div_exact(f, g) if not f.is_zero else f for f in combined)
+        g0, g1, g2 = fibres
+        hs = []
+        for c, (f, g) in enumerate(zip(phis, (g1 * g2, g0 * g2, g0 * g1))):
+            if f.is_zero:
+                raise DegenerateConfigurationError("image curve lies on a fundamental line")
+            try:
+                hs.append(div_exact(f, g))
+            except ValueError as exc:
+                msg = f"fibre product does not divide component {c}: {exc}"
+                raise DegenerateConfigurationError(msg) from exc
+        h0, h1, h2 = hs
+        bracket = (g0 * h1 * h2, g1 * h0 * h2, g2 * h0 * h1)
+        combined = _combine(_inverse3(self.n_matrix.entries, self.p).entries, bracket, self.p)
+        return tuple(combined), (h0.monic(), h1.monic(), h2.monic())
 
     def to_json(self) -> dict:
         return {
@@ -274,19 +299,17 @@ def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int
     return CremonaStep((i, j, k), tuple(points), tuple(after), n_matrix)
 
 
-def multiplicity_at(phi: ParamTriple, point: PlanePoint) -> int:
-    """Multiplicity of the parameterized curve at a plane point.
+def fibre_at(phis: tuple[BinForm, BinForm, BinForm], point: PlanePoint) -> BinForm:
+    """Monic fibre of the parameterized curve over a plane point.
 
     Normalizing the point at a nonzero coordinate c, the parameter values
     mapping to the point are the common roots of phi_a - l_a phi_c and
-    phi_b - l_b phi_c; the degree of their gcd counts them with multiplicity,
-    which is the multiplicity of the curve at the point (0 off the curve).
+    phi_b - l_b phi_c; the fibre is their gcd, a constant off the curve.
     """
-    if phi.p != point.p:
+    if phis[0].p != point.p:
         raise ValueError("mixed moduli")
     c = next(idx for idx, v in enumerate(point.x) if v)
     others = [idx for idx in range(3) if idx != c]
-    phis = phi.phis
     diffs = []
     for a in others:
         term = phis[a]
@@ -295,8 +318,14 @@ def multiplicity_at(phi: ParamTriple, point: PlanePoint) -> int:
         diffs.append(term)
     if all(f.is_zero for f in diffs):
         raise ValueError("components are proportional at this point; not a curve")
-    g = gcd_many(diffs)
-    return 0 if g.is_zero else g.degree
+    return gcd_many(diffs)
+
+
+def multiplicity_at(phi: ParamTriple, point: PlanePoint) -> int:
+    """Multiplicity of the parameterized curve at a plane point: the degree
+    of its fibre there, which counts the parameters over the point with
+    multiplicity (0 off the curve)."""
+    return fibre_at(phi.phis, point).degree
 
 
 def _legendre(a: int, p: int) -> int:
@@ -549,8 +578,13 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
     else:
         phis = _parameterize_pencil(base.d, base.m, current, rng, p)
 
+    # the fibres of the base curve over every point some step centers at;
+    # each pull-back replaces those over its own centers
+    fibres = {idx: fibre_at(phis, current[idx]) for idx in {c - 1 for step in steps for c in step.centers}}
     for step, cls in zip(reversed(steps), reversed(classes[:-1])):
-        phis = step.pull_back(phis)
+        slots = [c - 1 for c in step.centers]
+        phis, center_fibres = step.pull_back(phis, tuple(fibres[idx] for idx in slots))
+        fibres.update(zip(slots, center_fibres))
         got = max(f.degree for f in phis if not f.is_zero)
         if got != cls.d:
             raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")

@@ -209,6 +209,7 @@ PINNED_DIGESTS = {
     "split --type 8,3,3,3,3,3,3,3 --seed 1": "d61e55c0df0b875b1347a83e432d3c216322126b01f6fa7cdaf6e04652c31e61",
     "fatpoints --mults 4,1,1,1,1,1,1,1,1 --k 4..6 --seed 7": "790c54c2a3a3321a1e2c6b229991dda2a9bcb146e2e2b8ac97ddd35ff9a707c0",
     "scan-conj9 --dmax 20 --seed 1 --certify": "e14d0ec33fcba83f37243e35a05694960d8f83d2ceb6ed072bfdbd62c767b784",
+    "scan-conj9 --dmax 30 --seed 2 --p 211": "56c4b5f5b443c98b86d0fbbc5b7f9989e6ed2a3ea29e5c73f4b9d82af5828a44",
     "list7-check --seed 1": "6c4bd32fa14455b89ccdf722533ff52ea52847f1236647b9db88573370d65330",
 }
 

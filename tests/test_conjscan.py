@@ -124,6 +124,32 @@ class TestSearch:
         res = search_min_product(E, points9, dA_max=4, compare_seed=7)
         assert res is not None and res.computed_a == 3 == res.product
 
+    def test_compare_tests_candidates_on_the_points_of_its_split(self, monkeypatch):
+        # at p = 211 the parameterization of this E retries on fresh points;
+        # the candidates must be tested there, not on the points handed in
+        from curvesplit import conjscan
+
+        E = DivClass(8, (3,) * 7 + (1, 1))
+        points = random_points(10, 1, 211)
+        phis, seen = [], []
+        real_parameterize, real_cohomology = conjscan.parameterize, conjscan.class_cohomology
+
+        def recording(*args):
+            phis.append(real_parameterize(*args))
+            return phis[-1]
+
+        def spying(A, pts):
+            seen.append(pts)
+            return real_cohomology(A, pts)
+
+        monkeypatch.setattr(conjscan, "parameterize", recording)
+        monkeypatch.setattr(conjscan, "class_cohomology", spying)
+        res = search_min_product(E, points, 4, compare_seed=1)
+        [phi] = phis
+        assert phi.points != points and phi.points.seed == 6725373726667935941
+        assert seen and all(pts is phi.points for pts in seen)
+        assert res is not None and res.computed_a == splitting_moving_lines(phi).a
+
 
 class TestSpotcheck:
     def test_table_has_57_rows(self):

@@ -5,12 +5,15 @@ import pytest
 
 from curvesplit.binform import BinForm, ParamTriple
 from curvesplit.exactla import MODULUS
-from curvesplit.lattice import DivClass, NumType, Quad, reflect
+from curvesplit.lattice import DivClass, NumType, Quad, enum_exceptional, reduce_to_base, reflect
 from curvesplit.param import (
+    CremonaStep,
     DegenerateConfigurationError,
     PlanePoint,
+    RetryLimitError,
     SeededRng,
     cremona_apply,
+    fibre_at,
     genericity_certificate,
     mix_seed,
     multiplicity_at,
@@ -277,6 +280,23 @@ class TestMultiplicity:
         assert multiplicity_at(phi, a) == 1
         assert multiplicity_at(phi, b) == 1
 
+    def test_fibre_is_the_monic_gcd(self, points9):
+        a, b = points9.points[0], points9.points[1]
+        phis = tuple(BinForm((a.x[c], b.x[c]), P) for c in range(3))
+        # the line s*a + t*b meets a at t = 0, b at s = 0, and misses the rest
+        assert fibre_at(phis, a) == BinForm((0, 1), P)
+        assert fibre_at(phis, b) == BinForm((1, 0), P)
+        assert fibre_at(phis, points9.points[2]) == BinForm((1,), P)
+
+    def test_fibre_errors(self, points9):
+        pt = points9.points[0]
+        point = tuple(BinForm((v, 2 * v), P) for v in pt.x)
+        with pytest.raises(ValueError, match="components are proportional at this point; not a curve"):
+            fibre_at(point, pt)
+        phi = parameterize(NumType(1, (1, 1)), points9, seed=1)
+        with pytest.raises(ValueError, match="mixed moduli"):
+            multiplicity_at(phi, PlanePoint(pt.x, 211))
+
 
 class TestParameterize:
     def test_line_base_case(self, points9):
@@ -397,3 +417,79 @@ class TestParameterizePaths:
             parameterize(self.QUARTIC, points9, seed=9, max_retries=3)
         # attempts 1 and 2 draw fresh points, from the same seeds as before
         assert seeds == [mix_seed(9, attempt, 0x52455452) for attempt in (1, 2)]
+
+
+class TestPullBackFibres:
+    """``CremonaStep.pull_back`` divides by the fibres it is handed and hands
+    back the fibres over its centers; they must be the gcd fibres."""
+
+    QUARTIC = TestParameterizePaths.QUARTIC
+    CASES = [
+        (1, (1, 1)),
+        (2, (1, 1, 1, 1, 1)),
+        (3, (2, 1, 1, 1, 1, 1)),
+        (4, (2, 2, 2, 1, 1, 1, 1, 1)),
+        (5, (2, 2, 2, 2, 2, 2, 1, 1)),
+        (6, (3, 3, 2, 2, 2, 2, 1)),
+        (8, (3,) * 7),
+        (10, (4, 4, 4, 4, 4, 4)),
+    ] + sorted((T.d, T.m) for T in enum_exceptional(9, 12) if T.d >= 2)
+
+    @pytest.mark.parametrize("p", [P, 211])
+    def test_returned_fibres_are_the_gcd_fibres(self, p, monkeypatch):
+        real = CremonaStep.pull_back
+        calls = []
+
+        def recording(step, phis, fibres):
+            out = real(step, phis, fibres)
+            calls.append((step, out))
+            return out
+
+        monkeypatch.setattr(CremonaStep, "pull_back", recording)
+        checked = 0
+        for n, (d, m) in enumerate(self.CASES):
+            D = DivClass(d, m + (0,) * (9 - len(m)))
+            calls.clear()
+            res = parameterize(NumType(d, m), random_points(9, n, p), seed=n)
+            word, _ = reduce_to_base(D)
+            classes = [D]
+            for quad in word:
+                classes.append(reflect(classes[-1], [quad]))
+            # the successful attempt's pull-backs, last step first
+            done = calls[-len(res.steps):] if res.steps else []
+            assert [id(step) for step, _ in done] == [id(step) for step in reversed(res.steps)]
+            for (step, (phis, fibres)), cls in zip(done, reversed(classes[:-1])):
+                for c, fibre in zip(step.centers, fibres):
+                    center = step.points_before[c - 1]
+                    assert fibre == fibre_at(phis, center), (d, m, step.centers, c)
+                    assert fibre.degree == cls.m[c - 1], (d, m, step.centers, c)
+                    checked += 1
+        assert checked == 405
+
+    def test_curve_on_a_fundamental_line_is_degenerate(self, points9):
+        # the line y_0 = 0 through e_1 and e_2 is contracted to center 1
+        step = cremona_apply(points9.points, 1, 2, 3, P)
+        phis = (BinForm.zero(P), BinForm((1, 0), P), BinForm((0, 1), P))
+        fibres = (BinForm((1,), P), BinForm((0, 1), P), BinForm((1, 0), P))
+        with pytest.raises(DegenerateConfigurationError, match="lies on a fundamental line"):
+            step.pull_back(phis, fibres)
+
+    def test_wrong_fibre_retries(self, points9, monkeypatch):
+        from curvesplit import param
+
+        real = param.fibre_at
+        calls = []
+
+        def wrong_first(phis, point):
+            calls.append(point)
+            fibre = real(phis, point)
+            return fibre * BinForm((1, 1), point.p) if len(calls) == 1 else fibre
+
+        monkeypatch.setattr(param, "fibre_at", wrong_first)
+        res = parameterize(self.QUARTIC, points9, seed=9)
+        assert res.points != points9
+        assert [multiplicity_at(res, pt) for pt in res.points.points] == list(self.QUARTIC.m) + [0]
+
+        calls.clear()
+        with pytest.raises(RetryLimitError, match="after 1 attempts: fibre product does not divide"):
+            parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
