@@ -3,16 +3,32 @@
 Matrices are stored as numpy ``int64`` arrays with entries reduced to
 ``[0, p)``.  All elimination is done with modular inverses, so results are
 exact.  There is one 2-D elimination, ``MatFp.rref``: a forward pass to
-row-echelon form that touches only the rows below each pivot that are
-nonzero in its column, on the columns from the pivot on, then
-back-substitution on the free columns of the pivot rows.  ``rank`` and
-``kernel_basis`` are its only users.  ``all_nonsingular`` tests a whole
-stack of small square matrices at once with a batched forward pass.
+row-echelon form, then back-substitution on the free columns of the pivot
+rows.  ``rank`` and ``kernel_basis`` are its only users.  The forward pass
+of a matrix with at most 128 columns is the leaf, which touches only the
+rows below each pivot that are nonzero in its column, on the columns from
+the pivot on.  A wider matrix goes by panels of 32 columns: the leaf
+eliminates one panel of the remaining rows and records their row order,
+the panel's pivot rows are multiplied by the inverse of their pivot block,
+and the rows below get the Schur update ``B2 - A21 U12``; the
+back-substitution then goes one panel of pivot rows at a time.  Those
+products, forward and back, are float64 matmuls (BLAS) over 16-bit limbs,
+in chunks of 128 columns.  ``all_nonsingular`` tests a whole stack of small square matrices
+at once with a batched forward pass.
 
-The modulus must satisfy ``(p - 1)**2 < 2**63``: every update, the batched
-one included, reduces each product of two reduced entries before the next
-subtraction, so no intermediate overflows ``int64``; the default modulus
-``2**31 - 1`` leaves ample headroom.
+Two bounds keep every step exact:
+
+* int64: the modulus must satisfy ``(p - 1)**2 < 2**63``.  Every int64
+  update, the batched one included, reduces each product of two reduced
+  entries before the next subtraction; the default modulus ``2**31 - 1``
+  leaves ample headroom.
+* float64: a matmul is exact while its sums stay below ``2**53``.  The
+  left factor is split into 16-bit limbs, so every term is below
+  ``2**16 * p`` and one float64 dot takes at most
+  ``2**53 / (2 (2**16 - 1) (p - 1))`` limb columns: 32 inner columns at the
+  default modulus, one panel's width, and every inner column at once for a
+  small modulus such as 7 or 211.  Wider products add such chunks in int64
+  (see ``_mul_mod``).
 """
 
 from __future__ import annotations
@@ -26,6 +42,14 @@ MODULUS = 2**31 - 1
 
 # (p-1)^2 must fit in int64 together with one subtraction of slack.
 _MAX_MODULUS = 3_037_000_499
+
+# MatFp.rref: matrices with at most _LEAF_COLS columns run the leaf alone;
+# wider ones go by panels of _PANEL columns, and every product of the
+# trailing updates and of the back-substitution runs in chunks of _CHUNK
+# columns.
+_LEAF_COLS = 128
+_PANEL = 32
+_CHUNK = 128
 
 
 @lru_cache(maxsize=64)
@@ -111,58 +135,30 @@ class MatFp:
         """Reduced row-echelon form and the tuple of pivot columns.
 
         Pivots are chosen as the first nonzero entry in each column (partial
-        pivoting by first nonzero), so the result is the unique RREF over F_p.
-        It is computed in two passes:
+        pivoting by first nonzero), so the result is the unique RREF over F_p,
+        whichever way it is computed.  It is computed in two passes:
 
-        * forward elimination to row-echelon form with unit pivots.  Each
+        * forward elimination to row-echelon form with unit pivots.  With at
+          most ``_LEAF_COLS`` columns this is the leaf, ``_echelon``: each
           pivot row is normalized from its pivot column on, and only the rows
           below that are nonzero in the pivot column are updated, on the
-          columns from the pivot column on (everything left of it is already
-          zero);
+          columns from the pivot column on.  Wider matrices go by panels of
+          ``_PANEL`` columns (``_blocked_echelon``): the leaf finds the pivots
+          and the row order of one panel of the remaining rows, the panel's
+          pivot rows are multiplied by the inverse of their pivot block, and
+          the rows below get the Schur update ``B2 - A21 U12``, every product
+          a float64 matmul made exact by ``_mul_mod``;
         * back-substitution, from the last pivot upwards, on the free
-          (non-pivot) columns of the pivot rows only; the pivot columns are
-          then overwritten with the identity.  With no free columns, as in a
-          full-column-rank rank check, this pass is skipped.
+          (non-pivot) columns of the pivot rows only, one row at a time after
+          the leaf and one panel at a time after the panels; the pivot columns
+          are then overwritten with the identity.  With no free columns, as in
+          a full-column-rank rank check, this pass is skipped.
 
-        Every update subtracts a product of two reduced entries from a reduced
-        entry, so it stays within ``(p - 1)**2 < 2**63``.
+        Every int64 update subtracts a product of two reduced entries from a
+        reduced entry, so it stays within ``(p - 1)**2 < 2**63``; the float64
+        products stay below ``2**53`` (see ``_mul_mod``).
         """
-        p = self.p
-        a = self.entries.copy()
-        nrows, ncols = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            nz = np.flatnonzero(a[r:, c])
-            if nz.size == 0:
-                continue
-            if nz[0]:
-                # both rows are zero left of c; the one swapped down is zero at c
-                a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
-            row = a[r, c:]
-            row *= pow(int(row[0]), -1, p)
-            row %= p
-            if nz.size > 1:
-                below = nz[1:] + r
-                a[below, c:] = (a[below, c:] - np.outer(a[below, c], row)) % p
-            pivots.append(c)
-            r += 1
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        if free and r > 1:
-            fb = a[:r, free]
-            for i in range(r - 1, 0, -1):
-                # row i is zero on the free columns left of its pivot
-                s = bisect.bisect(free, pivots[i])
-                if s < len(free):
-                    blk = fb[:i, s:]
-                    blk -= np.outer(a[:i, pivots[i]], fb[i, s:])
-                    blk %= p
-            a[:r, free] = fb
-        a[:r, pivots] = np.eye(r, dtype=np.int64)
-        return a, tuple(pivots)
+        return _rref(self.entries.copy(), self.p)
 
     def rank(self) -> int:
         """Rank over F_p."""
@@ -196,6 +192,142 @@ class MatFp:
         # Reduce each product before summing: column sums of values < p stay
         # far below the int64 limit for any realistic width.
         return (self.entries * v % self.p).sum(axis=1) % self.p
+
+
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``MatFp.rref`` on the int64 array ``a``, which it overwrites."""
+    if a.shape[1] <= _LEAF_COLS:
+        pivots = _echelon(a, p)[0]
+        starts = range(len(pivots))
+    else:
+        pivots, starts = _blocked_echelon(a, p)
+    r = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(a.shape[1]) if c not in pivot_set]
+    if free and r > 1:
+        fb = a[:r, free]
+        bounds = [*starts, r]
+        # the first group (from row 0) has no rows above it
+        for g in range(len(starts) - 1, 0, -1):
+            i0, i1 = bounds[g], bounds[g + 1]
+            if i1 - i0 == 1:
+                # row i0 is zero on the free columns left of its pivot
+                s = bisect.bisect(free, pivots[i0])
+                if s < len(free):
+                    blk = fb[:i0, s:]
+                    blk -= np.outer(a[:i0, pivots[i0]], fb[i0, s:])
+                    blk %= p
+            else:
+                # the rows of one panel are already reduced on its pivots,
+                # and zero on the free columns left of its first pivot
+                neg = (p - a[:i0, pivots[i0:i1]]) % p
+                for j0 in range(bisect.bisect(free, pivots[i0]), len(free), _CHUNK):
+                    j1 = j0 + _CHUNK
+                    fb[:i0, j0:j1] = _mul_mod(neg, fb[i0:i1, j0:j1], p, fb[:i0, j0:j1])
+        a[:r, free] = fb
+    a[:r, pivots] = np.eye(r, dtype=np.int64)
+    return a, tuple(pivots)
+
+
+def _echelon(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The leaf: forward elimination of ``a`` in place to row-echelon form
+    with unit pivots.  Returns the pivot columns and the row permutation
+    (``perm[i]`` is the input row now at row i)."""
+    nrows, ncols = a.shape
+    perm = np.arange(nrows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            # both rows are zero left of c; the one swapped down is zero at c
+            s = r + nz[0]
+            a[[r, s], c:] = a[[s, r], c:]
+            perm[[r, s]] = perm[[s, r]]
+        row = a[r, c:]
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        if nz.size > 1:
+            below = nz[1:] + r
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], row)) % p
+        pivots.append(c)
+        r += 1
+    return pivots, perm
+
+
+def _blocked_echelon(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
+    """Forward elimination of ``a`` in place by panels of ``_PANEL`` columns.
+
+    For each panel the leaf, run on a copy of the panel's remaining rows,
+    gives its pivot columns J and the row order that puts its k pivot rows
+    first.  With that order, A11 (the pivot rows on J) is invertible and
+    A21 (the other rows on J) holds the multipliers: the pivot rows become
+    A11^-1 times themselves, reduced on J, and every other row loses A21
+    times the new pivot rows.  On the panel's columns this is the leaf's
+    result with the pivot rows reduced on each other; the pivots of the
+    Schur complement that remains are the next pivots of the whole matrix,
+    so the pivot columns are those of the leaf on the whole matrix.
+
+    Returns the pivot columns and the first row of each panel's pivot rows.
+    """
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    starts: list[int] = []
+    r = 0
+    for c0 in range(0, ncols, _PANEL):
+        if r == nrows:
+            break
+        piv, perm = _echelon(a[r:, c0 : c0 + _PANEL].copy(), p)
+        k = len(piv)
+        if not k:
+            continue
+        cols = [c0 + j for j in piv]
+        rows = r + perm
+        pivot_block = np.hstack([a[np.ix_(rows[:k], cols)], np.eye(k, dtype=np.int64)])
+        inverse = _rref(pivot_block, p)[0][:, k:]
+        neg_below = (p - a[np.ix_(rows[k:], cols)]) % p
+        # one column chunk at a time, so no full-width float64 temporaries
+        for j0 in range(c0, ncols, _CHUNK):
+            j1 = min(j0 + _CHUNK, ncols)
+            top = _mul_mod(inverse, a[rows[:k], j0:j1], p)
+            a[r + k :, j0:j1] = _mul_mod(neg_below, top, p, a[rows[k:], j0:j1])
+            a[r : r + k, j0:j1] = top
+        pivots.extend(cols)
+        starts.append(r)
+        r += k
+    return pivots, starts
+
+
+def _mul_mod(x: np.ndarray, y: np.ndarray, p: int, acc: np.ndarray | None = None) -> np.ndarray:
+    """``(acc + x @ y) mod p`` for reduced int64 factors, exactly, through
+    float64 matmuls; ``acc`` (reduced, default zero) is not modified.
+
+    A float64 dot product is exact while its terms are integers whose sum
+    stays below 2**53.  x = x1 2**16 + x0 is split into 16-bit limbs and
+    x @ y = x1 @ (2**16 y mod p) + x0 @ y (mod p): one matmul of the
+    stacked limbs against the stacked right factors, whose terms are below
+    2**16 p, exact for up to 2**53 / (2 (2**16 - 1) (p - 1)) inner columns
+    (32 at p = 2**31 - 1, 22 at the largest modulus, more than 3 * 10**8
+    at p = 211).  Wider products add such column chunks in int64 (exact for
+    fewer than 2**10 chunks), and the sum is reduced once.
+    """
+    k = x.shape[1]
+    step = (2**53 - 1) // (2 * 0xFFFF * (p - 1))
+    y_hi = y * 0x10000 % p
+    s = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    for i in range(0, k, step):
+        xs = x[:, i : i + step]
+        limbs = np.hstack([xs >> 16, xs & 0xFFFF]).astype(np.float64)
+        right = np.vstack([y_hi[i : i + step], y[i : i + step]]).astype(np.float64)
+        s += (limbs @ right).astype(np.int64)
+    if acc is not None:
+        s += acc
+    s %= p
+    return s
 
 
 def all_nonsingular(stack, p: int = MODULUS) -> bool:

@@ -7,7 +7,10 @@ cokernel of the multiplication maps mu_k : (I_Z)_k (x) R_1 -> (I_Z)_{k+1}.
 Vanishing to order m at a point is imposed through the order-(m-1) partial
 derivatives; for a homogeneous form the Euler relation makes the lower
 orders redundant as long as the characteristic exceeds the degree, which is
-why every entry point insists on p > k.
+why every entry point insists on p > k.  A form of degree k has no nonzero
+derivative of order above k, and its order-k derivatives are its
+coefficients up to nonzero factorials, so a point with m > k imposes the
+order-k ones: vanishing to order m > k leaves only the zero form.
 """
 
 from __future__ import annotations
@@ -69,22 +72,26 @@ def _check_degree(p: int, k: int) -> None:
 
 
 def conditions_matrix(Z: FatScheme, k: int) -> MatFp:
-    """Rows: order-(m_i - 1) derivative functionals of each point; columns:
-    degree-k monomials.  Full row count is the scheme length."""
+    """Rows: order-min(m_i - 1, k) derivative functionals of each point;
+    columns: degree-k monomials.  Full row count is the scheme length when
+    every m_i <= k + 1."""
     p = Z.p
     _check_degree(p, k)
     monos = np.array(monomials(k), dtype=np.int64)
     nu = [monos[:, j] for j in range(3)]
-    rows: list[np.ndarray] = []
+    # derivative order per point; order k already kills every degree-k form
+    orders = [min(m - 1, k) for m in Z.mults]
+    rows = np.empty((sum((o + 1) * (o + 2) // 2 for o in orders), len(monos)), dtype=np.int64)
+    i = 0
     # falling factorials ff[e][b] = e (e-1) ... (e-b+1) mod p
-    max_m = max(Z.mults, default=0)
-    ff = np.zeros((k + 1, max(max_m, 1)), dtype=np.int64)
+    max_o = max([0, *orders])
+    ff = np.zeros((k + 1, max_o + 1), dtype=np.int64)
     ff[:, 0] = 1
-    for b in range(1, max_m):
+    for b in range(1, max_o + 1):
         for e in range(k + 1):
             ff[e, b] = ff[e, b - 1] * ((e - b + 1) % p) % p
-    for pt, m in zip(Z.points.points, Z.mults):
-        if m == 0:
+    for pt, o in zip(Z.points.points, orders):
+        if o < 0:
             continue
         pows = np.ones((3, k + 1), dtype=np.int64)
         for j in range(3):
@@ -94,21 +101,18 @@ def conditions_matrix(Z: FatScheme, k: int) -> MatFp:
         factor = []
         for j in range(3):
             per_b = []
-            for b in range(m):
+            for b in range(o + 1):
                 col = np.zeros(k + 1, dtype=np.int64)
-                if b <= k:
-                    col[b:] = ff[b:, b] * pows[j, : k + 1 - b] % p
+                col[b:] = ff[b:, b] * pows[j, : k + 1 - b] % p
                 per_b.append(col)
             factor.append(per_b)
-        for b0 in range(m):
-            for b1 in range(m - b0):
-                b2 = m - 1 - b0 - b1
+        for b0 in range(o + 1):
+            for b1 in range(o + 1 - b0):
+                b2 = o - b0 - b1
                 row = factor[0][b0][nu[0]] * factor[1][b1][nu[1]] % p
-                row = row * factor[2][b2][nu[2]] % p
-                rows.append(row)
-    if not rows:
-        return MatFp.zeros(0, dim_forms(k), p)
-    return MatFp(np.vstack(rows), p)
+                rows[i] = row * factor[2][b2][nu[2]] % p
+                i += 1
+    return MatFp(rows, p)
 
 
 def ideal_dim(Z: FatScheme, k: int) -> int:

@@ -1,9 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesplit.exactla import MODULUS, MatFp, all_nonsingular, check_modulus, is_prime
+from curvesplit.exactla import (
+    _LEAF_COLS,
+    _MAX_MODULUS,
+    _PANEL,
+    MODULUS,
+    MatFp,
+    _mul_mod,
+    all_nonsingular,
+    check_modulus,
+    is_prime,
+)
 from curvesplit.param import DegenerateConfigurationError, PlanePoint, _inverse3, cremona_apply
 
 P = MODULUS
@@ -183,6 +195,123 @@ def test_kernel_basis_reduced_normal_form_mod_7(m):
             expect[c] = -ref[i][f] % m.p
         assert v.dtype == np.int64 and v.tolist() == expect
         assert not v.flags.writeable
+
+
+# the largest modulus check_modulus accepts
+P_MAX = next(q for q in range(_MAX_MODULUS, 0, -1) if is_prime(q))
+PRIMES = [7, 211, P, P_MAX]
+
+
+def _staircase(rows, cols, pivots, p, rng):
+    """A rows x cols matrix whose RREF has the given pivot columns (when
+    the random mixture has full rank): random mixtures of echelon rows that
+    start at those columns."""
+    ech = np.zeros((len(pivots), cols), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        ech[i, c] = 1
+        ech[i, c + 1 :] = rng.integers(0, p, size=cols - c - 1)
+    mix = rng.integers(0, p, size=(rows, len(pivots)))
+    return (mix.astype(object) @ ech.astype(object) % p).astype(np.int64)
+
+
+KINDS = ["dense", "all_p_minus_1", "staircase", "tall_low_rank"]
+
+
+def _multi_panel_case(kind: str, p: int) -> np.ndarray:
+    rng = np.random.default_rng([KINDS.index(kind), p])
+    if kind == "dense":
+        # full rank 70: full panels of pivots, then 70 free columns
+        return rng.integers(0, p, size=(70, 140))
+    if kind == "all_p_minus_1":
+        # every entry 0 or p - 1; row i starts at column 4 i, rows shuffled
+        a = rng.integers(0, 2, size=(40, 180))
+        for i in range(40):
+            a[i, : 4 * i] = 0
+            a[i, 4 * i] = 1
+        return rng.permutation(a) * (p - 1)
+    if kind == "staircase":
+        # pivots spread over all panels except 96..127 (a panel with no
+        # pivot) and ten zero columns 200..209
+        cols = [c for c in range(300) if not 96 <= c < 128 and not 200 <= c < 210]
+        piv = sorted(rng.choice(cols, size=48, replace=False).tolist())
+        a = _staircase(48, 300, piv, p, rng)
+        a[:, 200:210] = 0
+        return a
+    if kind == "tall_low_rank":
+        piv = sorted(rng.choice(136, size=24, replace=False).tolist())
+        return _staircase(150, 136, piv, p, rng)
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_multi_panel_rref_matches_reference(kind, p):
+    a = _multi_panel_case(kind, p)
+    assert a.shape[1] > _LEAF_COLS
+    red, pivots = MatFp(a, p).rref()
+    ref, ref_pivots = reference_rref(a.tolist(), p)
+    assert pivots == ref_pivots
+    assert red.dtype == np.int64 and red.shape == a.shape
+    assert red.tolist() == ref
+
+
+def test_multi_panel_pivots_span_the_panels():
+    # the cases reach the blocked path with pivots in several panels, a
+    # panel without one, and full panels
+    stair = MatFp(_multi_panel_case("staircase", P), P).rref()[1]
+    panels = {c // _PANEL for c in stair}
+    assert len(panels) >= 6 and 96 // _PANEL not in panels
+    assert not set(range(200, 210)) & set(stair)
+    assert MatFp(_multi_panel_case("dense", P), P).rref()[1] == tuple(range(70))
+    assert MatFp(_multi_panel_case("all_p_minus_1", 7), 7).rref()[1] == tuple(range(0, 160, 4))
+
+
+@pytest.mark.parametrize("shape", [(0, 200), (0, 0), (50, 0), (3, _LEAF_COLS + 1)])
+def test_empty_and_zero_inputs(shape):
+    red, pivots = MatFp.zeros(*shape, P).rref()
+    assert pivots == () and red.shape == shape and not red.any()
+    assert len(MatFp.zeros(*shape, P).kernel_basis()) == shape[1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 64, 200])
+def test_mul_mod_exact_at_the_largest_entries(p, k):
+    # all entries p - 1, then random entries from the top 256 of [0, p)
+    # (then 2**16 y mod p is near p too, the largest limb terms), against
+    # Python integers
+    x = np.full((3, k), p - 1, dtype=np.int64)
+    y = np.full((k, 5), p - 1, dtype=np.int64)
+    acc = np.full((3, 5), p - 1, dtype=np.int64)
+    assert (_mul_mod(x, y, p) == k * (p - 1) ** 2 % p).all()
+    out = _mul_mod(x, y, p, acc)
+    assert out.dtype == np.int64 and (out == (p - 1 + k * (p - 1) ** 2) % p).all()
+    assert (acc == p - 1).all()
+    rng = np.random.default_rng([k, p])
+    x, y, acc = (p - 1 - rng.integers(0, min(p, 256), size=s) for s in ((6, k), (k, 9), (6, 9)))
+    expect = (acc.astype(object) + x.astype(object) @ y.astype(object)) % p
+    assert _mul_mod(x, y, p, acc).tolist() == expect.tolist()
+
+
+# sha256 of red.tobytes() + repr(pivots) for the three d'=12 condition
+# matrices of (24; 7, 9^5, 7^2, 5) at random_points(9, 101), computed with
+# the unblocked elimination before the blocked one replaced it
+D12_DIGESTS = {
+    34: "777ad7b9e9830ea3ae952bd2d4c75f2d26557f35ad1d549bff38de251ea5a439",
+    35: "c015016f8969474881773e4acdfe881ece5e4c778705758748329acef819fbef",
+    36: "5888a2ab06185d38165a8f83594f1707d9aae335bb355bc3356c082a448945f0",
+}
+
+
+def test_d12_condition_matrices_pinned():
+    from curvesplit.fatpoints import FatScheme, conditions_matrix
+    from curvesplit.param import random_points
+
+    Z = FatScheme(random_points(9, 101), (10, 13, 13, 13, 13, 13, 10, 10, 7))
+    got = {}
+    for k in D12_DIGESTS:
+        red, pivots = conditions_matrix(Z, k).rref()
+        got[k] = hashlib.sha256(red.tobytes() + repr(pivots).encode()).hexdigest()
+    assert got == D12_DIGESTS
 
 
 def _product(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:

@@ -73,6 +73,25 @@ class TestIdealDim:
                 if m >= 1:
                     assert int((vec * eval_row(pt.x, 3, P) % P).sum() % P) == 0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_point_beyond_the_degree_kills_every_form(self, points9, k):
+        # a degree-k form vanishing to order m > k at a point is zero; at
+        # m >= k + 2 the order-(m-1) derivatives are all zero themselves
+        for m in (k + 1, k + 2, k + 9):
+            Z = FatScheme(points9, (m, 1) + (0,) * 7)
+            assert conditions_matrix(Z, k).rank() == dim_forms(k)
+            assert ideal_dim(Z, k) == 0
+            assert ideal_dim(Z, m) == ideal_dim(FatScheme(points9, (m,) + (0,) * 8), m) - 1
+
+    def test_point_beyond_the_degree_in_the_mu_table(self, points9):
+        # the fatpoints CLI table for a 5-fold point in degrees 1..3
+        Z = FatScheme(points9, (5,) + (0,) * 8)
+        assert [r.to_json() for r in betti_report(Z, range(1, 4))] == [
+            {"k": k, "dim_k": 0, "dim_k_plus_1": 0, "rank": 0, "kernel": 0, "cokernel": 0}
+            for k in range(1, 4)
+        ]
+        assert alpha_degree(Z) == 5
+
     def test_modulus_guard(self, points9):
         Z = FatScheme(points9, (1,) * 9)
         with pytest.raises(ValueError):
@@ -134,6 +153,16 @@ class TestCohomology:
             DivClass(-2, (1, 0, 0)),
         ):
             assert class_cohomology(D, points9)[0] == h0_class(D, points9)
+
+    def test_point_beyond_the_degree(self, points9):
+        # (2; 5): chi = (D.D - K.D) / 2 + 1 = (-21 + 1) / 2 + 1 = -9
+        D = DivClass(2, (5,) + (0,) * 8)
+        assert h0_class(D, points9) == 0
+        assert class_cohomology(D, points9) == (0, 9, None)
+        # (3; 4, 1^4): the 4-fold point leaves no cubic, m = k + 1
+        assert h0_class(DivClass(3, (4, 1, 1, 1, 1, 0, 0, 0, 0)), points9) == 0
+        # (2; 9, 1): chi = (4 - 82 - 4) / 2 + 1 = -40
+        assert class_cohomology(DivClass(2, (9, 1)), points9) == (0, 40, None)
 
     def test_h1_examples(self, points9):
         assert class_cohomology(DivClass(3, (1, 1, 1, 1, 1, 1, 1, 0, 0)), points9)[1] == 0
@@ -253,6 +282,25 @@ class TestNongenericResolution:
     def test_each_condition_matrix_built_once(self, points9, condition_degrees):
         check_nongeneric_resolution(DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)), points9)
         assert sorted(condition_degrees) == [4, 5, 6]
+
+
+def test_large_certificate_eliminates_four_matrices(monkeypatch):
+    # MatFp.rref is the only elimination entry point, and the benchmark
+    # tracer's boundary: the d'=12 certificate calls it four times, and
+    # nothing inside an elimination calls it again
+    import curvesplit.exactla as ex
+
+    shapes = []
+    real = ex.MatFp.rref
+
+    def counting(self):
+        shapes.append(self.entries.shape)
+        return real(self)
+
+    monkeypatch.setattr(ex.MatFp, "rref", counting)
+    rep = check_nongeneric_resolution(DivClass(24, (7, 9, 9, 9, 9, 9, 7, 7, 5)), random_points(9, 101))
+    assert shapes == [(648, 630), (648, 666), (648, 703), (703, 54)]
+    assert rep.alpha == 35 and rep.hilbert_maximal and rep.nongeneric
 
 
 class TestEliminationCounts:
