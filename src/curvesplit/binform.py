@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import MODULUS, MatFp, check_modulus
+from .exactla import MODULUS, check_modulus
 
 _SPLIT = 1 << 16
 
@@ -260,8 +260,9 @@ def div_exact(f: BinForm, g: BinForm) -> BinForm:
 class ParamTriple:
     """Three coprime binary forms of equal degree d >= 1: a map P^1 -> P^2.
 
-    The components must not have a common factor and must not span a line in
-    coefficient space of rank < 2 (the image has to be a curve).
+    The components must not have a common factor.  That also makes the image
+    a curve: proportional components would share their common form, of
+    degree d >= 1, as a factor.
     """
 
     phi0: BinForm
@@ -270,7 +271,6 @@ class ParamTriple:
 
     def __post_init__(self):
         phis = self.phis
-        p = phis[0].p
         degs = set()
         for f in phis:
             f._compat(phis[0])
@@ -284,9 +284,6 @@ class ParamTriple:
         g = gcd_many(phis)
         if g.degree != 0:
             raise ValueError(f"components share the factor {g.to_text()}")
-        rows = [f.coeffs if not f.is_zero else np.zeros(d + 1, dtype=np.int64) for f in phis]
-        if MatFp(np.vstack(rows), p).rank() < 2:
-            raise ValueError("components are proportional; image is a point")
 
     @property
     def phis(self) -> tuple[BinForm, BinForm, BinForm]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from .binform import ParamTriple
 from .exactla import MODULUS
 from .fatpoints import class_cohomology, h0_class
 from .lattice import (
@@ -27,6 +28,7 @@ from .lattice import (
     ascenzi_gap,
     enum_exceptional,
     is_ascenzi,
+    line_class,
     semi_adjoint,
 )
 from .param import PointSet, RetryLimitError, mix_seed, parameterize, random_points
@@ -103,6 +105,16 @@ class ScanRecord:
             raise ValueError(f"malformed scan record {data!r}") from exc
 
 
+def _parameterize_and_split(T: NumType, seed: int, p: int) -> tuple[ParamTriple | None, SplitType]:
+    """T's parameterization at its sub-seed (None for a line) and its splitting type."""
+    if T.d == 1:
+        # a line pulls the twisted cotangent bundle back to O(0) + O(-1)
+        return None, LINE_SPLIT
+    sub_seed = mix_seed(seed, T.d, *T.m)
+    phi = parameterize(T, random_points(T.r, sub_seed, p), sub_seed)
+    return phi, splitting_moving_lines(phi)
+
+
 def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -> ScanRecord:
     """Process one type with a sub-seed derived from the type itself.
 
@@ -117,14 +129,10 @@ def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -
     try:
         if T.d == 0:
             split = None
-        elif T.d == 1:
-            # a line pulls the twisted cotangent bundle back to O(0) + O(-1)
-            split = LINE_SPLIT
         else:
-            phi = parameterize(T, random_points(T.r, sub_seed, p), sub_seed)
-            if A is not None and certify:
+            phi, split = _parameterize_and_split(T, seed, p)
+            if phi is not None and A is not None and certify:
                 _, h1_a, le_a = class_cohomology(A, phi.points)
-            split = splitting_moving_lines(phi)
     except Exception as exc:
         error = str(exc) if isinstance(exc, RetryLimitError) else f"{type(exc).__name__}: {exc}"
         return ScanRecord(T, is_ascenzi(T), sa, None, sub_seed, error=error)
@@ -233,8 +241,6 @@ def certify_unbalanced(E: DivClass, points: PointSet, seed: int) -> UnbalancedCe
     A = semi_adjoint(E)
     if A is None:
         return None
-    from .lattice import line_class
-
     phi = parameterize(NumType.of(E), points, seed)
     _, h1_a, le_a = class_cohomology(A, phi.points)
     residual = h0_class(A - E + line_class(E.r), phi.points)
@@ -481,13 +487,7 @@ def classification7_spotcheck(
             # the contracted class: a point, Ascenzi by convention, gap 0
             rows.append(SpotRow(family.label, d, T, True, True, 0, 0))
             continue
-        sub_seed = mix_seed(seed, T.d, *T.m)
-        if T.d == 1:
-            split = LINE_SPLIT
-        else:
-            points = random_points(T.r, sub_seed, p)
-            phi = parameterize(T, points, sub_seed)
-            split = splitting_moving_lines(phi)
+        _, split = _parameterize_and_split(T, seed, p)
         rows.append(
             SpotRow(
                 family.label,

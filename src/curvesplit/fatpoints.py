@@ -4,23 +4,28 @@ Everything here reduces to ranks of condition matrices over F_p: dimensions
 of fat-point ideals, h^0 and h^1 of divisor classes, and the rank, kernel and
 cokernel of the multiplication maps mu_k : (I_Z)_k (x) R_1 -> (I_Z)_{k+1}.
 
-Vanishing to order m at a point is imposed through the order-(m-1) partial
-derivatives; for a homogeneous form the Euler relation makes the lower
-orders redundant as long as the characteristic exceeds the degree, which is
-why every entry point insists on p > k.  A form of degree k has no nonzero
-derivative of order above k, and its order-k derivatives are its
-coefficients up to nonzero factorials, so a point with m > k imposes the
-order-k ones: vanishing to order m > k leaves only the zero form.
+Vanishing to order m at a point is imposed in the point's affine chart: the
+point is scaled so its first nonzero coordinate x_c is 1, and the rows are
+the Taylor coefficients of f(x + u e_a + v e_b) of order below m, with a, b
+the other two coordinates.  For a form of degree k these span the same
+functionals as the order-(m-1) homogeneous partial derivatives, because the
+Euler relation trades a derivative in x_c for lower orders and back; that
+needs the characteristic to exceed the degree, and the p > k guard of every
+entry point is kept unchanged.  A form of degree k has no nonzero Taylor
+coefficient of order above k, and those of order <= k determine it, so a
+point with m > k imposes the ones of order <= k: vanishing to order m > k
+leaves only the zero form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .exactla import MatFp
-from .lattice import DivClass, canonical_class
+from .lattice import DivClass, canonical_class, is_exceptional_class
 from .param import PointSet
 from .plane import PlaneForm, dim_forms, monomials, var_shift
 
@@ -71,47 +76,40 @@ def _check_degree(p: int, k: int) -> None:
         raise ValueError(f"modulus {p} too small for degree {k}; derivative conditions need p > k")
 
 
+def _shift_table(x: int, binom: np.ndarray, p: int) -> np.ndarray:
+    """t[i, e] = C(e, i) x^(e - i) mod p, the u^i coefficient of (x + u)^e,
+    from binom[i, e] = C(e, i) mod p."""
+    rows, cols = binom.shape
+    pows = np.array([pow(x, e, p) for e in range(cols)], dtype=np.int64)
+    # where e < i the exponent e - i wraps to the end of pows, but C(e, i) = 0
+    return binom * pows[np.arange(cols) - np.arange(rows)[:, None]] % p
+
+
 def conditions_matrix(Z: FatScheme, k: int) -> MatFp:
-    """Rows: order-min(m_i - 1, k) derivative functionals of each point;
-    columns: degree-k monomials.  Full row count is the scheme length when
-    every m_i <= k + 1."""
+    """Rows: the Taylor coefficients of order <= min(m_i - 1, k) of each point
+    in its chart (see the module docstring); columns: degree-k monomials.  The
+    u^i v^j row of a point is C(nu_a, i) x_a^(nu_a - i) C(nu_b, j) x_b^(nu_b - j)
+    on x^nu.  Full row count is the scheme length when every m_i <= k + 1."""
     p = Z.p
     _check_degree(p, k)
     monos = np.array(monomials(k), dtype=np.int64)
-    nu = [monos[:, j] for j in range(3)]
-    # derivative order per point; order k already kills every degree-k form
+    # Taylor order per point; order k already kills every degree-k form
     orders = [min(m - 1, k) for m in Z.mults]
     rows = np.empty((sum((o + 1) * (o + 2) // 2 for o in orders), len(monos)), dtype=np.int64)
-    i = 0
-    # falling factorials ff[e][b] = e (e-1) ... (e-b+1) mod p
-    max_o = max([0, *orders])
-    ff = np.zeros((k + 1, max_o + 1), dtype=np.int64)
-    ff[:, 0] = 1
-    for b in range(1, max_o + 1):
-        for e in range(k + 1):
-            ff[e, b] = ff[e, b - 1] * ((e - b + 1) % p) % p
+    binom = np.array([[comb(e, i) % p for e in range(k + 1)] for i in range(k + 1)], dtype=np.int64)
+    start = 0
     for pt, o in zip(Z.points.points, orders):
         if o < 0:
             continue
-        pows = np.ones((3, k + 1), dtype=np.int64)
-        for j in range(3):
-            for e in range(1, k + 1):
-                pows[j, e] = pows[j, e - 1] * pt.x[j] % p
-        # factor[j][b][e] = ff(e, b) * x_j^(e-b), zero when e < b
-        factor = []
-        for j in range(3):
-            per_b = []
-            for b in range(o + 1):
-                col = np.zeros(k + 1, dtype=np.int64)
-                col[b:] = ff[b:, b] * pows[j, : k + 1 - b] % p
-                per_b.append(col)
-            factor.append(per_b)
-        for b0 in range(o + 1):
-            for b1 in range(o + 1 - b0):
-                b2 = o - b0 - b1
-                row = factor[0][b0][nu[0]] * factor[1][b1][nu[1]] % p
-                rows[i] = row * factor[2][b2][nu[2]] % p
-                i += 1
+        c = pt.x.index(1)  # the first nonzero coordinate, scaled to 1
+        a, b = (j for j in range(3) if j != c)
+        # ta[i], tb[j]: the u^i and v^j factors on every monomial
+        ta = _shift_table(pt.x[a], binom[: o + 1], p)[:, monos[:, a]]
+        tb = _shift_table(pt.x[b], binom[: o + 1], p)[:, monos[:, b]]
+        for i in range(o + 1):
+            np.multiply(ta[i], tb[: o + 1 - i], out=rows[start : start + o + 1 - i])
+            start += o + 1 - i
+    # each product is at most (p - 1)^2 < 2^63; MatFp reduces them mod p
     return MatFp(rows, p)
 
 
@@ -153,18 +151,15 @@ class MuReport:
         }
 
 
-def _mu_matrix(Z: FatScheme, k: int) -> tuple[MatFp, list[np.ndarray]]:
-    basis = ideal_basis(Z, k)
-    n1 = dim_forms(k + 1)
-    if not basis:
-        return MatFp.zeros(n1, 0, Z.p), basis
-    cols = []
-    for b in basis:
-        for j in range(3):
-            col = np.zeros(n1, dtype=np.int64)
-            col[var_shift(k, j)] = b
-            cols.append(col)
-    return MatFp(np.column_stack(cols), Z.p), basis
+def _mu_matrix(Z: FatScheme, k: int) -> tuple[MatFp, np.ndarray]:
+    """mu_k on the basis of (I_Z)_k: column 3b + j is basis form b times x_j.
+
+    Also returns that basis, one form per row."""
+    basis = np.array(ideal_basis(Z, k), dtype=np.int64).reshape(-1, dim_forms(k))
+    mat = np.zeros((dim_forms(k + 1), 3 * len(basis)), dtype=np.int64)
+    for j in range(3):
+        mat[var_shift(k, j), j::3] = basis.T
+    return MatFp(mat, Z.p), basis
 
 
 def mu_rank(Z: FatScheme, k: int) -> MuReport:
@@ -184,18 +179,10 @@ def plane_syzygies(Z: FatScheme, k: int) -> list[tuple[PlaneForm, PlaneForm, Pla
     """
     mat, basis = _mu_matrix(Z, k)
     p = Z.p
-    out = []
-    for vec in mat.kernel_basis():
-        comps = []
-        for j in range(3):
-            acc = np.zeros(dim_forms(k), dtype=np.int64)
-            for b_idx, b in enumerate(basis):
-                c = int(vec[3 * b_idx + j])
-                if c:
-                    acc = (acc + c * b) % p
-            comps.append(PlaneForm.from_vector(k, acc, p))
-        out.append(tuple(comps))
-    return out
+    return [
+        tuple(PlaneForm.from_vector(k, (v[j::3, None] * basis % p).sum(0) % p, p) for j in range(3))
+        for v in mat.kernel_basis()
+    ]
 
 
 def _scheme_for(D: DivClass, points: PointSet) -> FatScheme:
@@ -294,8 +281,6 @@ def check_nongeneric_resolution(cprime: DivClass, points: PointSet) -> Resolutio
     function with initial degree 3d' - 1, where one generator is expected
     beyond the initial ones but the cokernel of mu_alpha is at least 2.
     """
-    from .lattice import is_exceptional_class
-
     if cprime.r != 9:
         raise ValueError("the construction lives on 9-point blow-ups")
     if not is_exceptional_class(cprime):

@@ -135,7 +135,7 @@ class TestParamTriple:
             ParamTriple(form(1, 0, 0), form(0, 1, 0), form(1, 1, 0))  # all divisible by s
 
     def test_proportional_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share the factor"):
             ParamTriple(form(1, 1), form(2, 2), form(3, 3))
 
     def test_degree_zero_rejected(self):

@@ -211,6 +211,8 @@ PINNED_DIGESTS = {
     "scan-conj9 --dmax 20 --seed 1 --certify": "e14d0ec33fcba83f37243e35a05694960d8f83d2ceb6ed072bfdbd62c767b784",
     "scan-conj9 --dmax 30 --seed 2 --p 211": "56c4b5f5b443c98b86d0fbbc5b7f9989e6ed2a3ea29e5c73f4b9d82af5828a44",
     "list7-check --seed 1": "6c4bd32fa14455b89ccdf722533ff52ea52847f1236647b9db88573370d65330",
+    "fatpoints --mults 5,0,0,0,0,0,0,0,0 --k 1..3 --seed 1": "2ecc83cc1e99a7766119ae69f82779033440495d2deccb0aeadfba8856c58393",
+    "fatpoints --mults 3,2,2,1,1,1,1,1,1 --k 3..6 --seed 4 --p 211": "21d82bbd60bfc8ca19718c69efea196920009f6bf8bbd39c07e4bbcadf788a70",
 }
 
 

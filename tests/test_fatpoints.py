@@ -1,9 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
-from curvesplit.exactla import MODULUS
+from curvesplit.exactla import MODULUS, MatFp
 from curvesplit.fatpoints import (
     FatScheme,
     MuReport,
+    _mu_matrix,
     alpha_degree,
     betti_report,
     check_nongeneric_resolution,
@@ -13,10 +17,11 @@ from curvesplit.fatpoints import (
     ideal_basis,
     ideal_dim,
     mu_rank,
+    plane_syzygies,
 )
 from curvesplit.lattice import DivClass
-from curvesplit.param import random_points
-from curvesplit.plane import dim_forms, eval_row
+from curvesplit.param import PlanePoint, PointSet, random_points
+from curvesplit.plane import dim_forms, eval_row, monomials
 
 P = MODULUS
 
@@ -35,6 +40,93 @@ def condition_degrees(monkeypatch):
 
     monkeypatch.setattr(fp, "conditions_matrix", counting)
     return degrees
+
+
+def derivative_conditions(Z: FatScheme, k: int) -> np.ndarray:
+    """Reference conditions: every order-min(m - 1, k) homogeneous partial
+    derivative of each point, evaluated there, on the degree-k monomials."""
+    p = Z.p
+    monos = np.array(monomials(k), dtype=np.int64)
+    orders = [min(m - 1, k) for m in Z.mults]
+    max_o = max([0, *orders])
+    # falling factorials ff[e][b] = e (e-1) ... (e-b+1) mod p
+    ff = np.zeros((k + 1, max_o + 1), dtype=np.int64)
+    ff[:, 0] = 1
+    for b in range(1, max_o + 1):
+        for e in range(k + 1):
+            ff[e, b] = ff[e, b - 1] * ((e - b + 1) % p) % p
+    rows = []
+    for pt, o in zip(Z.points.points, orders):
+        if o < 0:
+            continue
+        # factor[j][b][e] = ff(e, b) * x_j^(e-b), zero when e < b
+        factor = []
+        for j in range(3):
+            pows = [pow(pt.x[j], e, p) for e in range(k + 1)]
+            per_b = []
+            for b in range(o + 1):
+                col = np.zeros(k + 1, dtype=np.int64)
+                col[b:] = ff[b:, b] * np.array(pows[: k + 1 - b], dtype=np.int64) % p
+                per_b.append(col)
+            factor.append(per_b)
+        for b0 in range(o + 1):
+            for b1 in range(o + 1 - b0):
+                row = factor[0][b0][monos[:, 0]] * factor[1][b1][monos[:, 1]] % p
+                rows.append(row * factor[2][o - b0 - b1][monos[:, 2]] % p)
+    return np.array(rows, dtype=np.int64).reshape(-1, len(monos))
+
+
+def random_scheme(rng: random.Random, p: int, k: int) -> FatScheme:
+    """One to five distinct points, drawn from three with a zero first
+    coordinate and four with first coordinate 1; multiplicities 0..k+3."""
+    coords = {(0, 1, rng.randrange(p)), (0, 0, 1), (0, 1, 5)}
+    while len(coords) < 7:
+        coords.add((1, rng.randrange(p), rng.randrange(p)))
+    pts = rng.sample(sorted(coords), rng.randint(1, 5))
+    mults = tuple(rng.randint(0, k + 3) for _ in pts)
+    return FatScheme(PointSet(tuple(PlanePoint(x, p) for x in pts), 0, p), mults)
+
+
+def assert_matches_reference(Z: FatScheme, k: int) -> None:
+    # same row count and row space, so the same RREF and pivots
+    got = conditions_matrix(Z, k)
+    ref = MatFp(derivative_conditions(Z, k), Z.p)
+    assert got.entries.shape == ref.entries.shape
+    (red, pivots), (ref_red, ref_pivots) = got.rref(), ref.rref()
+    assert pivots == ref_pivots and np.array_equal(red, ref_red), (Z, k)
+
+
+@pytest.mark.parametrize("p", [211, 1009, P])
+def test_taylor_conditions_match_the_derivative_reference(p):
+    rng = random.Random(p)
+    for k in range(13):
+        for _ in range(6):
+            assert_matches_reference(random_scheme(rng, p, k), k)
+
+
+@pytest.mark.parametrize("p", [211, 1009, P])
+@pytest.mark.parametrize(
+    "coords, mults, k",
+    [
+        (((0, 1, 5), (0, 0, 1)), (0, 0), 3),  # m = 0 everywhere: no rows
+        (((0, 1, 5), (0, 0, 1)), (3, 2), 4),  # charts c = 1 and c = 2
+        (((0, 0, 1), (1, 0, 0)), (6, 2), 4),  # m = k + 2
+        (((0, 1, 5), (1, 2, 3)), (9, 1), 4),  # m > k + 2
+        (((0, 1, 0), (1, 0, 7)), (1, 3), 5),  # a zero coordinate in a chart
+    ],
+)
+def test_taylor_conditions_edge_schemes(p, coords, mults, k):
+    assert_matches_reference(FatScheme(PointSet(tuple(PlanePoint(x, p) for x in coords), 0, p), mults), k)
+
+
+def test_mu_matrix_and_syzygies_on_an_empty_basis(points9):
+    # a 4-fold point leaves no cubic: mu_3 has no columns and no syzygies
+    Z = FatScheme(points9, (4,) + (0,) * 8)
+    mat, basis = _mu_matrix(Z, 3)
+    assert (mat.rows, mat.cols) == (dim_forms(4), 0)
+    assert len(basis) == 0
+    assert mat.rank() == 0
+    assert plane_syzygies(Z, 3) == []
 
 
 class TestIdealDim:
