@@ -1,8 +1,10 @@
 """Splitting type of a parameterized rational plane curve, three ways.
 
 For a degree-d parameterization the pulled-back twisted cotangent bundle
-splits as O(-a) + O(-b) with a <= b and a + b = d.  The three independent
-routes computed here:
+splits as O(-a) + O(-b) with a <= b and a + b = d, and the syzygies of
+(phi0, phi1, phi2) have dim Syz_k = (k - a + 1)_+ + (k - b + 1)_+, which
+gives the moving-line law below for odd d too.  Three independent routes,
+one elimination each:
 
 * moving lines: the nullity p of the coefficient matrix of the map
   (S_{n-1})^3 -> S_{n-1+d} (d = 2n + delta) gives a = n - p;
@@ -10,10 +12,14 @@ routes computed here:
 * minimal syzygy: a is the least k with a nonzero syzygy of the ideal
   (phi0, phi1, phi2) in degree k.
 
-For odd d the moving-line rank law pins a = n - p and b = d - a; that is
-forced by a + b = d together with the graded dimension count
-dim Syz_k = (k - a + 1)_+ + (k - b + 1)_+ and is cross-checked against the
-saturation route in the tests.
+Column 3w + i of ``syzygy_matrix(phi, K)`` fills only rows w..w+d, so for
+k <= K ``syzygy_matrix(phi, k)`` is its first 3(k+1) columns, less rows that
+are zero there.  ``MatFp.rref`` pivots on the first nonzero entry, so the
+rank of a column prefix is the number of pivots in it, and the kernel vector
+of a free column f, zero right of f, is the same for every K >= f // 3.
+Saturation reads (and checks dim Syz_k for) every k <= d - 2 off the pivots
+at K = d - 2; the minimal syzygy is the first free column's vector at
+K = d // 2.
 """
 
 from __future__ import annotations
@@ -115,61 +121,55 @@ def moving_line_matrix(phi: ParamTriple) -> MatFp:
     """The (n+d) x 3n moving-line matrix in degree n-1, for d = 2n + delta."""
     d = phi.degree
     if d < 2:
-        raise ValueError("moving-line analysis needs degree >= 2")
-    n = d // 2
-    return syzygy_matrix(phi, n - 1)
+        raise ValueError("splitting computation needs degree >= 2")
+    return syzygy_matrix(phi, d // 2 - 1)
 
 
 def splitting_moving_lines(phi: ParamTriple) -> SplitType:
     """Splitting type from the rank of the moving-line matrix."""
     d = phi.degree
-    if d < 2:
-        raise ValueError("splitting computation needs degree >= 2")
-    n = d // 2
     m = moving_line_matrix(phi)
-    p_indep = m.cols - m.rank()
-    a = n - p_indep
+    a = d // 2 - (m.cols - m.rank())
     return SplitType(a, d - a)
 
 
 def splitting_saturation(phi: ParamTriple) -> SplitType:
     """Splitting type from the saturation degree of (phi0, phi1, phi2).
 
-    dim J_k is the rank of the matrix whose columns are s^i t^(k-d-i) phi_j;
-    the least k with dim J_k = k + 1 is sigma = b + d - 1 and is at most
-    2d - 2 for any honest parameterization.
+    dim J_{d+k} is the rank of ``syzygy_matrix(phi, k)``; the least k with
+    dim J_{d+k} = k + d + 1 gives sigma = d + k = b + d - 1 <= 2d - 2, and
+    dim Syz_k = 3(k+1) - dim J_{d+k} must be (k - a + 1)_+ + (k - b + 1)_+.
     """
     d = phi.degree
     if d < 2:
         raise ValueError("saturation analysis needs degree >= 2")
-    for sigma in range(d, 2 * d - 1):
-        if syzygy_matrix(phi, sigma - d).rank() == sigma + 1:
-            b = sigma - d + 1
-            return SplitType(d - b, b)
-    raise ValueError("saturation cap 2d-2 exceeded; components share a factor or the map is degenerate")
+    pivots = syzygy_matrix(phi, d - 2).rref()[1]
+    k = np.arange(d - 1)
+    ranks = np.searchsorted(pivots, 3 * (k + 1))
+    saturated = np.flatnonzero(ranks == k + d + 1)
+    if not saturated.size:
+        raise ValueError("saturation cap 2d-2 exceeded; components share a factor or the map is degenerate")
+    b = int(saturated[0]) + 1
+    split = SplitType(d - b, b)
+    module = np.maximum(k - split.a + 1, 0) + np.maximum(k - b + 1, 0)
+    if not np.array_equal(3 * (k + 1) - ranks, module):
+        raise AssertionError("syzygy dimensions do not match the splitting; matrix layout broken")
+    return split
 
 
 def min_syzygy(phi: ParamTriple) -> Syzygy:
-    """A nonzero syzygy of least degree; that degree equals a."""
+    """A nonzero syzygy of least degree (at least 1); that degree equals a."""
     d = phi.degree
     if d < 2:
         raise ValueError("syzygy search needs degree >= 2")
-    for k in range(1, d // 2 + 1):
-        kernel = syzygy_matrix(phi, k).kernel_basis()
-        if kernel:
-            syz = _kernel_vector_to_syzygy(kernel[0], k, phi.p)
-            if not is_syzygy(phi, syz):
-                raise AssertionError("kernel vector is not a syzygy; matrix layout broken")
-            return syz
-    raise AssertionError("no syzygy found up to degree d/2; invalid parameterization")
-
-
-def _kernel_vector_to_syzygy(vec: np.ndarray, k: int, p: int) -> Syzygy:
-    alphas = []
-    for i in range(3):
-        coeffs = np.array([vec[3 * w + i] for w in range(k + 1)], dtype=np.int64)
-        alphas.append(BinForm(coeffs, p))
-    return Syzygy(k, tuple(alphas))
+    # 3(K+1) columns exceed K+d+1 rows at K = d // 2, so a free column f
+    # exists; the vector of the first one ends at f, in degree f // 3
+    vec = syzygy_matrix(phi, d // 2).kernel_basis()[0]
+    k = max(1, int(np.flatnonzero(vec)[-1]) // 3)
+    syz = Syzygy(k, tuple(BinForm(vec[i : 3 * (k + 1) : 3], phi.p) for i in range(3)))
+    if not is_syzygy(phi, syz):
+        raise AssertionError("kernel vector is not a syzygy; matrix layout broken")
+    return syz
 
 
 def syzygy_from_plane(

@@ -23,7 +23,9 @@ def test_split_flagship(capsys):
 
 
 def test_split_runs_the_saturation_once(capsys, monkeypatch):
+    import curvesplit.cli as cli
     import curvesplit.splitting as splitting
+    from curvesplit.exactla import MatFp
 
     calls = []
     real = splitting.syzygy_matrix
@@ -32,14 +34,37 @@ def test_split_runs_the_saturation_once(capsys, monkeypatch):
         calls.append(k)
         return real(phi, k)
 
+    route = [None]
+    rrefs = []
+    real_rref = MatFp.rref
+
+    def counting_rref(self):
+        rrefs.append(route[0])
+        return real_rref(self)
+
+    def entered(name):
+        fn = getattr(cli, name)
+
+        def wrapper(phi):
+            route[0] = name
+            try:
+                return fn(phi)
+            finally:
+                route[0] = None
+
+        return wrapper
+
     monkeypatch.setattr(splitting, "syzygy_matrix", counting)
+    monkeypatch.setattr(MatFp, "rref", counting_rref)
+    for name in ("splitting_moving_lines", "splitting_saturation", "min_syzygy"):
+        monkeypatch.setattr(cli, name, entered(name))
     code, out, _ = run_cli(capsys, "split", "--type", "8,3,3,3,3,3,3,3")
     assert code == 0
     data = json.loads(out)
-    a, b = data["a"], data["b"]
-    assert data["sigma"] == b + 8 - 1
-    # one moving-line matrix, b saturation ranks (degrees d..sigma), a syzygy degrees
-    assert len(calls) == 1 + a + b == 9
+    assert data["sigma"] == data["b"] + 8 - 1
+    # moving lines at d//2 - 1, saturation at d - 2, the minimal syzygy at d//2
+    assert calls == [3, 6, 4]
+    assert [r for r in rrefs if r is not None] == ["splitting_moving_lines", "splitting_saturation", "min_syzygy"]
 
 
 def test_enum_count(capsys):
@@ -213,6 +238,8 @@ PINNED_DIGESTS = {
     "list7-check --seed 1": "6c4bd32fa14455b89ccdf722533ff52ea52847f1236647b9db88573370d65330",
     "fatpoints --mults 5,0,0,0,0,0,0,0,0 --k 1..3 --seed 1": "2ecc83cc1e99a7766119ae69f82779033440495d2deccb0aeadfba8856c58393",
     "fatpoints --mults 3,2,2,1,1,1,1,1,1 --k 3..6 --seed 4 --p 211": "21d82bbd60bfc8ca19718c69efea196920009f6bf8bbd39c07e4bbcadf788a70",
+    "split --type 20,9,7,7,7,7,7,5,5,5 --seed 2": "40989e37d9a8a67a5229f3115b4c8917b0d387d72e383bd817798f2e53fe971e",
+    "split --type 8,3,3,3,3,3,3,3 --seed 5 --p 211": "4feb9a727cde04477a29972a1dd464b83c12f45ea3ed1534a6b9bc9df013e526",
 }
 
 

@@ -1,13 +1,15 @@
 import pytest
 
+import curvesplit.splitting as splitting
 from curvesplit.binform import BinForm, ParamTriple, gcd
-from curvesplit.exactla import MODULUS
+from curvesplit.exactla import MODULUS, MatFp
 from curvesplit.fatpoints import FatScheme, plane_syzygies
-from curvesplit.lattice import NumType, ascenzi_classify
-from curvesplit.param import SeededRng, parameterize
+from curvesplit.lattice import NumType, ascenzi_classify, enum_exceptional
+from curvesplit.param import SeededRng, parameterize, random_points
 from curvesplit.plane import PlaneForm
 from curvesplit.splitting import (
     SplitType,
+    Syzygy,
     is_syzygy,
     min_syzygy,
     moving_line_matrix,
@@ -118,8 +120,6 @@ class TestSplittingMethods:
 
     def test_method_agreement_random_sample(self, points9):
         rng = SeededRng(77)
-        from curvesplit.lattice import enum_exceptional
-
         types = sorted(enum_exceptional(9, 14), key=lambda t: t.sort_key())
         types = [t for t in types if t.d >= 2]
         for T in types:
@@ -139,6 +139,80 @@ class TestSplittingMethods:
                 if mult <= 0:
                     continue
                 assert min(mult, T.d - mult) <= ml.a <= min(T.d - mult, T.d // 2)
+
+
+def reference_saturation(phi):
+    """The per-degree loop that splitting_saturation replaced: rank
+    syzygy_matrix(phi, sigma - d) for sigma = d, d+1, ... until it saturates."""
+    d = phi.degree
+    for sigma in range(d, 2 * d - 1):
+        if syzygy_matrix(phi, sigma - d).rank() == sigma + 1:
+            b = sigma - d + 1
+            return SplitType(d - b, b)
+    raise ValueError("saturation cap 2d-2 exceeded")
+
+
+def reference_min_syzygy(phi):
+    """The per-degree loop that min_syzygy replaced: the first kernel vector
+    of syzygy_matrix(phi, k) for the least k >= 1 with a kernel."""
+    for k in range(1, phi.degree // 2 + 1):
+        kernel = syzygy_matrix(phi, k).kernel_basis()
+        if kernel:
+            vec = kernel[0]
+            alphas = tuple(BinForm([vec[3 * w + i] for w in range(k + 1)], phi.p) for i in range(3))
+            return Syzygy(k, alphas)
+    raise AssertionError("no syzygy found up to degree d/2")
+
+
+def outcome(route, phi):
+    try:
+        return route(phi)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+# (p, every n-th exceptional type of degree >= 2 at dmax=61, point seed)
+SAMPLES = [(P, 37, 1), (211, 61, 1), (1009, 59, 2)]
+
+
+class TestOneEliminationPerRoute:
+    @pytest.mark.parametrize("p,every,seed", SAMPLES)
+    def test_routes_match_the_per_degree_loops(self, p, every, seed):
+        types = [T for T in sorted(enum_exceptional(9, 61), key=lambda t: t.sort_key()) if T.d >= 2]
+        sample = types[::every]
+        assert len(sample) >= 17
+        pts = random_points(9, seed, p)
+        for T in sample:
+            phi = parameterize(T, pts, seed)
+            assert outcome(splitting_saturation, phi) == outcome(reference_saturation, phi), T
+            syz, ref = min_syzygy(phi), reference_min_syzygy(phi)
+            assert syz.to_json() == ref.to_json(), T
+
+    def test_degenerate_coprime_triple(self):
+        # s^2, t^2, s^2 + t^2: a syzygy of degree 0, reported in degree 1 as
+        # (-s, -s, s); the ideal never saturates
+        phi = ParamTriple(BinForm((1, 0, 0), P), BinForm((0, 0, 1), P), BinForm((1, 0, 1), P))
+        minus_s, s = BinForm((P - 1, 0), P), BinForm((1, 0), P)
+        for route in (min_syzygy, reference_min_syzygy):
+            syz = route(phi)
+            assert (syz.degree, syz.alphas) == (1, (minus_s, minus_s, s))
+        for route in (splitting_saturation, reference_saturation):
+            with pytest.raises(ValueError):
+                route(phi)
+
+    def test_saturation_checks_the_whole_module(self, points9, monkeypatch):
+        # with column 0 zeroed the ideal still saturates, but dim Syz_0 is 1
+        phi = parameterize(NumType(8, (3,) * 7), points9, seed=4)
+        real = splitting.syzygy_matrix
+
+        def column_zeroed(phi, k):
+            entries = real(phi, k).entries.copy()
+            entries[:, 0] = 0
+            return MatFp(entries, phi.p)
+
+        monkeypatch.setattr(splitting, "syzygy_matrix", column_zeroed)
+        with pytest.raises(AssertionError, match="syzygy dimensions"):
+            splitting_saturation(phi)
 
 
 class TestSyzygyFromPlane:
