@@ -4,10 +4,11 @@ A form of degree d is a coefficient vector ``c`` of length d+1 with ``c[i]``
 the coefficient of ``s^(d-i) t^i``.  The zero form carries an explicit flag
 (empty coefficient vector); its degree is undefined.
 
-gcds are computed by splitting off the common power of t, dehomogenizing at
-t = 1, running the Euclidean algorithm on univariate polynomials, and
-rehomogenizing.  All gcd outputs are normalized so their first nonzero
-coefficient is 1.
+One kernel, ``_reduce``, divides univariate polynomials in place, and both
+gcds and exact division run on it.  A form t^k u is dehomogenized at t = 1
+into a copy of u(s, 1); the Euclidean algorithm runs on those copies, and the
+common power of t is restored once, at the end.  All gcd outputs are
+normalized so their first nonzero coefficient is 1.
 """
 
 from __future__ import annotations
@@ -33,41 +34,31 @@ def _conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
-def _trim(u: np.ndarray) -> np.ndarray:
-    """Drop trailing (high-degree) zeros of a little-endian univariate poly."""
-    nz = np.nonzero(u)[0]
-    if nz.size == 0:
-        return u[:0]
-    return u[: int(nz[-1]) + 1]
+def _reduce(a: np.ndarray, b: np.ndarray, p: int, q: np.ndarray | None = None) -> np.ndarray:
+    """Reduce ``a`` modulo ``b`` in place; return the trimmed remainder, a view of ``a``.
 
-
-def _univ_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    a = _trim(a)
-    b = _trim(b)
-    if b.size == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.size < b.size:
-        return a[:0], a
-    q = np.zeros(a.size - b.size + 1, dtype=np.int64)
-    r = a.copy()
+    Both are little-endian univariate polys with reduced int64 coefficients:
+    ``a`` writable, ``b`` with a nonzero last coefficient.  Quotient
+    coefficient k goes into ``q[k]`` when ``q`` is given.  Each step cancels
+    the top coefficient of ``a`` by construction, so it updates only the
+    len(b) - 1 below and leaves the cancelled ones unwritten: past the
+    returned view, ``a`` holds no remainder.
+    """
+    nb = b.size
     inv = pow(int(b[-1]), -1, p)
-    for k in range(a.size - b.size, -1, -1):
-        c = int(r[k + b.size - 1]) * inv % p
+    low = b[:-1] * inv % p
+    for k in range(a.size - nb, -1, -1):
+        c = int(a[k + nb - 1])
         if c:
-            q[k] = c
-            r[k : k + b.size] = (r[k : k + b.size] - c * b) % p
-    return q, _trim(r)
-
-
-def _univ_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a = _trim(a)
-    b = _trim(b)
-    while b.size:
-        _, rem = _univ_divmod(a, b, p)
-        a, b = b, rem
-    if a.size == 0:
-        raise ValueError("gcd of two zero polynomials")
-    return a * pow(int(a[-1]), -1, p) % p
+            seg = a[k : k + nb - 1]
+            seg -= c * low
+            seg %= p
+            if q is not None:
+                q[k] = c * inv % p
+    n = min(a.size, nb - 1)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
 
 
 class BinForm:
@@ -169,10 +160,6 @@ class BinForm:
         lead = int(self.coeffs[self.t_multiplicity()])
         return self.scale(pow(lead, -1, self.p))
 
-    def _dehom(self) -> np.ndarray:
-        """Coefficients of f(s, 1) as a little-endian univariate poly in s."""
-        return _trim(self.coeffs[::-1].copy())
-
     def _compat(self, other: "BinForm") -> None:
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
@@ -203,42 +190,52 @@ class BinForm:
         return [self.degree, [int(c) for c in self.coeffs]]
 
 
-def _rehom(univ: np.ndarray, t_power: int, p: int) -> BinForm:
-    """Homogenize a little-endian univariate poly and multiply by t^t_power."""
-    coeffs = np.concatenate([np.zeros(t_power, dtype=np.int64), univ[::-1]])
-    return BinForm(coeffs, p)
-
-
 def gcd(f: BinForm, g: BinForm) -> BinForm:
     """Monic gcd of two binary forms, not both zero."""
-    f._compat(g)
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd of two zero forms")
-    if f.is_zero:
-        return g.monic()
-    if g.is_zero:
-        return f.monic()
-    t_common = min(f.t_multiplicity(), g.t_multiplicity())
-    h = _univ_gcd(f._dehom(), g._dehom(), f.p)
-    return _rehom(h, t_common, f.p)
+    return gcd_many((f, g))
 
 
 def gcd_many(forms) -> BinForm:
-    """Monic gcd of any number of forms (zeros allowed, not all zero)."""
-    acc: BinForm | None = None
+    """Monic gcd of any number of forms (zeros allowed, not all zero).
+
+    Each nonzero form t^k u(s, t) is dehomogenized once, into a copy of
+    u(s, 1), and the remainder sequence runs in place on those copies.  The
+    least k is put back and the result normalized once, at the end.
+    """
+    first = acc = None
+    t_common = 0
     for f in forms:
+        if first is None:
+            first = f
+        first._compat(f)
         if f.is_zero:
             continue
-        acc = f if acc is None else gcd(acc, f)
-        if not acc.is_zero and acc.degree == 0:
-            return acc.monic()
+        t = f.t_multiplicity()
+        u = f.coeffs[t:][::-1].copy()
+        if acc is None:
+            acc, t_common = u, t
+        else:
+            t_common = min(t_common, t)
+            while u.size:
+                acc, u = u, _reduce(acc, u, f.p)
+        if acc.size == 1 and t_common == 0:
+            break
     if acc is None:
         raise ValueError("gcd of all-zero forms")
-    return acc.monic()
+    coeffs = np.zeros(t_common + acc.size, dtype=np.int64)
+    coeffs[t_common:] = acc[::-1] * pow(int(acc[-1]), -1, first.p) % first.p
+    return BinForm(coeffs, first.p)
 
 
 def div_exact(f: BinForm, g: BinForm) -> BinForm:
-    """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
+    """Quotient f/g when g divides f exactly; raises ValueError otherwise.
+
+    With f = t^tf u and g = t^tg v, where u(s, 1) and v(s, 1) have degrees
+    deg f - tf and deg g - tg and nonzero leading coefficients, an exact
+    quotient u(s, 1) / v(s, 1) has degree (deg f - tf) - (deg g - tg) and
+    the nonzero leading coefficient lead(u) / lead(v).  So f / g has degree
+    deg f - deg g exactly, and no degree check is needed.
+    """
     f._compat(g)
     if g.is_zero:
         raise ValueError("division by the zero form")
@@ -247,13 +244,11 @@ def div_exact(f: BinForm, g: BinForm) -> BinForm:
     tf, tg = f.t_multiplicity(), g.t_multiplicity()
     if tf < tg:
         raise ValueError("non-exact division (t power)")
-    q, r = _univ_divmod(f._dehom(), g._dehom(), f.p)
-    if r.size:
+    out = np.zeros(max(f.degree - g.degree + 1, 0), dtype=np.int64)
+    # the s^k coefficient of u / v is the s^(deg f - deg g - k) t^k one of f / g
+    if _reduce(f.coeffs[tf:][::-1].copy(), g.coeffs[tg:][::-1], f.p, out[tf - tg :][::-1]).size:
         raise ValueError("non-exact division (nonzero remainder)")
-    quotient = _rehom(_trim(q), tf - tg, f.p)
-    if quotient.is_zero or quotient.degree != f.degree - g.degree:
-        raise ValueError("non-exact division (degree drop)")
-    return quotient
+    return BinForm(out, f.p)
 
 
 @dataclass(frozen=True)

@@ -105,12 +105,11 @@ class ScanRecord:
             raise ValueError(f"malformed scan record {data!r}") from exc
 
 
-def _parameterize_and_split(T: NumType, seed: int, p: int) -> tuple[ParamTriple | None, SplitType]:
-    """T's parameterization at its sub-seed (None for a line) and its splitting type."""
+def _parameterize_and_split(T: NumType, sub_seed: int, p: int) -> tuple[ParamTriple | None, SplitType]:
+    """T's parameterization at ``sub_seed`` (None for a line) and its splitting type."""
     if T.d == 1:
         # a line pulls the twisted cotangent bundle back to O(0) + O(-1)
         return None, LINE_SPLIT
-    sub_seed = mix_seed(seed, T.d, *T.m)
     phi = parameterize(T, random_points(T.r, sub_seed, p), sub_seed)
     return phi, splitting_moving_lines(phi)
 
@@ -130,7 +129,7 @@ def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -
         if T.d == 0:
             split = None
         else:
-            phi, split = _parameterize_and_split(T, seed, p)
+            phi, split = _parameterize_and_split(T, sub_seed, p)
             if phi is not None and A is not None and certify:
                 _, h1_a, le_a = class_cohomology(A, phi.points)
     except Exception as exc:
@@ -487,7 +486,7 @@ def classification7_spotcheck(
             # the contracted class: a point, Ascenzi by convention, gap 0
             rows.append(SpotRow(family.label, d, T, True, True, 0, 0))
             continue
-        _, split = _parameterize_and_split(T, seed, p)
+        _, split = _parameterize_and_split(T, mix_seed(seed, T.d, *T.m), p)
         rows.append(
             SpotRow(
                 family.label,

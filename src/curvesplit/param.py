@@ -38,17 +38,10 @@ def _bilinear(x: np.ndarray, mat: MatFp, y: np.ndarray) -> int:
     return int((x * mat.matvec(y) % p).sum() % p)
 
 
-def _combine(matrix: np.ndarray, forms, p: int) -> list[BinForm]:
-    """The three forms sum_l matrix[c, l] * forms[l], for c = 0, 1, 2."""
-    out = []
-    for c in range(3):
-        acc = BinForm.zero(p)
-        for l in range(3):
-            if forms[l].is_zero or matrix[c, l] == 0:
-                continue
-            acc = acc + forms[l].scale(int(matrix[c, l]))
-        out.append(acc)
-    return out
+def _combine(matrix: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """The (3, n) rows matrix @ coeffs mod p, each product reduced before the
+    sum, for a 3x3 matrix and the coefficients of three forms of one degree."""
+    return (matrix[:, :, None] * coeffs[None] % p).sum(axis=1) % p
 
 
 def _cross(u, v, p: int) -> tuple[int, int, int]:
@@ -253,9 +246,9 @@ class CremonaStep:
                 msg = f"fibre product does not divide component {c}: {exc}"
                 raise DegenerateConfigurationError(msg) from exc
         h0, h1, h2 = hs
-        bracket = (g0 * h1 * h2, g1 * h0 * h2, g2 * h0 * h1)
+        bracket = np.stack([(g0 * h1 * h2).coeffs, (g1 * h0 * h2).coeffs, (g2 * h0 * h1).coeffs])
         combined = _combine(_inverse3(self.n_matrix.entries, self.p).entries, bracket, self.p)
-        return tuple(combined), (h0.monic(), h1.monic(), h2.monic())
+        return tuple(BinForm(row, self.p) for row in combined), (h0.monic(), h1.monic(), h2.monic())
 
     def to_json(self) -> dict:
         return {
@@ -525,18 +518,14 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
             gvec, hvec = coeffs[:d], coeffs[d:]
             if not gvec.any() or not hvec.any():
                 continue
-            g = BinForm(gvec, p)
-            h = BinForm(hvec, p)
-            if not g.is_zero and not h.is_zero and gcd_many([g, h]).degree != 0:
+            if gcd_many([BinForm(gvec, p), BinForm(hvec, p)]).degree != 0:
                 continue
-            # phi0 in the normalized frame, then back through the frame change
-            zero_pad = np.zeros(1, dtype=np.int64)
-            sg = BinForm(np.concatenate([gvec, zero_pad]), p)
-            tg = BinForm(np.concatenate([zero_pad, gvec]), p)
-            comps = _combine(umat, (sg, tg, -h), p)
-            if all(f.is_zero for f in comps):
-                continue
-            return tuple(comps)
+            # (s G, t G, -H) in the normalized frame, then back through the
+            # frame change, which is invertible: the rows are not all zero
+            frame = np.zeros((3, d + 1), dtype=np.int64)
+            frame[0, :d] = frame[1, 1:] = gvec
+            frame[2] = -hvec % p
+            return tuple(BinForm(row, p) for row in _combine(umat, frame, p))
     raise DegenerateConfigurationError("failed to build the pencil curve")
 
 

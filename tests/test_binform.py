@@ -1,8 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesplit.binform import BinForm, ParamTriple, div_exact, gcd
+from curvesplit.binform import BinForm, ParamTriple, div_exact, gcd, gcd_many
 from curvesplit.exactla import MODULUS
 
 P = MODULUS
@@ -72,7 +75,7 @@ class TestGcd:
         assert gcd(BinForm.zero(P), form(3, 0)) == form(1, 0)
 
     def test_both_zero_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gcd of all-zero forms"):
             gcd(BinForm.zero(P), BinForm.zero(P))
 
     @settings(max_examples=30, deadline=None)
@@ -141,3 +144,167 @@ class TestParamTriple:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             ParamTriple(form(1), form(2), form(3))
+
+
+# The binform arithmetic before the in-place kernel, kept as a reference: a
+# univariate divmod that trims and copies at every step, a two-form Euclid,
+# and gcd_many as a fold of two-form gcds.
+def _ref_trim(u):
+    nz = np.nonzero(u)[0]
+    return u[:0] if nz.size == 0 else u[: int(nz[-1]) + 1]
+
+
+def _ref_univ_divmod(a, b, p):
+    a, b = _ref_trim(a), _ref_trim(b)
+    if a.size < b.size:
+        return a[:0], a
+    q = np.zeros(a.size - b.size + 1, dtype=np.int64)
+    r = a.copy()
+    inv = pow(int(b[-1]), -1, p)
+    for k in range(a.size - b.size, -1, -1):
+        c = int(r[k + b.size - 1]) * inv % p
+        if c:
+            q[k] = c
+            r[k : k + b.size] = (r[k : k + b.size] - c * b) % p
+    return q, _ref_trim(r)
+
+
+def _ref_univ_gcd(a, b, p):
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b.size:
+        a, b = b, _ref_univ_divmod(a, b, p)[1]
+    return a * pow(int(a[-1]), -1, p) % p
+
+
+def _ref_dehom(f):
+    return _ref_trim(f.coeffs[::-1].copy())
+
+
+def _ref_rehom(univ, t_power, p):
+    return BinForm(np.concatenate([np.zeros(t_power, dtype=np.int64), univ[::-1]]), p)
+
+
+def ref_gcd(f, g):
+    f._compat(g)
+    if f.is_zero and g.is_zero:
+        raise ValueError("gcd of two zero forms")
+    if f.is_zero:
+        return g.monic()
+    if g.is_zero:
+        return f.monic()
+    t_common = min(f.t_multiplicity(), g.t_multiplicity())
+    return _ref_rehom(_ref_univ_gcd(_ref_dehom(f), _ref_dehom(g), f.p), t_common, f.p)
+
+
+def ref_gcd_many(forms):
+    acc = None
+    for f in forms:
+        if f.is_zero:
+            continue
+        acc = f if acc is None else ref_gcd(acc, f)
+        if acc.degree == 0:
+            return acc.monic()
+    if acc is None:
+        raise ValueError("gcd of all-zero forms")
+    return acc.monic()
+
+
+def ref_div_exact(f, g):
+    f._compat(g)
+    if g.is_zero:
+        raise ValueError("division by the zero form")
+    if f.is_zero:
+        return BinForm.zero(f.p)
+    tf, tg = f.t_multiplicity(), g.t_multiplicity()
+    if tf < tg:
+        raise ValueError("non-exact division (t power)")
+    q, r = _ref_univ_divmod(_ref_dehom(f), _ref_dehom(g), f.p)
+    if r.size:
+        raise ValueError("non-exact division (nonzero remainder)")
+    quotient = _ref_rehom(_ref_trim(q), tf - tg, f.p)
+    if quotient.is_zero or quotient.degree != f.degree - g.degree:
+        raise ValueError("non-exact division (degree drop)")
+    return quotient
+
+
+def outcome(fn, *args):
+    try:
+        res = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", res.coeffs.tolist()
+
+
+KERNEL_PRIMES = (7, 211, 2**31 - 1, 3037000493)
+
+
+def _random_form(rng, p, deg, zero_odds=0.0):
+    """A random form of degree deg times a random power of s and of t;
+    zero with probability zero_odds, constant when deg and the powers are 0."""
+    if rng.random() < zero_odds:
+        return BinForm.zero(p)
+    while True:
+        f = BinForm([rng.randrange(p) for _ in range(deg + 1)], p)
+        if not f.is_zero:
+            break
+    for var in ((1, 0), (0, 1)):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            f = f * BinForm(var, p)
+    return f
+
+
+def _related_pair(rng, p):
+    """Two forms that often share a factor, including a form with itself."""
+    common = _random_form(rng, p, rng.randrange(4))
+    f = common * _random_form(rng, p, rng.randrange(6))
+    if rng.random() < 0.1:
+        return f, f
+    return f, common * _random_form(rng, p, rng.randrange(6))
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_gcd_matches_the_reference(p):
+    rng = random.Random(p)
+    for _ in range(150):
+        f, g = _related_pair(rng, p)
+        if rng.random() < 0.15:
+            f, g = rng.choice(((BinForm.zero(p), g), (f, BinForm.zero(p))))
+        assert outcome(gcd, f, g) == outcome(ref_gcd, f, g), (f, g)
+        assert outcome(gcd, g, f) == outcome(ref_gcd, g, f), (g, f)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_gcd_many_matches_the_reference(p):
+    rng = random.Random(p + 1)
+    for _ in range(100):
+        common = _random_form(rng, p, rng.randrange(3))
+        forms = [
+            common * _random_form(rng, p, rng.randrange(5)) if rng.random() < 0.8 else BinForm.zero(p)
+            for _ in range(rng.randrange(1, 6))
+        ]
+        assert outcome(gcd_many, forms) == outcome(ref_gcd_many, forms), forms
+    zeros = [BinForm.zero(p)] * 3
+    assert outcome(gcd_many, zeros) == outcome(ref_gcd_many, zeros) == ("error", "gcd of all-zero forms")
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_div_exact_matches_the_reference(p):
+    rng = random.Random(p + 2)
+    texts = set()
+    for _ in range(200):
+        g = _random_form(rng, p, rng.randrange(5), zero_odds=0.05)
+        kind = rng.randrange(3)
+        if kind == 0:  # exact
+            f = _random_form(rng, p, rng.randrange(5), zero_odds=0.05) * g
+        elif kind == 1:  # a random multiple, perturbed at one coefficient
+            f = _random_form(rng, p, rng.randrange(5)) * g
+            if not f.is_zero:
+                c = f.coeffs.copy()
+                c[rng.randrange(c.size)] += 1 + rng.randrange(p - 1)
+                f = BinForm(c, p)
+        else:  # unrelated forms
+            f = _random_form(rng, p, rng.randrange(8), zero_odds=0.05)
+        got = outcome(div_exact, f, g)
+        assert got == outcome(ref_div_exact, f, g), (f, g)
+        texts.add(got[1] if got[0] == "error" else "exact")
+    assert {"exact", "non-exact division (t power)", "non-exact division (nonzero remainder)"} <= texts

@@ -240,6 +240,8 @@ PINNED_DIGESTS = {
     "fatpoints --mults 3,2,2,1,1,1,1,1,1 --k 3..6 --seed 4 --p 211": "21d82bbd60bfc8ca19718c69efea196920009f6bf8bbd39c07e4bbcadf788a70",
     "split --type 20,9,7,7,7,7,7,5,5,5 --seed 2": "40989e37d9a8a67a5229f3115b4c8917b0d387d72e383bd817798f2e53fe971e",
     "split --type 8,3,3,3,3,3,3,3 --seed 5 --p 211": "4feb9a727cde04477a29972a1dd464b83c12f45ea3ed1534a6b9bc9df013e526",
+    "param --type 16,8,8,7,5,4,4,4 --seed 3 --trace --p 211": "af34aabe91d1a4481d9cccd23095f21b5e36810e5e4a9a14cdc1dae63cf97ffe",
+    "split --type 18,7,7,7,7,7,7,5 --seed 2": "4e17400ac7f08f2a82b346be54e63046615cd2357e988c4f01b7218ced7e47d3",
 }
 
 

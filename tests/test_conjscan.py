@@ -220,6 +220,24 @@ class TestScanDriver:
         _, default = scan_conjecture9(16, seed=7)
         assert small == default
 
+    def test_retry_attempts_are_pinned_at_a_small_prime(self, monkeypatch):
+        # every attempt's outcome (success, or the degenerate configuration
+        # that triggers the next) is part of the output at p = 211
+        from curvesplit import param
+
+        attempts, successes = [], []
+        real = param._parameterize_once
+
+        def counting(*args, **kwargs):
+            attempts.append(args[0])
+            res = real(*args, **kwargs)
+            successes.append(res)
+            return res
+
+        monkeypatch.setattr(param, "_parameterize_once", counting)
+        records, summary = scan_conjecture9(30, 2, 211)
+        assert (len(attempts), len(successes), len(records), summary["n_errors"]) == (250, 185, 187, 0)
+
 
 class TestFaultInjection:
     """A type whose processing raises costs that type's record, not the scan."""

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from curvesplit.binform import BinForm, ParamTriple
@@ -12,6 +13,7 @@ from curvesplit.param import (
     PlanePoint,
     RetryLimitError,
     SeededRng,
+    _combine,
     cremona_apply,
     fibre_at,
     genericity_certificate,
@@ -493,3 +495,36 @@ class TestPullBackFibres:
         calls.clear()
         with pytest.raises(RetryLimitError, match="after 1 attempts: fibre product does not divide"):
             parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
+
+
+def _reference_combine(matrix, forms, p):
+    """The N^-1 combination as it was first written: nine scales, six adds."""
+    out = []
+    for c in range(3):
+        acc = BinForm.zero(p)
+        for l in range(3):
+            if forms[l].is_zero or matrix[c, l] == 0:
+                continue
+            acc = acc + forms[l].scale(int(matrix[c, l]))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 211, MODULUS, 3037000493])
+def test_combine_matches_scale_and_add(p):
+    rng = random.Random(p)
+    for trial in range(60):
+        n = rng.randrange(1, 9)
+        rows = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(3)], dtype=np.int64)
+        matrix = np.array([[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(3)] for _ in range(3)])
+        if trial % 4 == 0:
+            # row 0 cancels: 2 f - 2 f = 0; row 2 of the forms is the zero form
+            rows[1] = 2 * rows[0] % p
+            rows[2] = 0
+            matrix[0] = (2, p - 1, rng.randrange(p))
+        forms = [BinForm(row, p) for row in rows]
+        got = [BinForm(row, p) for row in _combine(matrix, rows, p)]
+        want = _reference_combine(matrix, forms, p)
+        assert got == want, (matrix, rows)
+        if trial % 4 == 0:
+            assert got[0].is_zero
