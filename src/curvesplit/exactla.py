@@ -1,10 +1,11 @@
 """Dense exact linear algebra over a prime field F_p.
 
-Matrices are stored as numpy ``int64`` arrays with entries reduced to
-``[0, p)``.  All elimination is done with modular inverses, so results are
-exact.  There is one 2-D elimination, ``MatFp.rref``: a forward pass to
-row-echelon form, then back-substitution on the free columns of the pivot
-rows.  ``rank`` and ``kernel_basis`` are its only users.  The forward pass
+``MatFp`` is the elimination type: a numpy ``int64`` array with entries
+reduced to ``[0, p)``, with its RREF, rank and kernel basis and no public
+products (the 3x3 frame products of ``param`` run on plain int64 arrays).
+All elimination is done with modular inverses, so results are exact.  There
+is one 2-D elimination, ``MatFp.rref``: a forward pass to row-echelon form,
+then back-substitution on the free columns of the pivot rows.  ``rank`` and ``kernel_basis`` are its only users.  The forward pass
 of a matrix with at most 128 columns is the leaf, which touches only the
 rows below each pivot that are nonzero in its column, on the columns from
 the pivot on.  A wider matrix goes by panels of 32 columns: the leaf
@@ -90,7 +91,8 @@ def check_modulus(p: int) -> int:
 
 
 class MatFp:
-    """A dense matrix over F_p supporting rank and kernel-basis extraction.
+    """The elimination type: a dense matrix over F_p with its RREF, rank and
+    kernel basis, and no matrix products.
 
     Rank and kernel basis are both read off ``rref`` (forward elimination,
     then back-substitution on the free columns).  The entry array is owned
@@ -110,10 +112,6 @@ class MatFp:
         arr.flags.writeable = False
         self.entries = arr
         self.p = p
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int = MODULUS) -> "MatFp":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
 
     @property
     def rows(self) -> int:
@@ -183,15 +181,6 @@ class MatFp:
             v.flags.writeable = False
             basis.append(v)
         return basis
-
-    def matvec(self, v) -> np.ndarray:
-        """Matrix-vector product over F_p."""
-        v = np.remainder(np.asarray(v, dtype=np.int64), self.p)
-        if v.shape != (self.cols,):
-            raise ValueError(f"vector of length {v.shape} incompatible with {self!r}")
-        # Reduce each product before summing: column sums of values < p stay
-        # far below the int64 limit for any realistic width.
-        return (self.entries * v % self.p).sum(axis=1) % self.p
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -18,7 +18,7 @@ seed + retry counter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,9 +33,8 @@ _MASK = (1 << 64) - 1
 POINT_TRIES = 32
 
 
-def _bilinear(x: np.ndarray, mat: MatFp, y: np.ndarray) -> int:
-    p = mat.p
-    return int((x * mat.matvec(y) % p).sum() % p)
+def _bilinear(x: np.ndarray, mat: np.ndarray, y: np.ndarray, p: int) -> int:
+    return int((x * _combine(mat, y[:, None], p)[:, 0] % p).sum() % p)
 
 
 def _combine(matrix: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -50,8 +49,9 @@ def _cross(u, v, p: int) -> tuple[int, int, int]:
     return ((u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p, (u0 * v1 - u1 * v0) % p)
 
 
-def _inverse3(m, p: int) -> MatFp | None:
-    """Inverse of a 3x3 matrix over F_p, or None when it is singular.
+def _inverse3(m, p: int) -> np.ndarray | None:
+    """Inverse of a 3x3 matrix over F_p as a read-only int64 array, or None
+    when it is singular.
 
     Row i of the inverse is the cross product of columns i+1 and i+2 of m
     (indices mod 3) divided by det m; det m is the dot product of the first
@@ -63,7 +63,9 @@ def _inverse3(m, p: int) -> MatFp | None:
     if det == 0:
         return None
     inv = pow(det, -1, p)
-    return MatFp([[v * inv % p for v in row] for row in rows], p)
+    arr = np.array([[v * inv % p for v in row] for row in rows], dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -130,10 +132,6 @@ def _line_through(a: PlanePoint, b: PlanePoint, p: int) -> tuple[int, int, int]:
     return line
 
 
-def _eval_line(line: tuple[int, int, int], pt: PlanePoint, p: int) -> int:
-    return (line[0] * pt.x[0] + line[1] * pt.x[1] + line[2] * pt.x[2]) % p
-
-
 def genericity_certificate(points: tuple[PlanePoint, ...], p: int) -> bool:
     """Pairwise distinct, no 3 collinear, no 6 on a conic."""
     if len(set(points)) != len(points):
@@ -180,9 +178,11 @@ def random_points(r: int, seed: int, p: int = MODULUS) -> PointSet:
 class CremonaStep:
     """One quadratic Cremona map centered at three of the current points.
 
-    The map is x -> sigma(N x): ``n_matrix`` N (rows h_jk, h_ik, h_ij, the
-    lines joining the centers) sends the centers to the coordinate triangle,
-    then the standard involution sigma(y) = (y1 y2, y0 y2, y0 y1) follows.
+    The map is x -> sigma(N x): ``n_matrix`` N, a read-only int64 array
+    whose rows h_jk, h_ik, h_ij are the lines joining the centers, sends the
+    centers to the coordinate triangle, then the standard involution
+    sigma(y) = (y1 y2, y0 y2, y0 y1) follows.  N is fixed by the points and
+    the centers, so equality and hash leave it out.
     The three center slots of ``points_after`` hold the coordinate points
     e_0, e_1, e_2.  The inverse map is N^{-1} after sigma; ``pull_back``
     composes it with a parameterization f = (f_0, f_1, f_2) of the image
@@ -197,27 +197,20 @@ class CremonaStep:
     centers: tuple[int, int, int]
     points_before: tuple[PlanePoint, ...]
     points_after: tuple[PlanePoint, ...]
-    n_matrix: MatFp
-
-    @property
-    def p(self) -> int:
-        return self.n_matrix.p
+    n_matrix: np.ndarray = field(compare=False)
+    p: int
 
     @property
     def quad_forms(self) -> tuple[PlaneForm, PlaneForm, PlaneForm]:
         """The forward conics: the components of sigma(N x), each a product
         of two lines, with coefficients in the order x0^2, x0x1, x0x2, x1^2,
         x1x2, x2^2."""
-        h = [[int(v) for v in row] for row in self.n_matrix.entries]
+        h = self.n_matrix.tolist()
         forms = []
         for (a0, a1, a2), (b0, b1, b2) in ((h[1], h[2]), (h[0], h[2]), (h[0], h[1])):
             coeffs = (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0, a1 * b1, a1 * b2 + a2 * b1, a2 * b2)
             forms.append(PlaneForm(2, coeffs, self.p))
         return tuple(forms)
-
-    def apply_point(self, pt: PlanePoint) -> PlanePoint:
-        """Forward image of a point not on any fundamental line."""
-        return _forward_image(self.n_matrix, pt, str(pt))
 
     def pull_back(
         self, phis: tuple[BinForm, BinForm, BinForm], fibres: tuple[BinForm, BinForm, BinForm]
@@ -247,7 +240,7 @@ class CremonaStep:
                 raise DegenerateConfigurationError(msg) from exc
         h0, h1, h2 = hs
         bracket = np.stack([(g0 * h1 * h2).coeffs, (g1 * h0 * h2).coeffs, (g2 * h0 * h1).coeffs])
-        combined = _combine(_inverse3(self.n_matrix.entries, self.p).entries, bracket, self.p)
+        combined = _combine(_inverse3(self.n_matrix, self.p), bracket, self.p)
         return tuple(BinForm(row, self.p) for row in combined), (h0.monic(), h1.monic(), h2.monic())
 
     def to_json(self) -> dict:
@@ -259,37 +252,34 @@ class CremonaStep:
         }
 
 
-def _forward_image(n_matrix: MatFp, pt: PlanePoint, label: str) -> PlanePoint:
-    """sigma(N x) for the point x; ``label`` names it in the error."""
-    p = n_matrix.p
-    y0, y1, y2 = (int(v) for v in n_matrix.matvec(pt.x))
-    vals = (y1 * y2 % p, y0 * y2 % p, y0 * y1 % p)
-    if sum(1 for v in vals if v == 0) >= 2:
-        raise DegenerateConfigurationError(f"{label} lies on a fundamental line")
-    return PlanePoint(vals, p)
-
-
 def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int = MODULUS) -> CremonaStep:
-    """Quadratic Cremona map centered at points i, j, k (1-based indices)."""
+    """Quadratic Cremona map centered at points i, j, k (1-based indices).
+
+    All r points go through N in one product, then through sigma.  A point
+    other than a center whose image has two zero coordinates lies on a
+    fundamental line; the lowest such index is reported.
+    """
     r = len(points)
     if not (1 <= i < j < k <= r):
         raise ValueError(f"center indices ({i}, {j}, {k}) must satisfy 1 <= i < j < k <= {r}")
     pi, pj, pk = points[i - 1], points[j - 1], points[k - 1]
-    h_jk = _line_through(pj, pk, p)
-    n_matrix = MatFp(np.array([h_jk, _line_through(pi, pk, p), _line_through(pi, pj, p)], dtype=np.int64), p)
-    if _eval_line(h_jk, pi, p) == 0:
+    n_matrix = np.array([_line_through(pj, pk, p), _line_through(pi, pk, p), _line_through(pi, pj, p)], dtype=np.int64)
+    n_matrix.flags.writeable = False
+    y0, y1, y2 = _combine(n_matrix, np.array([pt.x for pt in points], dtype=np.int64).T, p)
+    if y0[i - 1] == 0:
         raise DegenerateConfigurationError("collinear centers")
 
-    coord = {i: PlanePoint((1, 0, 0), p), j: PlanePoint((0, 1, 0), p), k: PlanePoint((0, 0, 1), p)}
-    after: list[PlanePoint] = []
-    for idx, pt in enumerate(points, start=1):
-        if idx in coord:
-            after.append(coord[idx])
-        else:
-            after.append(_forward_image(n_matrix, pt, f"point {idx}"))
+    images = np.stack([y1 * y2 % p, y0 * y2 % p, y0 * y1 % p])
+    slots = [i - 1, j - 1, k - 1]
+    on_line = (images == 0).sum(axis=0) >= 2
+    on_line[slots] = False
+    if on_line.any():
+        raise DegenerateConfigurationError(f"point {int(on_line.argmax()) + 1} lies on a fundamental line")
+    images[:, slots] = np.eye(3, dtype=np.int64)
+    after = tuple(PlanePoint(tuple(x), p) for x in images.T.tolist())
     if len(set(after)) != len(after):
         raise DegenerateConfigurationError("transformed points collide")
-    return CremonaStep((i, j, k), tuple(points), tuple(after), n_matrix)
+    return CremonaStep((i, j, k), tuple(points), after, n_matrix, p)
 
 
 def fibre_at(phis: tuple[BinForm, BinForm, BinForm], point: PlanePoint) -> BinForm:
@@ -376,7 +366,7 @@ def _parameterize_line(mults, points, rng: SeededRng, p: int):
         if len(set(cand)) != 2:
             continue
         line = _line_through(cand[0], cand[1], p)
-        if any(_eval_line(line, q, p) == 0 for q in avoid):
+        if any(sum(a * b for a, b in zip(line, q.x)) % p == 0 for q in avoid):
             if len(chosen) == 2:
                 raise DegenerateConfigurationError("forced line hits an assigned zero-multiplicity point")
             continue
@@ -384,14 +374,14 @@ def _parameterize_line(mults, points, rng: SeededRng, p: int):
     raise DegenerateConfigurationError("could not place a generic line")
 
 
-def _conic_point(mat: MatFp, rng: SeededRng, p: int) -> tuple[int, int, int] | None:
+def _conic_point(mat: np.ndarray, rng: SeededRng, p: int) -> tuple[int, int, int] | None:
     """A rational point on x^T mat x = 0 via random line sections."""
     for _ in range(64):
         a = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
         b = np.array([0, 1, rng.below(p)], dtype=np.int64)
-        qa = _bilinear(a, mat, a)
-        qb = _bilinear(b, mat, b)
-        qab = _bilinear(a, mat, b)
+        qa = _bilinear(a, mat, a, p)
+        qb = _bilinear(b, mat, b, p)
+        qab = _bilinear(a, mat, b, p)
         if qa == 0:
             return tuple(int(v) for v in a)
         disc = (qab * qab - qa * qb) % p
@@ -423,18 +413,15 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
             continue
         v = kernel[0]
         inv2 = pow(2, -1, p)
-        mat = MatFp(
-            np.array(
-                [
-                    [v[0], v[1] * inv2, v[2] * inv2],
-                    [v[1] * inv2, v[3], v[4] * inv2],
-                    [v[2] * inv2, v[4] * inv2, v[5]],
-                ],
-                dtype=np.int64,
-            ),
-            p,
-        )
-        if _inverse3(mat.entries, p) is None:
+        mat = np.array(
+            [
+                [v[0], v[1] * inv2, v[2] * inv2],
+                [v[1] * inv2, v[3], v[4] * inv2],
+                [v[2] * inv2, v[4] * inv2, v[5]],
+            ],
+            dtype=np.int64,
+        ) % p
+        if _inverse3(mat, p) is None:
             if not extras:
                 raise DegenerateConfigurationError("assigned points lie on a singular conic")
             continue
@@ -449,11 +436,11 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
             if _inverse3(basis, p) is None:
                 continue
             p0 = np.array(pt0, dtype=np.int64)
-            qu = _bilinear(u, mat, u)
-            qw = _bilinear(w, mat, w)
-            quw = _bilinear(u, mat, w)
-            lu = _bilinear(p0, mat, u)
-            lw = _bilinear(p0, mat, w)
+            qu = _bilinear(u, mat, u, p)
+            qw = _bilinear(w, mat, w, p)
+            quw = _bilinear(u, mat, w, p)
+            lu = _bilinear(p0, mat, u, p)
+            lw = _bilinear(p0, mat, w, p)
             # phi = -Q(su+tw) * p0 + 2 * (p0^T M (su+tw)) * (su+tw)
             comps = []
             for c in range(3):
@@ -492,22 +479,18 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
         uinv = _inverse3(umat, p)
         if uinv is None:
             continue
-        taus = []
-        rows = []
-        ok = True
-        for idx in simple:
-            bx = uinv.matvec(points[idx].x)
-            a, b, cc = (int(v) for v in bx)
-            if a == 0 and b == 0:
-                ok = False
-                break
-            taus.append((a, b))
-            # condition H(a, b) + c * G(a, b) = 0 on the stacked (G | H) vector
-            gpows = [pow(a, d - 1 - t, p) * pow(b, t, p) % p for t in range(d)]
-            hpows = [pow(a, d - t, p) * pow(b, t, p) % p for t in range(d + 1)]
-            rows.append([cc * v % p for v in gpows] + hpows)
-        if not ok or len({(a * pow(b, -1, p) if b else -1) for a, b in taus}) != len(taus):
+        # frame coordinates (a, b, c) of the simple points; two of them share
+        # a line through the center when their (a, b) are proportional
+        a, b, cc = _combine(uinv, np.array([points[idx].x for idx in simple], dtype=np.int64).reshape(-1, 3).T, p)
+        same_line = np.triu(np.outer(a, b) % p == np.outer(b, a) % p, 1)
+        if ((a == 0) & (b == 0)).any() or same_line.any():
             raise DegenerateConfigurationError("simple points collide in the pencil through the center")
+        rows = []
+        for ai, bi, ci in zip(a.tolist(), b.tolist(), cc.tolist()):
+            # condition H(a, b) + c * G(a, b) = 0 on the stacked (G | H) vector
+            gpows = [pow(ai, d - 1 - t, p) * pow(bi, t, p) % p for t in range(d)]
+            hpows = [pow(ai, d - t, p) * pow(bi, t, p) % p for t in range(d + 1)]
+            rows.append([ci * v % p for v in gpows] + hpows)
         kernel = MatFp(np.array(rows, dtype=np.int64).reshape(-1, 2 * d + 1), p).kernel_basis()
         if not kernel:
             raise DegenerateConfigurationError("no pencil curve through the prescribed points")

@@ -14,6 +14,7 @@ from curvesplit.param import (
     RetryLimitError,
     SeededRng,
     _combine,
+    _parameterize_pencil,
     cremona_apply,
     fibre_at,
     genericity_certificate,
@@ -203,10 +204,10 @@ class TestCremona:
         coords = (PlanePoint((1, 0, 0), P), PlanePoint((0, 1, 0), P), PlanePoint((0, 0, 1), P))
         extra = random_points(2, seed=4).points
         pts = coords + extra
-        step = cremona_apply(pts, 1, 2, 3, P)
-        once = step.apply_point(extra[0])
-        twice = step.apply_point(once)
-        assert twice == extra[0]
+        once = cremona_apply(pts, 1, 2, 3, P)
+        assert once.points_after[3:] != extra
+        twice = cremona_apply(once.points_after, 1, 2, 3, P)
+        assert twice.points_after == pts
 
     def test_collinear_centers_rejected(self):
         a = PlanePoint((1, 0, 0), P)
@@ -215,18 +216,43 @@ class TestCremona:
         with pytest.raises(DegenerateConfigurationError):
             cremona_apply((a, b, c), 1, 2, 3, P)
 
-    @pytest.mark.parametrize("p", [P, 211])
+    def test_errors_come_in_order(self):
+        a, b, c, q = random_points(4, seed=6).points
+        on_bc = PlanePoint(tuple((x + 3 * y) % P for x, y in zip(b.x, c.x)), P)
+        on_ab = PlanePoint(tuple((x + 5 * y) % P for x, y in zip(a.x, b.x)), P)
+        with pytest.raises(ValueError, match="points coincide"):
+            cremona_apply((a, a, b, q, q), 1, 2, 3, P)
+        with pytest.raises(DegenerateConfigurationError, match="collinear centers"):
+            cremona_apply((a, b, on_ab, on_bc, q, q), 1, 2, 3, P)
+        # with the centers a, b, c in slots 2, 4 and 6, whose images are zero
+        # before they become e_0, e_1, e_2, the lowest other point is named
+        for pts in ((q, a, on_ab, b, on_bc, c, q), (q, a, on_bc, b, on_ab, c, q)):
+            with pytest.raises(DegenerateConfigurationError, match="^point 3 lies on a fundamental line$"):
+                cremona_apply(pts, 2, 4, 6, P)
+        with pytest.raises(DegenerateConfigurationError, match="transformed points collide"):
+            cremona_apply((a, b, c, q, q), 1, 2, 3, P)
+        step = cremona_apply((q, a, PlanePoint((1, 2, 3), P), b, PlanePoint((1, 4, 9), P), c), 2, 4, 6, P)
+        assert [step.points_after[s].x for s in (1, 3, 5)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    # 3037000493 is the largest prime the int64 bound admits: every product
+    # of the batched map must be reduced before it is summed
+    @pytest.mark.parametrize("p", [P, 211, 3037000493])
     def test_quad_forms_are_the_forward_map(self, p):
         rng = SeededRng(p)
         checked = 0
         for seed, centers in ((1, (1, 2, 3)), (2, (2, 4, 6)), (3, (1, 5, 6))):
-            step = cremona_apply(random_points(6, seed, p).points, *centers, p)
+            base = random_points(6, seed, p).points
+            lines = cremona_apply(base, *centers, p).n_matrix.tolist()
+            extra: list[PlanePoint] = []
             for _ in range(40):
                 x = PlanePoint((1, rng.below(p), rng.below(p)), p)
-                if not step.n_matrix.matvec(x.x).all():
-                    continue  # on a fundamental line
-                assert step.apply_point(x) == PlanePoint(tuple(q.eval(x.x) for q in step.quad_forms), p)
-                checked += 1
+                if x in base or x in extra or any(sum(a * b for a, b in zip(h, x.x)) % p == 0 for h in lines):
+                    continue  # taken, or on a fundamental line
+                extra.append(x)
+            step = cremona_apply(base + tuple(extra), *centers, p)
+            for x, image in zip(extra, step.points_after[6:]):
+                assert image == PlanePoint(tuple(q.eval(x.x) for q in step.quad_forms), p)
+            checked += len(extra)
         assert checked >= 100
 
     def test_matches_lattice_reflection(self, points9):
@@ -528,3 +554,21 @@ def test_combine_matches_scale_and_add(p):
         assert got == want, (matrix, rows)
         if trial % 4 == 0:
             assert got[0].is_zero
+
+
+def test_pencil_collision_is_caught_on_the_first_frame():
+    # (5, 22, 43) = (1, 2, 7) + 4 (1, 5, 9) lies on the line through the
+    # center and (1, 2, 7); normalized, its frame coordinates are a multiple
+    # of those of (1, 2, 7), not equal to them
+    p = 211
+    pts = [PlanePoint(x, p) for x in [(1, 5, 9), (1, 2, 7), (5, 22, 43), (0, 1, 0), (1, 1, 1), (1, 3, 2)]]
+    rng = SeededRng(4)
+    with pytest.raises(DegenerateConfigurationError, match="simple points collide in the pencil through the center"):
+        _parameterize_pencil(3, (2, 1, 1, 1, 1, 1), pts, rng, p)
+    # one frame drawn: u = (1, *, *) and w = (0, 1, *)
+    first = SeededRng(4)
+    for _ in range(3):
+        first.below(p)
+    assert rng.state == first.state
+    # the filler points alone pass the test
+    assert _parameterize_pencil(3, (2, 0, 0, 1, 1, 1), pts, SeededRng(4), p)
