@@ -15,11 +15,25 @@ entry point is kept unchanged.  A form of degree k has no nonzero Taylor
 coefficient of order above k, and those of order <= k determine it, so a
 point with m > k imposes the ones of order <= k: vanishing to order m > k
 leaves only the zero form.
+
+Where x0 is a unit at every point of Z, as at the points (1, y, z) of
+``random_points``, one RREF of the degree-K matrix C_K answers for every
+degree j <= K: x0^(K-j) G lies in I_Z exactly when G does, and the
+monomials are ordered by descending x0 exponent, so x0^(K-j) S_j fills the
+first C(j+2, 2) columns of C_K in S_j's order.  ``MatFp.rref`` pivots on
+the first nonzero entry, so that column prefix has the pivots of its own
+RREF: dim (I_Z)_j is C(j+2, 2) minus the pivots left of column C(j+2, 2),
+and the prefix's reduced-echelon kernel vectors, zero right of their free
+column, are ``ideal_basis(Z, j)``.  ``mu_rank``, ``betti_report``,
+``alpha_degree`` and ``check_nongeneric_resolution`` read Z this way and
+refuse a point of positive multiplicity on x0 = 0; the certificate reads
+C_(k0+1), k0 the counting bound on alpha, so its p > k guard checks k0 + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb
 
 import numpy as np
@@ -123,6 +137,22 @@ def ideal_basis(Z: FatScheme, k: int) -> list[np.ndarray]:
     return conditions_matrix(Z, k).kernel_basis()
 
 
+def _prefix_basis(Z: FatScheme, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """ideal_basis(Z, K) as rows and each row's free column; the rows with free
+    column below C(j+2, 2), cut there, are ideal_basis(Z, j) for j <= K."""
+    for i, (pt, m) in enumerate(zip(Z.points.points, Z.mults)):
+        if m and pt.x[0] == 0:
+            raise ValueError(f"point {i} {pt.x} of multiplicity {m} lies on x0 = 0; x0 must be a unit at every point")
+    basis = np.array(ideal_basis(Z, K), dtype=np.int64).reshape(-1, dim_forms(K))
+    # a kernel vector is 1 at its free column and 0 right of it
+    return basis, basis.shape[1] - 1 - (basis[:, ::-1] != 0).argmax(1)
+
+
+def _least_degree(n: int) -> int:
+    """The least k with C(k+2, 2) > n."""
+    return next(k for k in count() if dim_forms(k) > n)
+
+
 @dataclass(frozen=True)
 class MuReport:
     """Rank data of mu_k : (I_Z)_k (x) R_1 -> (I_Z)_{k+1}."""
@@ -151,24 +181,26 @@ class MuReport:
         }
 
 
-def _mu_matrix(Z: FatScheme, k: int) -> tuple[MatFp, np.ndarray]:
-    """mu_k on the basis of (I_Z)_k: column 3b + j is basis form b times x_j.
-
-    Also returns that basis, one form per row."""
-    basis = np.array(ideal_basis(Z, k), dtype=np.int64).reshape(-1, dim_forms(k))
+def _mu_matrix(basis, k: int, p: int) -> MatFp:
+    """mu_k on a basis of (I_Z)_k, one form per row or vector: column 3b + j
+    is basis form b times x_j."""
+    basis = np.array(basis, dtype=np.int64).reshape(-1, dim_forms(k))
     mat = np.zeros((dim_forms(k + 1), 3 * len(basis)), dtype=np.int64)
     for j in range(3):
         mat[var_shift(k, j), j::3] = basis.T
-    return MatFp(mat, Z.p), basis
+    return MatFp(mat, p)
+
+
+def _mu_report(basis: np.ndarray, free: np.ndarray, k: int, p: int) -> MuReport:
+    """mu_k read off ``_prefix_basis(Z, K)`` for k < K."""
+    rows = basis[free < dim_forms(k), : dim_forms(k)]
+    dim_k1, rank = int((free < dim_forms(k + 1)).sum()), _mu_matrix(rows, k, p).rank()
+    return MuReport(k, len(rows), dim_k1, rank, 3 * len(rows) - rank, dim_k1 - rank)
 
 
 def mu_rank(Z: FatScheme, k: int) -> MuReport:
     """Rank/kernel/cokernel of multiplication by linear forms at degree k."""
-    mat, basis = _mu_matrix(Z, k)
-    dim_k = len(basis)
-    dim_k1 = ideal_dim(Z, k + 1)
-    rank = mat.rank()
-    return MuReport(k, dim_k, dim_k1, rank, 3 * dim_k - rank, dim_k1 - rank)
+    return betti_report(Z, [k])[0]
 
 
 def plane_syzygies(Z: FatScheme, k: int) -> list[tuple[PlaneForm, PlaneForm, PlaneForm]]:
@@ -177,11 +209,11 @@ def plane_syzygies(Z: FatScheme, k: int) -> list[tuple[PlaneForm, PlaneForm, Pla
     These are the kernel vectors of mu_k, reassembled as forms; they are the
     raw material for syzygies of parameterizations that come from the plane.
     """
-    mat, basis = _mu_matrix(Z, k)
     p = Z.p
+    basis = np.array(ideal_basis(Z, k), dtype=np.int64).reshape(-1, dim_forms(k))
     return [
         tuple(PlaneForm.from_vector(k, (v[j::3, None] * basis % p).sum(0) % p, p) for j in range(3))
-        for v in mat.kernel_basis()
+        for v in _mu_matrix(basis, k, p).kernel_basis()
     ]
 
 
@@ -217,30 +249,35 @@ def class_cohomology(A: DivClass, points: PointSet) -> tuple[int, int, int | Non
     chi = (A.dot(A) - canonical_class(A.r).dot(A)) // 2 + 1
     if A.d < 0:
         return 0, -chi, None
-    mat, basis = _mu_matrix(_scheme_for(A, points), A.d)
+    basis = ideal_basis(_scheme_for(A, points), A.d)
     h0 = len(basis)
-    return h0, h0 - chi, 3 * h0 - mat.rank() if h0 else None
+    return h0, h0 - chi, 3 * h0 - _mu_matrix(basis, A.d, points.p).rank() if h0 else None
 
 
 def alpha_degree(Z: FatScheme) -> int:
     """Least k with (I_Z)_k nonzero.
 
-    Starts at the counting bound (the first k where C(k+2,2) exceeds the
-    scheme length, so forms are guaranteed) and walks down while the ideal
-    stays nonzero, which also covers schemes with special postulation.
+    The counting bound k0 (the first k where C(k+2,2) exceeds the scheme
+    length) guarantees forms, so alpha <= k0; one RREF of C_(k0-1) gives
+    every dim (I_Z)_j below it, which also covers special postulation.
     """
-    k = 0
-    while dim_forms(k) <= Z.length:
-        k += 1
-    while k > 0 and ideal_dim(Z, k - 1) > 0:
-        k -= 1
-    return k
+    k0 = _least_degree(Z.length)
+    if k0 == 0:
+        return 0
+    free = _prefix_basis(Z, k0 - 1)[1]
+    return _least_degree(free.min()) if free.size else k0
 
 
 def betti_report(Z: FatScheme, krange) -> list[MuReport]:
-    """MuReports over a degree range; cokernels are the generator counts
-    nu_{k+1}, and nu_alpha = dim (I_Z)_alpha at alpha = alpha_degree(Z)."""
-    return [mu_rank(Z, k) for k in krange]
+    """MuReports over a degree range, all read off one RREF of C_(max k + 1);
+    cokernels are the generator counts nu_{k+1}, and
+    nu_alpha = dim (I_Z)_alpha at alpha = alpha_degree(Z)."""
+    krange = list(krange)
+    if not krange:
+        return []
+    _check_degree(Z.p, min(krange))
+    basis, free = _prefix_basis(Z, max(krange) + 1)
+    return [_mu_report(basis, free, k, Z.p) for k in krange]
 
 
 @dataclass(frozen=True)
@@ -293,9 +330,11 @@ def check_nongeneric_resolution(cprime: DivClass, points: PointSet) -> Resolutio
     mprime = tuple((m - 1) // 2 for m in cprime.m)
     Z = FatScheme(points, tuple(3 * mp + 1 for mp in mprime))
     alpha_expected = 3 * dprime - 1
-    alpha = alpha_degree(Z)
-    report = mu_rank(Z, alpha)
-    # (I_Z)_{alpha-1} = 0 is alpha_degree's exit condition, so it holds whenever alpha >= 1
+    # alpha <= k0 (alpha_degree), so C_(k0+1) holds degrees alpha and alpha + 1
+    basis, free = _prefix_basis(Z, _least_degree(Z.length) + 1)
+    alpha = _least_degree(free.min())
+    report = _mu_report(basis, free, alpha, Z.p)
+    # (I_Z)_{alpha-1} = 0 by the choice of alpha, so it holds whenever alpha >= 1
     hilbert_maximal = alpha == alpha_expected and report.dim_k == dim_forms(alpha) - Z.length
     expected_cok = report.dim_k_plus_1 - 3 * report.dim_k
     return ResolutionReport(

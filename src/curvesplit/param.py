@@ -389,7 +389,7 @@ def _conic_point(mat: np.ndarray, rng: SeededRng, p: int) -> tuple[int, int, int
         if root is None:
             continue
         s = (-qab + root) % p
-        pt = (s * a + qa * b) % p
+        pt = (s * a % p + qa * b % p) % p
         if pt.any():
             return tuple(int(v) for v in pt)
     return None

@@ -8,6 +8,7 @@ from curvesplit.fatpoints import (
     FatScheme,
     MuReport,
     _mu_matrix,
+    _prefix_basis,
     alpha_degree,
     betti_report,
     check_nongeneric_resolution,
@@ -122,11 +123,67 @@ def test_taylor_conditions_edge_schemes(p, coords, mults, k):
 def test_mu_matrix_and_syzygies_on_an_empty_basis(points9):
     # a 4-fold point leaves no cubic: mu_3 has no columns and no syzygies
     Z = FatScheme(points9, (4,) + (0,) * 8)
-    mat, basis = _mu_matrix(Z, 3)
-    assert (mat.rows, mat.cols) == (dim_forms(4), 0)
+    basis = np.array(ideal_basis(Z, 3), dtype=np.int64).reshape(-1, dim_forms(3))
     assert len(basis) == 0
+    mat = _mu_matrix(basis, 3, Z.p)
+    assert (mat.rows, mat.cols) == (dim_forms(4), 0)
     assert mat.rank() == 0
     assert plane_syzygies(Z, 3) == []
+
+
+def walk_down_alpha(Z: FatScheme) -> int:
+    """Reference alpha: from the counting bound, walk down while the ideal
+    one degree lower is still nonzero, one ideal_dim per degree."""
+    k = 0
+    while dim_forms(k) <= Z.length:
+        k += 1
+    while k > 0 and ideal_dim(Z, k - 1) > 0:
+        k -= 1
+    return k
+
+
+@pytest.mark.parametrize("p", [211, 1009, P])
+def test_one_elimination_reads_every_lower_degree(p):
+    # at points (1, y, z), the prefixes of one C_K give the same dims and
+    # the same bases as one conditions matrix per degree j <= K
+    rng = random.Random(p)
+    for trial in range(12):
+        K = rng.randint(0, 9)
+        pts = random_points(rng.randint(1, 5), seed=rng.getrandbits(32), p=p)
+        # zeros, small multiplicities, and m >= j + 2 for the lower degrees
+        Z = FatScheme(pts, tuple(rng.choice([0, 1, 2, 3, K // 2 + 2, K + 1, K + 3]) for _ in range(pts.r)))
+        basis, free = _prefix_basis(Z, K)
+        for j in range(K + 1):
+            rows = basis[free < dim_forms(j), : dim_forms(j)]
+            assert len(rows) == ideal_dim(Z, j), (Z.mults, K, j)
+            ref = ideal_basis(Z, j)
+            assert len(ref) == len(rows) and all(np.array_equal(a, b) for a, b in zip(rows, ref)), (Z.mults, K, j)
+        assert alpha_degree(Z) == walk_down_alpha(Z), Z.mults
+
+
+def test_schemes_through_x0_zero_are_refused():
+    # x0 must be a unit at every point of positive multiplicity; the
+    # per-degree functions still take such schemes
+    p = 1009
+    pts = PointSet((PlanePoint((1, 2, 3), p), PlanePoint((0, 1, 5), p), PlanePoint((0, 0, 1), p)), 0, p)
+    Z = FatScheme(pts, (2, 3, 0))
+    for call in (
+        lambda: mu_rank(Z, 3),
+        lambda: betti_report(Z, range(1, 4)),
+        lambda: alpha_degree(Z),
+    ):
+        with pytest.raises(ValueError, match=r"point 1 \(0, 1, 5\) of multiplicity 3 lies on x0 = 0"):
+            call()
+    # the line through the two fat points is a component of every such cubic
+    assert len(ideal_basis(Z, 3)) == ideal_dim(Z, 3) == 2
+    # a zero multiplicity there imposes nothing and is accepted
+    Z0 = FatScheme(pts, (2, 0, 0))
+    assert alpha_degree(Z0) == walk_down_alpha(Z0) == 2
+    # the certificate, on nine points with the fourth on x0 = 0
+    nine = random_points(9, seed=5, p=p).points
+    off = PointSet(nine[:3] + (PlanePoint((0, 1, 7), p),) + nine[4:], 0, p)
+    with pytest.raises(ValueError, match=r"point 3 \(0, 1, 7\) of multiplicity 1 lies on x0 = 0"):
+        check_nongeneric_resolution(DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)), off)
 
 
 class TestIdealDim:
@@ -373,13 +430,14 @@ class TestNongenericResolution:
 
     def test_each_condition_matrix_built_once(self, points9, condition_degrees):
         check_nongeneric_resolution(DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)), points9)
-        assert sorted(condition_degrees) == [4, 5, 6]
+        # k0 = 5 bounds alpha, so C_6 holds (I_Z)_5 and (I_Z)_6
+        assert condition_degrees == [6]
 
 
-def test_large_certificate_eliminates_four_matrices(monkeypatch):
+def test_large_certificate_eliminates_two_matrices(monkeypatch):
     # MatFp.rref is the only elimination entry point, and the benchmark
-    # tracer's boundary: the d'=12 certificate calls it four times, and
-    # nothing inside an elimination calls it again
+    # tracer's boundary: the d'=12 certificate calls it twice, on C_36 and
+    # on mu_35, and nothing inside an elimination calls it again
     import curvesplit.exactla as ex
 
     shapes = []
@@ -391,7 +449,7 @@ def test_large_certificate_eliminates_four_matrices(monkeypatch):
 
     monkeypatch.setattr(ex.MatFp, "rref", counting)
     rep = check_nongeneric_resolution(DivClass(24, (7, 9, 9, 9, 9, 9, 7, 7, 5)), random_points(9, 101))
-    assert shapes == [(648, 630), (648, 666), (648, 703), (703, 54)]
+    assert shapes == [(648, 703), (703, 54)]
     assert rep.alpha == 35 and rep.hilbert_maximal and rep.nongeneric
 
 
@@ -402,6 +460,18 @@ class TestEliminationCounts:
         A = DivClass(3, (1,) * 7 + (0, 0))
         assert class_cohomology(A, points9) == (3, 0, 1)
         assert condition_degrees == [A.d]
+
+    def test_betti_report_builds_one(self, points9, condition_degrees):
+        # frozen values: dim (I_Z)_k = 0, 0, 4, 9 for k = 1..4
+        Z = FatScheme(points9, (2, 1, 1, 1, 0, 0, 0, 0, 0))
+        reports = betti_report(Z, range(1, 4))
+        assert [(r.dim_k, r.rank, r.cokernel_dim) for r in reports] == [(0, 0, 0), (0, 0, 4), (4, 9, 0)]
+        assert condition_degrees == [4]
+
+    def test_alpha_degree_builds_one(self, points9, condition_degrees):
+        # length 18: the counting bound is 5, so alpha is read off C_4
+        assert alpha_degree(FatScheme(points9, (4, 1, 1, 1, 1, 1, 1, 1, 1))) == 5
+        assert condition_degrees == [4]
 
     def test_certified_scan_record_builds_one(self, condition_degrees):
         from curvesplit.conjscan import scan_record

@@ -14,6 +14,7 @@ from curvesplit.param import (
     RetryLimitError,
     SeededRng,
     _combine,
+    _conic_point,
     _parameterize_pencil,
     cremona_apply,
     fibre_at,
@@ -183,6 +184,22 @@ class TestSqrtMod:
             phi = parameterize(T, pts, s)
             assert phi.degree == 2
             assert tuple(multiplicity_at(phi, pt) for pt in pts.points) == (1, 1) + (0,) * 7
+
+    @pytest.mark.parametrize("p", [211, MODULUS, 3037000493])
+    def test_conic_point_lies_on_the_conic(self, p):
+        # 3037000493 is the largest prime the int64 bound admits: the point
+        # s a + q(a) b sums two products near p^2 and must reduce each first
+        rng = SeededRng(p)
+        found = 0
+        for _ in range(300):
+            mat = np.array([[rng.below(p) for _ in range(3)] for _ in range(3)], dtype=np.int64)
+            mat = np.triu(mat) + np.triu(mat, 1).T
+            pt = _conic_point(mat, rng, p)
+            if pt is not None:
+                found += 1
+                q = [[int(v) for v in row] for row in mat]
+                assert sum(pt[i] * q[i][j] * pt[j] for i in range(3) for j in range(3)) % p == 0, (mat, pt)
+        assert found >= 290
 
 
 class TestCremona:
