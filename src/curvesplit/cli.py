@@ -21,7 +21,7 @@ from .conjscan import (
     search_min_product,
 )
 from .exactla import MODULUS, check_modulus
-from .fatpoints import FatScheme, alpha_degree, betti_report
+from .fatpoints import FatScheme, _betti_alpha
 from .lattice import (
     NumType,
     ascenzi_classify,
@@ -159,15 +159,15 @@ def _cmd_fatpoints(args, cfg: Config) -> int:
     pts = random_points(len(mults), cfg.seed, cfg.p)
     Z = FatScheme(pts, mults)
     krange = [cfg.check_degree(k) for k in _parse_krange(args.k)]
-    table = [rep.to_json() for rep in betti_report(Z, krange)]
+    reports, alpha = _betti_alpha(Z, krange, alpha=True)
     _emit(
         {
             "mults": list(mults),
             "seed": cfg.seed,
             "p": cfg.p,
             "length": Z.length,
-            "alpha": alpha_degree(Z),
-            "table": table,
+            "alpha": alpha,
+            "table": [rep.to_json() for rep in reports],
         },
         cfg,
     )

@@ -4,25 +4,23 @@
 reduced to ``[0, p)``, with its RREF, rank and kernel basis and no public
 products (the 3x3 frame products of ``param`` run on plain int64 arrays).
 All elimination is done with modular inverses, so results are exact.  There
-is one 2-D elimination, ``MatFp.rref``: a forward pass to row-echelon form,
-then back-substitution on the free columns of the pivot rows.  ``rank`` and ``kernel_basis`` are its only users.  The forward pass
-of a matrix with at most 128 columns is the leaf, which touches only the
-rows below each pivot that are nonzero in its column, on the columns from
-the pivot on.  A wider matrix goes by panels of 32 columns: the leaf
-eliminates one panel of the remaining rows and records their row order,
-the panel's pivot rows are multiplied by the inverse of their pivot block,
-and the rows below get the Schur update ``B2 - A21 U12``; the
-back-substitution then goes one panel of pivot rows at a time.  Those
-products, forward and back, are float64 matmuls (BLAS) over 16-bit limbs,
-in chunks of 128 columns.  ``all_nonsingular`` tests a whole stack of small square matrices
-at once with a batched forward pass.
+is one elimination, ``MatFp.rref``: a forward pass to row-echelon form, then
+back-substitution on the free columns of the pivot rows.  ``rank`` and
+``kernel_basis`` are its only users.  The forward pass of a matrix with at
+most 128 columns is the leaf, which touches only the rows below each pivot
+that are nonzero in its column, on the columns from the pivot on.  A wider
+matrix goes by panels of 32 columns: the leaf eliminates one panel of the
+remaining rows and records their row order, the panel's pivot rows are
+multiplied by the inverse of their pivot block, and the rows below get the
+Schur update ``B2 - A21 U12``; the back-substitution then goes one panel of
+pivot rows at a time.  Those products, forward and back, are float64 matmuls
+(BLAS) over 16-bit limbs, in chunks of 128 columns.
 
 Two bounds keep every step exact:
 
 * int64: the modulus must satisfy ``(p - 1)**2 < 2**63``.  Every int64
-  update, the batched one included, reduces each product of two reduced
-  entries before the next subtraction; the default modulus ``2**31 - 1``
-  leaves ample headroom.
+  update reduces each product of two reduced entries before the next
+  subtraction; the default modulus ``2**31 - 1`` leaves ample headroom.
 * float64: a matmul is exact while its sums stay below ``2**53``.  The
   left factor is split into 16-bit limbs, so every term is below
   ``2**16 * p`` and one float64 dot takes at most
@@ -317,31 +315,3 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, p: int, acc: np.ndarray | None = None
         s += acc
     s %= p
     return s
-
-
-def all_nonsingular(stack, p: int = MODULUS) -> bool:
-    """Whether every matrix of a ``(B, n, n)`` stack is nonsingular over F_p.
-
-    One forward elimination runs over the whole stack: at each column every
-    matrix pivots on its first nonzero entry on or below the diagonal, and
-    the answer is False as soon as some matrix has none.  The rows below are
-    cleared fraction-free (row * pivot - pivot row * entry, each product
-    reduced before the subtraction), which keeps every intermediate within
-    ``(p - 1)**2 < 2**63`` and needs no modular inverse.
-    """
-    check_modulus(p)
-    a = np.remainder(np.asarray(stack, dtype=np.int64), p)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
-    which = np.arange(a.shape[0])
-    for c in range(a.shape[1]):
-        nz = a[:, c:, c] != 0
-        if not nz.any(axis=1).all():
-            return False
-        pr = c + nz.argmax(axis=1)
-        prow = a[which, pr, c:]
-        # row c moves to the pivot's place; later columns never read row c
-        a[which, pr, c:] = a[:, c, c:]
-        blk = a[:, c + 1 :, c:]
-        a[:, c + 1 :, c:] = (blk * prow[:, None, :1] % p - blk[:, :, :1] * prow[:, None, :] % p) % p
-    return True

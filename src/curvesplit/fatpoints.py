@@ -261,23 +261,31 @@ def alpha_degree(Z: FatScheme) -> int:
     length) guarantees forms, so alpha <= k0; one RREF of C_(k0-1) gives
     every dim (I_Z)_j below it, which also covers special postulation.
     """
-    k0 = _least_degree(Z.length)
-    if k0 == 0:
-        return 0
-    free = _prefix_basis(Z, k0 - 1)[1]
-    return _least_degree(free.min()) if free.size else k0
+    return _betti_alpha(Z, [], alpha=True)[1]
 
 
 def betti_report(Z: FatScheme, krange) -> list[MuReport]:
     """MuReports over a degree range, all read off one RREF of C_(max k + 1);
     cokernels are the generator counts nu_{k+1}, and
     nu_alpha = dim (I_Z)_alpha at alpha = alpha_degree(Z)."""
-    krange = list(krange)
-    if not krange:
-        return []
-    _check_degree(Z.p, min(krange))
-    basis, free = _prefix_basis(Z, max(krange) + 1)
-    return [_mu_report(basis, free, k, Z.p) for k in krange]
+    return _betti_alpha(Z, list(krange), alpha=False)[0]
+
+
+def _betti_alpha(Z: FatScheme, krange: list[int], alpha: bool) -> tuple[list[MuReport], int]:
+    """betti_report(Z, krange) and min(alpha_degree(Z), K + 1), read off one
+    RREF of C_K, K the largest of every k + 1 and, when ``alpha``, k0 - 1.
+
+    Then the second value is alpha itself, as alpha <= k0.  No kernel vector
+    of C_K means (I_Z)_j = 0 for every j <= K.  K < 0 builds nothing.
+    """
+    if krange:
+        _check_degree(Z.p, min(krange))
+    K = max([k + 1 for k in krange] + [_least_degree(Z.length) - 1] * alpha, default=-1)
+    if K < 0:
+        return [], 0
+    basis, free = _prefix_basis(Z, K)
+    reports = [_mu_report(basis, free, k, Z.p) for k in krange]
+    return reports, _least_degree(free.min()) if free.size else K + 1
 
 
 @dataclass(frozen=True)

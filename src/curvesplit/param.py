@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .binform import BinForm, ParamTriple, div_exact, gcd_many
-from .exactla import MODULUS, MatFp, all_nonsingular, check_modulus
+from .exactla import MODULUS, MatFp, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
 from .plane import PlaneForm, eval_row
 
@@ -132,20 +133,48 @@ def _line_through(a: PlanePoint, b: PlanePoint, p: int) -> tuple[int, int, int]:
     return line
 
 
+# for six points a < b < c < d < e < f: [abc] [aef] [bdf] [cde], then [abf] [ace] [bcd] [def]
+_CONIC_BRACKETS = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4), (0, 1, 5), (0, 2, 4), (1, 2, 3), (3, 4, 5))
+
+
+@lru_cache(maxsize=None)
+def _bracket_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The triples i < j < k of r points, and for every six of them the
+    indices among those triples of the eight brackets of ``_CONIC_BRACKETS``."""
+    triples = list(itertools.combinations(range(r), 3))
+    index = {t: n for n, t in enumerate(triples)}
+    sixes = [[index[s[i], s[j], s[k]] for i, j, k in _CONIC_BRACKETS] for s in itertools.combinations(range(r), 6)]
+    return np.array(triples, dtype=np.int64).reshape(-1, 3), np.array(sixes, dtype=np.int64).reshape(-1, 8)
+
+
 def genericity_certificate(points: tuple[PlanePoint, ...], p: int) -> bool:
-    """Pairwise distinct, no 3 collinear, no 6 on a conic."""
+    """Pairwise distinct, no 3 collinear, no 6 on a conic, read off the
+    brackets [ijk] = det(x_i, x_j, x_k) of every triple.
+
+    Three points are collinear exactly when their bracket is 0.  Six points
+    a < b < c < d < e < f lie on a conic exactly when the 6x6 determinant of
+    their conic evaluation rows (columns in ``monomials(2)`` order) is 0, and
+    that determinant is [abc][aef][bdf][cde] - [abf][ace][bcd][def] (the
+    bracket ring; Sturmfels, Algorithms in Invariant Theory, 1993).  Both
+    sides are integer polynomials in the 18 coordinates; expanded over Z they
+    are the same 720 terms with coefficients +-1 (the tests expand them), so
+    the identity holds mod every p.  Every product of two reduced entries is
+    reduced before it is added to anything, so no int64 intermediate exceeds
+    (p - 1)**2 < 2**63, and a bracket sums three reduced products.
+    """
     if len(set(points)) != len(points):
         return False
-    # three collinear points make a singular 3x3 minor of the coordinates, six
-    # on a conic a singular 6x6 minor of the conic evaluation rows
-    coords = np.array([pt.x for pt in points], dtype=np.int64)
-    conic_rows = np.vstack([eval_row(pt.x, 2, p) for pt in points])
-    for n, rows in ((3, coords), (6, conic_rows)):
-        if len(points) >= n:
-            subsets = np.array(list(itertools.combinations(range(len(points)), n)))
-            if not all_nonsingular(rows[subsets], p):
-                return False
-    return True
+    triples, sixes = _bracket_tables(len(points))
+    coords = np.array([pt.x for pt in points], dtype=np.int64).reshape(-1, 3)
+    x, y, z = (coords[triples[:, i]] for i in range(3))
+    cross = (y[:, [1, 2, 0]] * z[:, [2, 0, 1]] % p - y[:, [2, 0, 1]] * z[:, [1, 2, 0]] % p) % p
+    brackets = (x * cross % p).sum(axis=1) % p
+    if not brackets.all():
+        return False
+    b = brackets[sixes]
+    lhs = b[:, 0] * b[:, 1] % p * b[:, 2] % p * b[:, 3] % p
+    rhs = b[:, 4] * b[:, 5] % p * b[:, 6] % p * b[:, 7] % p
+    return bool((lhs != rhs).all())
 
 
 @dataclass(frozen=True)

@@ -86,13 +86,6 @@ class PlaneForm:
         row = eval_row(point, self.degree, self.p)
         return int((np.array(self.coeffs, dtype=np.int64) * row % self.p).sum() % self.p)
 
-    def var_mul(self, j: int) -> "PlaneForm":
-        """Product with the variable x_j."""
-        out = [0] * dim_forms(self.degree + 1)
-        for idx, c in zip(var_shift(self.degree, j), self.coeffs):
-            out[int(idx)] = c
-        return PlaneForm(self.degree + 1, tuple(out), self.p)
-
     def compose(self, phi: ParamTriple) -> BinForm:
         """Substitute the components of phi for x0, x1, x2."""
         if phi.p != self.p:

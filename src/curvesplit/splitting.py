@@ -30,7 +30,7 @@ import numpy as np
 
 from .binform import BinForm, ParamTriple, div_exact, gcd_many
 from .exactla import MatFp
-from .plane import PlaneForm
+from .plane import PlaneForm, dim_forms, var_shift
 
 __all__ = [
     "SplitType",
@@ -187,13 +187,10 @@ def syzygy_from_plane(
     for f in a_forms:
         if f.degree != q or f.p != p:
             raise ValueError("plane forms must share one degree and modulus")
-    relation = a_forms[0].var_mul(0)
-    for j in (1, 2):
-        total = [
-            (x + y) % p for x, y in zip(relation.coeffs, a_forms[j].var_mul(j).coeffs)
-        ]
-        relation = PlaneForm(q + 1, tuple(total), p)
-    if not relation.is_zero():
+    relation = np.zeros(dim_forms(q + 1), dtype=np.int64)
+    for j, f in enumerate(a_forms):
+        relation[var_shift(q, j)] += f.coeffs
+    if (relation % p).any():
         raise ValueError("the given forms do not satisfy A0 x0 + A1 x1 + A2 x2 = 0")
     psis = tuple(f.compose(phi) for f in a_forms)
     if all(f.is_zero for f in psis):

@@ -139,6 +139,24 @@ def test_fatpoints_table(capsys):
     assert data["table"][0]["cokernel"] == 2
 
 
+def test_fatpoints_builds_one_condition_matrix(capsys, monkeypatch):
+    # the mu table needs C_7 and alpha needs C_(k0 - 1) = C_4: one RREF of
+    # C_7 holds both
+    import curvesplit.fatpoints as fatpoints
+
+    degrees = []
+    real = fatpoints.conditions_matrix
+
+    def counting(Z, k):
+        degrees.append(k)
+        return real(Z, k)
+
+    monkeypatch.setattr(fatpoints, "conditions_matrix", counting)
+    code, _, _ = run_cli(capsys, "fatpoints", "--mults", "4,1,1,1,1,1,1,1,1", "--k", "4..6", "--seed", "7")
+    assert code == 0
+    assert degrees == [7]
+
+
 def test_scan_jsonl_and_resume(tmp_path, capsys):
     out_path = tmp_path / "scan.jsonl"
     code, _, _ = run_cli(capsys, "scan-conj9", "--dmax", "4", "--seed", "5", "--out", str(out_path))

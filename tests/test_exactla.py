@@ -12,7 +12,6 @@ from curvesplit.exactla import (
     MODULUS,
     MatFp,
     _mul_mod,
-    all_nonsingular,
     check_modulus,
     is_prime,
 )
@@ -358,48 +357,3 @@ def test_singular_inverse_raises_at_both_moduli(p):
     assert _inverse3(np.array(rows), p) is None
     with pytest.raises(DegenerateConfigurationError, match="collinear centers"):
         cremona_apply(pts, 1, 2, 3, p)
-
-
-def test_all_nonsingular_matches_rank_on_random_stacks():
-    rng = np.random.default_rng(2024)
-    for _ in range(200):
-        stack = rng.integers(0, 7, size=(int(rng.integers(1, 12)), 6, 6))
-        expect = all(MatFp(m, 7).rank() == 6 for m in stack)
-        assert all_nonsingular(stack, 7) == expect
-
-
-def test_all_nonsingular_finds_the_one_singular_matrix():
-    rng = np.random.default_rng(7)
-    found = 0
-    while found < 40:
-        stack = rng.integers(0, 7, size=(8, 6, 6))
-        ranks = [MatFp(m, 7).rank() for m in stack]
-        if ranks.count(6) != 7:
-            continue
-        found += 1
-        assert not all_nonsingular(stack, 7)
-        singular = ranks.index(min(ranks))
-        assert all_nonsingular(np.delete(stack, singular, axis=0), 7)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_all_nonsingular_matches_rank_mod_7(data):
-    b = data.draw(st.integers(min_value=1, max_value=5))
-    n = data.draw(st.integers(min_value=1, max_value=6))
-    row = st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)
-    matrix = st.lists(row, min_size=n, max_size=n)
-    stack = np.array(data.draw(st.lists(matrix, min_size=b, max_size=b)))
-    assert all_nonsingular(stack, 7) == all(MatFp(m, 7).rank() == n for m in stack)
-
-
-def test_all_nonsingular_default_modulus_and_shapes():
-    rng = np.random.default_rng(3)
-    stack = rng.integers(0, P, size=(84, 6, 6))
-    assert all_nonsingular(stack, P) == all(MatFp(m, P).rank() == 6 for m in stack)
-    stack[41, 5] = 2 * stack[41, 0] + stack[41, 3]
-    assert not all_nonsingular(stack, P)
-    assert all_nonsingular(np.zeros((0, 6, 6), dtype=np.int64), P)
-    with pytest.raises(ValueError):
-        all_nonsingular(np.zeros((2, 3, 4), dtype=np.int64), P)
-

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from curvesplit.binform import BinForm, ParamTriple
 from curvesplit.exactla import MODULUS
 from curvesplit.lattice import DivClass, NumType, Quad, enum_exceptional, reduce_to_base, reflect
 from curvesplit.param import (
+    _CONIC_BRACKETS,
     CremonaStep,
     DegenerateConfigurationError,
     PlanePoint,
@@ -26,6 +29,7 @@ from curvesplit.param import (
     random_points,
     sqrt_mod,
 )
+from curvesplit.plane import monomials
 
 P = MODULUS
 
@@ -66,6 +70,97 @@ def _reference_certificate(points, p):
     return all(_rank_mod(list(six), p) == 6 for six in itertools.combinations(conic, 6))
 
 
+def _sign(perm) -> int:
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
+def _bracket_difference(xs, p):
+    """[abc][aef][bdf][cde] - [abf][ace][bcd][def] mod p of six points with
+    integer coordinates, from the index table the certificate uses."""
+
+    def bracket(i, j, k):
+        return sum(_sign(s) * xs[i][s[0]] * xs[j][s[1]] * xs[k][s[2]] for s in itertools.permutations(range(3)))
+
+    b = [bracket(*t) for t in _CONIC_BRACKETS]
+    return (b[0] * b[1] * b[2] * b[3] - b[4] * b[5] * b[6] * b[7]) % p
+
+
+def _conic_det(xs) -> int:
+    """Integer determinant of the six conic evaluation rows (x^2, xy, xz, y^2,
+    yz, z^2) by fraction-free (Bareiss) elimination."""
+    m = [[x * x, x * y, x * z, y * y, y * z, z * z] for x, y, z in xs]
+    sign, prev = 1, 1
+    for k in range(5):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, 6) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, 6):
+            for j in range(k + 1, 6):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[5][5]
+
+
+def test_conic_determinant_is_the_bracket_difference_over_z():
+    """Both sides expanded as polynomials in the 18 coordinates: the same 720
+    terms with coefficients +-1, so the identity holds mod every p."""
+
+    def var(i, j):
+        e = [0] * 18
+        e[3 * i + j] = 1
+        return {tuple(e): 1}
+
+    def mul(f, g):
+        out = Counter()
+        for ef, cf in f.items():
+            for eg, cg in g.items():
+                out[tuple(a + b for a, b in zip(ef, eg))] += cf * cg
+        return out
+
+    def product(*fs):
+        out = Counter({(0,) * 18: 1})
+        for f in fs:
+            out = mul(out, f)
+        return out
+
+    xs = [[var(i, j) for j in range(3)] for i in range(6)]
+
+    def bracket(i, j, k):
+        out = Counter()
+        for s in itertools.permutations(range(3)):
+            for e, c in product(xs[i][s[0]], xs[j][s[1]], xs[k][s[2]]).items():
+                out[e] += _sign(s) * c
+        return out
+
+    b = [bracket(*t) for t in _CONIC_BRACKETS]
+    rhs = product(*b[:4])
+    rhs.subtract(product(*b[4:]))
+    # the determinant is sum over permutations s of sgn(s) prod_i monomial s(i) at point i
+    det = Counter()
+    for s in itertools.permutations(range(6)):
+        det[tuple(e for i in range(6) for e in monomials(2)[s[i]])] += _sign(s)
+    assert len(det) == 720 and set(det.values()) == {-1, 1}
+    assert {e: c for e, c in rhs.items() if c} == dict(det)
+
+
+@pytest.mark.parametrize("p", [7, 211, MODULUS, 3037000493])
+def test_conic_determinant_matches_brackets_mod_p(p):
+    rng = random.Random(p)
+    zeros = 0
+    for _ in range(60):
+        xs = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(6)]
+        if rng.random() < 0.3:
+            # six points on x0 x2 = x1^2 make the determinant 0
+            xs = [(s * s % p, s * u % p, u * u % p) for s, u, _ in xs]
+        want = _conic_det(xs) % p
+        assert _bracket_difference(xs, p) == want, (p, xs)
+        zeros += want == 0
+    assert zeros
+
+
 class TestRandomPoints:
     def test_deterministic(self):
         a = random_points(9, seed=7)
@@ -104,21 +199,51 @@ class TestRandomPoints:
         assert not genericity_certificate(pts + pts[:1], P)
 
     def test_certificate_matches_reference(self):
-        # raw sets at small primes, where repeats, collinear triples and six
-        # points on a conic are all common; r = 3..5 never reach the conic check
-        verdicts = set()
-        for p in (7, 31):
+        # random sets, some with a repeated point, a collinear triple or six
+        # points (s^2, su, u^2) on the conic x0 x2 = x1^2 planted and shuffled
+        # in; at p = 7 and 31 raw sets hit these by chance as well, and at
+        # full size an unreduced product would overflow int64.  r = 3..5
+        # never reach the conic check
+        for p in (7, 31, MODULUS, 3037000493):
             rng = random.Random(p)
-            for r in list(range(3, 10)) * 40:
-                pts = []
-                while len(pts) < r:
-                    x = tuple(rng.randrange(p) for _ in range(3))
-                    if any(x):
-                        pts.append(PlanePoint(x, p))
+
+            def point():
+                while not any(x := tuple(rng.randrange(p) for _ in range(3))):
+                    pass
+                return x
+
+            verdicts = set()
+            for n, r in enumerate(list(range(3, 10)) * 40):
+                xs = [point() for _ in range(r)]
+                if n % 4 == 1 and r >= 6:
+                    su = [(rng.randrange(1, p), rng.randrange(p)) for _ in range(6)]
+                    xs[:6] = [(s * s % p, s * u % p, u * u % p) for s, u in su]
+                elif n % 4 == 2:
+                    lam, mu = rng.randrange(1, p), rng.randrange(1, p)
+                    on_line = tuple((lam * x + mu * y) % p for x, y in zip(xs[0], xs[1]))
+                    xs[2] = on_line if any(on_line) else xs[2]
+                elif n % 4 == 3:
+                    lam = rng.randrange(1, p)
+                    xs[1] = tuple(c * lam % p for c in xs[0])
+                rng.shuffle(xs)
+                pts = tuple(PlanePoint(x, p) for x in xs)
                 want = _reference_certificate(pts, p)
-                assert genericity_certificate(tuple(pts), p) == want, (p, pts)
+                assert genericity_certificate(pts, p) == want, (p, pts)
                 verdicts.add((r >= 6, want))
-        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+            assert verdicts == {(False, False), (False, True), (True, False), (True, True)}, p
+
+    def test_random_points_digest(self):
+        # at p = 211 most certificate calls reject, so a changed verdict
+        # anywhere changes which points are drawn
+        h = hashlib.sha256()
+        for p in (211, 1009, MODULUS):
+            for r in (3, 5, 6, 9, 10):
+                for s in range(1, 301):
+                    try:
+                        h.update(repr([pt.x for pt in random_points(r, s, p).points]).encode())
+                    except RetryLimitError:
+                        h.update(b"retry")
+        assert h.hexdigest() == "c5c8c274ffe305f2b19432467765107a2ee4ca4647209d6882cda8b2c55cf4b5"
 
     def test_small_modulus_exhausts(self, monkeypatch):
         from curvesplit import param
