@@ -280,7 +280,7 @@ def _betti_alpha(Z: FatScheme, krange: list[int], alpha: bool) -> tuple[list[MuR
     """
     if krange:
         _check_degree(Z.p, min(krange))
-    K = max([k + 1 for k in krange] + [_least_degree(Z.length) - 1] * alpha, default=-1)
+    K = max([k + 1 for k in krange] + ([_least_degree(Z.length) - 1] if alpha else []), default=-1)
     if K < 0:
         return [], 0
     basis, free = _prefix_basis(Z, K)
