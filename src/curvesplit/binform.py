@@ -129,24 +129,6 @@ class BinForm:
             return BinForm.zero(self.p)
         return BinForm(self.coeffs * (c % self.p) % self.p, self.p)
 
-    def eval(self, s0: int, t0: int) -> int:
-        """Value at (s0, t0)."""
-        if self.is_zero:
-            return 0
-        p = self.p
-        s0 %= p
-        t0 %= p
-        d = self.degree
-        acc = 0
-        tp = 1
-        spow = [1] * (d + 1)
-        for i in range(1, d + 1):
-            spow[i] = spow[i - 1] * s0 % p
-        for i, c in enumerate(self.coeffs):
-            acc = (acc + int(c) * spow[d - i] % p * tp) % p
-            tp = tp * t0 % p
-        return acc
-
     def t_multiplicity(self) -> int:
         """Largest k with t^k dividing the form."""
         if self.is_zero:

@@ -4,9 +4,36 @@ Given a numerical type and random points, the engine reduces the class by
 greedy quadratic reflections (mirrored geometrically by Cremona maps centered
 at triples of points), parameterizes the base case directly, and
 back-substitutes through the inverse maps.  The fibres of the base curve over
-the points are found once, by gcd; each inverse map then divides the
-components by the fibres over its centers and hands back the fibres over the
-centers it restores, so no step needs a gcd.
+all the points are found once, by gcd; each inverse map then divides the
+components by the fibres over its centers, hands back the fibres over the
+centers it restores and passes every other fibre on unchanged.  The verify
+reads each multiplicity m_i as the degree of the fibre carried to point i,
+so neither a step nor the verify needs a gcd of degree d.
+
+The carried fibres are the gcd fibres exactly, so the verify decides as a
+gcd would.  The fibre of f = (f_0, f_1, f_2) over q is the monic gcd of the
+components of f x q; ``fibre_at`` takes two of them, which generate the
+third.  Its roots, with their orders, are the parameters sent to q, and an
+invertible A changes no fibre, since Af x Aq is f x q times the invertible
+cofactor matrix of A.  Call f coprime when its components have no common
+root over the algebraic closure.  By induction over the steps, last first:
+
+(i)   Every base curve is coprime, and its fibres are gcds by definition.
+      The line s a + t b: its two points a, b are distinct.  The conic
+      -Q(v) p0 + 2 (p0^T M v) v with v = s u + t w, where (p0, u, w) is a
+      basis and M nonsingular: at a common root v and p0 are independent,
+      so Q(v) = 0 = p0^T M v (p odd); with Q(p0) = 0 the whole line p0 v
+      lies on the conic, which no nonsingular conic contains.  The pencil
+      curve, an invertible frame change of (s G, t G, -H): its common roots
+      are those of G and H, and gcd(G, H) = 1 is checked.
+(ii)  A pull-back of a coprime curve with exact fibres over its centers is
+      coprime, with exact fibres monic(h_c) over the centers
+      (``CremonaStep``).
+(iii) A pull-back keeps the fibre over every point that is not a center
+      (``CremonaStep``).
+
+``multiplicity_at`` computes the gcd itself and stays the independent check
+of the tests.
 
 Randomness over a large prime field stands in for genericity: every
 degenerate configuration (collinear centers, a point landing on a fundamental
@@ -215,11 +242,42 @@ class CremonaStep:
     The three center slots of ``points_after`` hold the coordinate points
     e_0, e_1, e_2.  The inverse map is N^{-1} after sigma; ``pull_back``
     composes it with a parameterization f = (f_0, f_1, f_2) of the image
-    curve.  With g_c the monic fibre of f over e_c, f_0 = g_1 g_2 h_0,
-    f_1 = g_0 g_2 h_1 and f_2 = g_0 g_1 h_2: g_1 and g_2 both divide f_0, and
-    they are coprime because f has no common root.  Then
-    sigma(f) = g_0 g_1 g_2 (g_0 h_1 h_2, g_1 h_0 h_2, g_2 h_0 h_1), and the
-    bracket has no common factor.
+    curve.  Let f be coprime with no zero component (``pull_back`` refuses
+    one) and g_c its monic fibre over e_c, so
+    g_0 = gcd(f_1, f_2), g_1 = gcd(f_0, f_2) and g_2 = gcd(f_0, f_1).
+
+    (ii) The pull-back is coprime, and its fibres over the centers are
+    monic(h_0), monic(h_1), monic(h_2).
+      - g_i and g_j (i != j) are coprime: a common root would kill all
+        three components.  So f_0 = g_1 g_2 h_0, f_1 = g_0 g_2 h_1 and
+        f_2 = g_0 g_1 h_2.
+      - g_i and h_i are coprime: g_0 divides f_1 and f_2, h_0 divides f_0.
+      - h_i and h_j are coprime: a common root t of h_0 and h_1 is a root
+        of f_0 and f_1, so of g_2 and of neither g_0 nor g_1; then
+        ord_t f_0 = ord_t g_2 + ord_t h_0 and ord_t f_1 = ord_t g_2 +
+        ord_t h_1 both exceed ord_t g_2 = min(ord_t f_0, ord_t f_1).
+    Hence sigma(f) = g_0 g_1 g_2 B with the bracket
+    B = (g_0 h_1 h_2, g_1 h_0 h_2, g_2 h_0 h_1).  B has no common root: at
+    a root of g_0, B_1 and B_2 vanish only through h_2 and h_1, which share
+    none; at a root of h_1 (or h_2), B_1 (or B_2) does not vanish.  So the
+    pull-back N^{-1} B is coprime.  N sends center i to a multiple of e_0
+    (the centers are not collinear), so the pull-back's fibre over
+    center i is that of B over e_0, gcd(B_1, B_2) =
+    h_0 gcd(g_1 h_2, g_2 h_1) = monic(h_0): g_1 and h_2 are each prime to
+    g_2 and to h_1.  Centers j and k likewise.
+
+    (iii) Any other point q keeps its fibre: the pull-back's fibre over q
+    is f's over q' = sigma(N q).  ``cremona_apply`` refuses every point
+    whose image has two zero coordinates, which is every point with a zero
+    coordinate in y = N q, so neither y nor q' has one.  At a root of any
+    g_c or h_c a component of B, and one of f, vanishes, so no root of
+    either fibre is one.  Away from those roots, with H = h_0 h_1 h_2,
+    f = sigma(B) / H and the ratios u_a = B_a / B_0 are units; the
+    fibre of B over y has the local ideal (u_1 - y_1/y_0, u_2 - y_2/y_0),
+    that of f over q' has (1/u_1 - y_0/y_1, 1/u_2 - y_0/y_2), and
+    1/u_a - y_0/y_a = -y_0 / (u_a y_a) * (u_a - y_a/y_0).  So the two fibres
+    have the same roots, each of the same order.
+
     A parameterization keeps its steps in ``Parameterization.steps``.
     """
 
@@ -250,12 +308,10 @@ class CremonaStep:
         coordinate points e_0, e_1, e_2.  Returns N^{-1} (g_0 h_1 h_2,
         g_1 h_0 h_2, g_2 h_0 h_1), where h_0 = f_0 / (g_1 g_2) and so on, and
         the fibres of that curve over the centers, monic(h_0), monic(h_1) and
-        monic(h_2) in center order.  The inverse map contracts the line
-        y_c = 0 to center c, and the parameters it sends to center c are the
-        common roots of the other two bracket components; for c = 0 their gcd
-        is h_0, because g_1 h_2 and g_2 h_1 are coprime.  The caller checks
-        the degree against the reflected class.  A fibre product that does
-        not divide its component is a degenerate configuration.
+        monic(h_2) in center order, exact by (ii) of the class docstring.
+        The caller checks the degree against the reflected class.  A fibre
+        product that does not divide its component is a degenerate
+        configuration.
         """
         g0, g1, g2 = fibres
         hs = []
@@ -335,8 +391,12 @@ def fibre_at(phis: tuple[BinForm, BinForm, BinForm], point: PlanePoint) -> BinFo
 
 def multiplicity_at(phi: ParamTriple, point: PlanePoint) -> int:
     """Multiplicity of the parameterized curve at a plane point: the degree
-    of its fibre there, which counts the parameters over the point with
-    multiplicity (0 off the curve)."""
+    of its gcd fibre there, which counts the parameters over the point with
+    multiplicity (0 off the curve).
+
+    ``parameterize`` does not call it: it reads the fibres it carries.  This
+    is the independent check the tests hold those against.
+    """
     return fibre_at(phi.phis, point).degree
 
 
@@ -579,13 +639,14 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
     else:
         phis = _parameterize_pencil(base.d, base.m, current, rng, p)
 
-    # the fibres of the base curve over every point some step centers at;
-    # each pull-back replaces those over its own centers
-    fibres = {idx: fibre_at(phis, current[idx]) for idx in {c - 1 for step in steps for c in step.centers}}
+    # the fibres of the base curve over every point; each pull-back replaces
+    # those over its own centers and keeps the rest (module docstring)
+    fibres = [fibre_at(phis, pt) for pt in current]
     for step, cls in zip(reversed(steps), reversed(classes[:-1])):
         slots = [c - 1 for c in step.centers]
         phis, center_fibres = step.pull_back(phis, tuple(fibres[idx] for idx in slots))
-        fibres.update(zip(slots, center_fibres))
+        for idx, fibre in zip(slots, center_fibres):
+            fibres[idx] = fibre
         got = max(f.degree for f in phis if not f.is_zero)
         if got != cls.d:
             raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")
@@ -597,7 +658,7 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
     if res.degree != D.d:
         raise DegenerateConfigurationError("final degree disagrees with the class")
     for idx, m in enumerate(D.m):
-        got = multiplicity_at(res, pts.points[idx])
+        got = fibres[idx].degree
         if got != m:
             raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
     return res

@@ -82,10 +82,6 @@ class PlaneForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def eval(self, point: tuple[int, int, int]) -> int:
-        row = eval_row(point, self.degree, self.p)
-        return int((np.array(self.coeffs, dtype=np.int64) * row % self.p).sum() % self.p)
-
     def compose(self, phi: ParamTriple) -> BinForm:
         """Substitute the components of phi for x0, x1, x2."""
         if phi.p != self.p:

@@ -29,9 +29,15 @@ from curvesplit.param import (
     random_points,
     sqrt_mod,
 )
-from curvesplit.plane import monomials
+from curvesplit.plane import eval_row, monomials
 
 P = MODULUS
+
+
+def _value(form, x):
+    """A plane form at a point: its eval_row dotted with its coefficients,
+    summed over Python ints, since int64 would overflow past p ~ 2**31."""
+    return sum(a * c for a, c in zip(eval_row(x, form.degree, form.p).tolist(), form.coeffs)) % form.p
 
 
 def _rank_mod(rows, p):
@@ -338,7 +344,7 @@ class TestCremona:
             tuple((pj.x[c] + u * pk.x[c]) % P for c in range(3)), P
         )
         step = cremona_apply(tuple(pts), 1, 2, 3, P)
-        vals = tuple(q.eval(on_line.x) for q in step.quad_forms)
+        vals = tuple(_value(q, on_line.x) for q in step.quad_forms)
         assert PlanePoint(vals, P) == PlanePoint((1, 0, 0), P)
 
     def test_standard_form_is_involution(self):
@@ -393,7 +399,7 @@ class TestCremona:
                 extra.append(x)
             step = cremona_apply(base + tuple(extra), *centers, p)
             for x, image in zip(extra, step.points_after[6:]):
-                assert image == PlanePoint(tuple(q.eval(x.x) for q in step.quad_forms), p)
+                assert image == PlanePoint(tuple(_value(q, x.x) for q in step.quad_forms), p)
             checked += len(extra)
         assert checked >= 100
 
@@ -663,6 +669,122 @@ class TestPullBackFibres:
         calls.clear()
         with pytest.raises(RetryLimitError, match="after 1 attempts: fibre product does not divide"):
             parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
+
+
+def _reference_parameterize_once(D, pts, rng):
+    """``_parameterize_once`` as it verified before it read the carried
+    fibres: a fresh gcd of degree d at every point."""
+    from curvesplit import param
+
+    p = pts.p
+    word, base = reduce_to_base(D)
+    classes = [D]
+    for quad in word:
+        classes.append(reflect(classes[-1], [quad]))
+    steps = []
+    current = pts.points
+    for quad in word:
+        steps.append(cremona_apply(current, quad.i, quad.j, quad.k, p))
+        current = steps[-1].points_after
+    if any(m < 0 for m in base.m):
+        raise param.ParameterizationError(f"base class {base} has negative multiplicities")
+    if base.d == 1:
+        phis = param._parameterize_line(base.m, current, rng, p)
+    elif base.d == 2:
+        phis = param._parameterize_conic(base.m, current, rng, p)
+    else:
+        phis = param._parameterize_pencil(base.d, base.m, current, rng, p)
+    fibres = {idx: fibre_at(phis, current[idx]) for idx in {c - 1 for step in steps for c in step.centers}}
+    for step, cls in zip(reversed(steps), reversed(classes[:-1])):
+        slots = [c - 1 for c in step.centers]
+        phis, center_fibres = step.pull_back(phis, tuple(fibres[idx] for idx in slots))
+        fibres.update(zip(slots, center_fibres))
+        got = max(f.degree for f in phis if not f.is_zero)
+        if got != cls.d:
+            raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")
+    try:
+        res = Parameterization(*phis, pts, tuple(steps))
+    except ValueError as exc:
+        raise DegenerateConfigurationError(str(exc)) from exc
+    if res.degree != D.d:
+        raise DegenerateConfigurationError("final degree disagrees with the class")
+    for idx, m in enumerate(D.m):
+        got = multiplicity_at(res, pts.points[idx])
+        if got != m:
+            raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
+    return res
+
+
+class TestCarriedFibreVerify:
+    """The verify reads the fibres the pull-backs carry; on every type of a
+    scan it must decide, attempt by attempt, as the gcd verify did."""
+
+    @staticmethod
+    def _scan(monkeypatch, once, p):
+        """Each type of ``scan-conj9 --dmax 30 --seed 1`` parameterized as the
+        scan does it, with ``once`` as the attempt: (result or error, attempts)."""
+        from curvesplit import param
+
+        attempts = [0]
+
+        def counting(D, pts, rng):
+            attempts[0] += 1
+            return once(D, pts, rng)
+
+        out = []
+        with monkeypatch.context() as mp:
+            mp.setattr(param, "_parameterize_once", counting)
+            for T in sorted(enum_exceptional(9, 30), key=lambda t: t.sort_key()):
+                if T.d < 2:
+                    continue
+                sub_seed = mix_seed(1, T.d, *T.m)
+                attempts[0] = 0
+                try:
+                    res = parameterize(T, random_points(T.r, sub_seed, p), sub_seed)
+                except (RetryLimitError, ValueError) as exc:
+                    res = f"{type(exc).__name__}: {exc}"
+                out.append((T, res, attempts[0]))
+        return out
+
+    @pytest.mark.parametrize("p", [P, 211])
+    def test_same_results_and_attempts_as_the_gcd_verify(self, p, monkeypatch):
+        from curvesplit import param
+
+        got = self._scan(monkeypatch, param._parameterize_once, p)
+        want = self._scan(monkeypatch, _reference_parameterize_once, p)
+        assert [T for T, _, _ in got] == [T for T, _, _ in want] and len(got) > 150
+        for (T, res, n), (_, ref, n_ref) in zip(got, want):
+            assert n == n_ref, T
+            if isinstance(ref, str):
+                assert res == ref, T
+                continue
+            assert res.to_json() == ref.to_json() and res.points.seed == ref.points.seed, T
+            assert [multiplicity_at(res, pt) for pt in res.points.points] == list(T.m), T
+
+    def test_multiplicity_mismatch_retries(self, points9, monkeypatch):
+        # the type asks for the line through points 1 and 4; the first base
+        # case hands back the one through points 1 and 3
+        from curvesplit import param
+
+        real = param._parameterize_line
+        calls = []
+
+        def through_3_first(mults, points, rng, p):
+            calls.append(points)
+            if len(calls) == 1:
+                return param._line_triple(points[0], points[2], p)
+            return real(mults, points, rng, p)
+
+        monkeypatch.setattr(param, "_parameterize_line", through_3_first)
+        D = DivClass(1, (1, 0, 0, 1, 0, 0, 0, 0, 0))
+        with pytest.raises(DegenerateConfigurationError, match=r"^multiplicity 1 != 0 at point 3$"):
+            param._parameterize_once(D, points9, SeededRng(1))
+
+        calls.clear()
+        res = parameterize(D, points9, seed=5)
+        assert len(calls) == 2 and calls[1] is res.points.points
+        assert res.points.seed == mix_seed(5, 1, 0x52455452)
+        assert [multiplicity_at(res, pt) for pt in res.points.points] == list(D.m)
 
 
 def _reference_combine(matrix, forms, p):
