@@ -8,10 +8,9 @@ is only tallied.  The second predicts a_E as the minimum of A.E over
 divisors A with -K.A = 2, h^1 = 0 and linear excess 1.
 
 A full dmax=61 scan (1054 types, `scan-conj9 --dmax 61 --seed 1`) took
-23.3-24.1 s in two runs on a 2-core Intel Xeon with Python 3.11 and numpy 2.4,
-whose speed varies by up to 1.8x over time; interleaved runs of the earlier
-Cremona pull-back, which took one gcd per step, took 28.8-34.5 s.  This demo
-caps the degree lower to stay snappy.
+11.9-12.5 s in two runs on a 2-core Intel Xeon with Python 3.11 and numpy 2.4,
+whose speed varies by up to 1.8x over time.  This demo caps the degree lower
+to stay snappy.
 """
 
 from curvesplit import DivClass, random_points

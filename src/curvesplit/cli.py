@@ -76,13 +76,12 @@ def _parse_krange(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _emit(obj: dict, cfg: Config, out=None) -> None:
-    out = out or sys.stdout
+def _emit(obj: dict, cfg: Config) -> None:
     if cfg.fmt == "json":
-        print(json.dumps(obj), file=out)
+        print(json.dumps(obj))
     else:
         for key, val in obj.items():
-            print(f"{key:>24}  {val}", file=out)
+            print(f"{key:>24}  {val}")
 
 
 def _points_for(T: NumType, cfg: Config):

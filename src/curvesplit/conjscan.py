@@ -24,7 +24,6 @@ from .fatpoints import class_cohomology, h0_class
 from .lattice import (
     DivClass,
     NumType,
-    ascenzi_classify,
     ascenzi_gap,
     enum_exceptional,
     is_ascenzi,
@@ -36,7 +35,9 @@ from .splitting import SplitType, splitting_moving_lines
 
 __all__ = [
     "ScanRecord",
+    "scan_record",
     "scan_conjecture9",
+    "summarize_scan",
     "UnbalancedCertificate",
     "certify_unbalanced",
     "SearchResult",
@@ -105,8 +106,16 @@ class ScanRecord:
             raise ValueError(f"malformed scan record {data!r}") from exc
 
 
-def _parameterize_and_split(T: NumType, sub_seed: int, p: int) -> tuple[ParamTriple | None, SplitType]:
-    """T's parameterization at ``sub_seed`` (None for a line) and its splitting type."""
+def _type_seed(T: NumType, seed: int) -> int:
+    """The sub-seed of type T in a run at ``seed``."""
+    return mix_seed(seed, T.d, *T.m)
+
+
+def _parameterize_and_split(T: NumType, sub_seed: int, p: int) -> tuple[ParamTriple | None, SplitType | None]:
+    """T's parameterization at ``sub_seed`` and its splitting type: (None, None)
+    for a point (d = 0) and (None, LINE_SPLIT) for a line (d = 1)."""
+    if T.d == 0:
+        return None, None
     if T.d == 1:
         # a line pulls the twisted cotangent bundle back to O(0) + O(-1)
         return None, LINE_SPLIT
@@ -121,17 +130,14 @@ def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -
     ``error``: the message of a ``RetryLimitError``, otherwise the
     exception's class name and message.
     """
-    sub_seed = mix_seed(seed, T.d, *T.m)
+    sub_seed = _type_seed(T, seed)
     A = semi_adjoint(T.to_divclass())
     sa = (A.d, *A.m) if A is not None else None
     h1_a = le_a = None
     try:
-        if T.d == 0:
-            split = None
-        else:
-            phi, split = _parameterize_and_split(T, sub_seed, p)
-            if phi is not None and A is not None and certify:
-                _, h1_a, le_a = class_cohomology(A, phi.points)
+        phi, split = _parameterize_and_split(T, sub_seed, p)
+        if phi is not None and A is not None and certify:
+            _, h1_a, le_a = class_cohomology(A, phi.points)
     except Exception as exc:
         error = str(exc) if isinstance(exc, RetryLimitError) else f"{type(exc).__name__}: {exc}"
         return ScanRecord(T, is_ascenzi(T), sa, None, sub_seed, error=error)
@@ -158,7 +164,7 @@ def scan_conjecture9(
     """
     done: dict[NumType, ScanRecord] = {}
     for rec in resumed:
-        want = mix_seed(seed, rec.ntype.d, *rec.ntype.m)
+        want = _type_seed(rec.ntype, seed)
         if rec.seed != want:
             raise ValueError(
                 f"resumed record {rec.ntype.to_json()} has seed {rec.seed}, but seed {seed} gives {want}"
@@ -235,12 +241,13 @@ def certify_unbalanced(E: DivClass, points: PointSet, seed: int) -> UnbalancedCe
     Verifies numerically, at the points the parameterization of E went
     through, that A = (E + K + L)/2 has h^1 = 0, le >= 1 and
     h^0(A - E + L) = 0, and that the computed splitting obeys
-    a_E <= A.E = (d_E - 2)/2.  Returns None when E has no semi-adjoint.
+    a_E <= A.E = (d_E - 2)/2.  E is parameterized in its own order, the
+    order A is read in.  Returns None when E has no semi-adjoint.
     """
     A = semi_adjoint(E)
     if A is None:
         return None
-    phi = parameterize(NumType.of(E), points, seed)
+    phi = parameterize(E, points, seed)
     _, h1_a, le_a = class_cohomology(A, phi.points)
     residual = h0_class(A - E + line_class(E.r), phi.points)
     split = splitting_moving_lines(phi)
@@ -481,21 +488,10 @@ def classification7_spotcheck(
     rows = []
     for d in drange if family.step is not None else (0,):
         T = family.member(d)
-        expected_gap = family.expected_gap(d)
-        if T.d == 0:
-            # the contracted class: a point, Ascenzi by convention, gap 0
-            rows.append(SpotRow(family.label, d, T, True, True, 0, 0))
-            continue
-        _, split = _parameterize_and_split(T, mix_seed(seed, T.d, *T.m), p)
+        _, split = _parameterize_and_split(T, _type_seed(T, seed), p)
+        # the contracted class is a point: Ascenzi by convention, gap 0
+        computed_gap = split.gap if split is not None else 0
         rows.append(
-            SpotRow(
-                family.label,
-                d,
-                T,
-                family.ascenzi_expected(d),
-                ascenzi_classify(T) is not None,
-                expected_gap,
-                split.gap,
-            )
+            SpotRow(family.label, d, T, family.ascenzi_expected(d), is_ascenzi(T), family.expected_gap(d), computed_gap)
         )
     return rows

@@ -160,24 +160,22 @@ class MatFp:
         """Rank over F_p."""
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> list[np.ndarray]:
-        """Basis of the right null-space, in reduced echelon normal form.
+    def kernel_basis(self) -> np.ndarray:
+        """Basis of the right null-space, in reduced echelon normal form, as
+        one read-only ``(cols - rank) x cols`` int64 array.
 
-        One vector per free column ``f`` (in increasing column order), with a
-        1 in coordinate ``f``, zeros in the other free coordinates, and the
-        pivot coordinates filled from the RREF.  ``len(result) == cols - rank``
-        and ``M v == 0`` for every returned vector.
+        Row i belongs to the i-th free column ``f`` (in increasing column
+        order): a 1 in coordinate ``f``, zeros in the other free coordinates,
+        and the pivot coordinates filled from the RREF.  ``M v == 0`` for
+        every row ``v``.
         """
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = np.zeros(self.cols, dtype=np.int64)
-            v[f] = 1
-            v[list(pivots)] = (-red[: len(pivots), f]) % self.p
-            v.flags.writeable = False
-            basis.append(v)
+        basis = np.zeros((len(free), self.cols), dtype=np.int64)
+        basis[range(len(free)), free] = 1
+        basis[:, list(pivots)] = (-red[: len(pivots), free].T) % self.p
+        basis.flags.writeable = False
         return basis
 
 

@@ -132,8 +132,9 @@ def ideal_dim(Z: FatScheme, k: int) -> int:
     return dim_forms(k) - conditions_matrix(Z, k).rank()
 
 
-def ideal_basis(Z: FatScheme, k: int) -> list[np.ndarray]:
-    """Coefficient vectors of a basis of (I_Z)_k."""
+def ideal_basis(Z: FatScheme, k: int) -> np.ndarray:
+    """A basis of (I_Z)_k, one coefficient vector per row (see
+    ``MatFp.kernel_basis``)."""
     return conditions_matrix(Z, k).kernel_basis()
 
 
@@ -143,7 +144,7 @@ def _prefix_basis(Z: FatScheme, K: int) -> tuple[np.ndarray, np.ndarray]:
     for i, (pt, m) in enumerate(zip(Z.points.points, Z.mults)):
         if m and pt.x[0] == 0:
             raise ValueError(f"point {i} {pt.x} of multiplicity {m} lies on x0 = 0; x0 must be a unit at every point")
-    basis = np.array(ideal_basis(Z, K), dtype=np.int64).reshape(-1, dim_forms(K))
+    basis = ideal_basis(Z, K)
     # a kernel vector is 1 at its free column and 0 right of it
     return basis, basis.shape[1] - 1 - (basis[:, ::-1] != 0).argmax(1)
 
@@ -181,10 +182,9 @@ class MuReport:
         }
 
 
-def _mu_matrix(basis, k: int, p: int) -> MatFp:
-    """mu_k on a basis of (I_Z)_k, one form per row or vector: column 3b + j
-    is basis form b times x_j."""
-    basis = np.array(basis, dtype=np.int64).reshape(-1, dim_forms(k))
+def _mu_matrix(basis: np.ndarray, k: int, p: int) -> MatFp:
+    """mu_k on a basis of (I_Z)_k, one form per row: column 3b + j is basis
+    form b times x_j."""
     mat = np.zeros((dim_forms(k + 1), 3 * len(basis)), dtype=np.int64)
     for j in range(3):
         mat[var_shift(k, j), j::3] = basis.T
@@ -210,9 +210,9 @@ def plane_syzygies(Z: FatScheme, k: int) -> list[tuple[PlaneForm, PlaneForm, Pla
     raw material for syzygies of parameterizations that come from the plane.
     """
     p = Z.p
-    basis = np.array(ideal_basis(Z, k), dtype=np.int64).reshape(-1, dim_forms(k))
+    basis = ideal_basis(Z, k)
     return [
-        tuple(PlaneForm.from_vector(k, (v[j::3, None] * basis % p).sum(0) % p, p) for j in range(3))
+        tuple(PlaneForm(k, tuple((v[j::3, None] * basis % p).sum(0) % p), p) for j in range(3))
         for v in _mu_matrix(basis, k, p).kernel_basis()
     ]
 

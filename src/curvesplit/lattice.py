@@ -269,9 +269,9 @@ def ascenzi_classify(T: NumType) -> tuple[int, int] | None:
     """
     if T.d < 1:
         raise ValueError("classification needs degree >= 1")
-    m = max(T.max_mult, 1)
-    if T.d > 2 * m + 1:
+    if not is_ascenzi(T):
         return None
+    m = max(T.max_mult, 1)
     if T.d <= 2 * m:
         return (T.d - m, m)
     return (m, m + 1)

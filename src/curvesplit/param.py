@@ -337,7 +337,7 @@ class CremonaStep:
         }
 
 
-def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int = MODULUS) -> CremonaStep:
+def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int) -> CremonaStep:
     """Quadratic Cremona map centered at points i, j, k (1-based indices).
 
     All r points go through N in one product, then through sigma.  A point
@@ -347,6 +347,8 @@ def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int
     r = len(points)
     if not (1 <= i < j < k <= r):
         raise ValueError(f"center indices ({i}, {j}, {k}) must satisfy 1 <= i < j < k <= {r}")
+    if any(pt.p != p for pt in points):
+        raise ValueError("mixed moduli")
     pi, pj, pk = points[i - 1], points[j - 1], points[k - 1]
     n_matrix = np.array([_line_through(pj, pk, p), _line_through(pi, pk, p), _line_through(pi, pj, p)], dtype=np.int64)
     n_matrix.flags.writeable = False
@@ -581,7 +583,7 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
             hpows = [pow(ai, d - t, p) * pow(bi, t, p) % p for t in range(d + 1)]
             rows.append([ci * v % p for v in gpows] + hpows)
         kernel = MatFp(np.array(rows, dtype=np.int64).reshape(-1, 2 * d + 1), p).kernel_basis()
-        if not kernel:
+        if not len(kernel):
             raise DegenerateConfigurationError("no pencil curve through the prescribed points")
         for _ in range(16):
             coeffs = np.zeros(2 * d + 1, dtype=np.int64)

@@ -25,11 +25,6 @@ def monomials(k: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((a, b, k - a - b) for a in range(k, -1, -1) for b in range(k - a, -1, -1))
 
 
-@lru_cache(maxsize=None)
-def mono_index(k: int) -> dict[tuple[int, int, int], int]:
-    return {m: i for i, m in enumerate(monomials(k))}
-
-
 def dim_forms(k: int) -> int:
     """dim of the space of degree-k forms, C(k+2, 2)."""
     return (k + 1) * (k + 2) // 2
@@ -53,7 +48,7 @@ def eval_row(point: tuple[int, int, int], k: int, p: int = MODULUS) -> np.ndarra
 @lru_cache(maxsize=None)
 def var_shift(k: int, j: int) -> np.ndarray:
     """Index map sending a degree-k monomial to its product with x_j."""
-    target = mono_index(k + 1)
+    target = {m: i for i, m in enumerate(monomials(k + 1))}
     out = np.empty(len(monomials(k)), dtype=np.int64)
     for idx, (a, b, c) in enumerate(monomials(k)):
         e = [a, b, c]
@@ -74,13 +69,6 @@ class PlaneForm:
         if len(self.coeffs) != dim_forms(self.degree):
             raise ValueError("coefficient vector does not match the degree")
         object.__setattr__(self, "coeffs", tuple(int(c) % self.p for c in self.coeffs))
-
-    @classmethod
-    def from_vector(cls, degree: int, vec, p: int = MODULUS) -> "PlaneForm":
-        return cls(degree, tuple(int(v) for v in vec), p)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def compose(self, phi: ParamTriple) -> BinForm:
         """Substitute the components of phi for x0, x1, x2."""

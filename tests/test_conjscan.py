@@ -15,7 +15,7 @@ from curvesplit.conjscan import (
 )
 from curvesplit.fatpoints import class_cohomology
 from curvesplit.lattice import DivClass, NumType, semi_adjoint
-from curvesplit.param import ParameterizationError, RetryLimitError, mix_seed, random_points
+from curvesplit.param import ParameterizationError, RetryLimitError, mix_seed, multiplicity_at, random_points
 from curvesplit.splitting import splitting_moving_lines
 
 
@@ -66,6 +66,26 @@ class TestCertify:
         assert cert is not None and cert.valid
         assert cert.a_class == (5, 2, 2, 2, 2, 1, 1, 1, 1, 1)
         assert cert.computed.a == 5
+
+    def test_certificate_parameterizes_E_in_its_own_order(self, points9, monkeypatch):
+        # A = (E + K + L)/2 is read in E's order, so the curve the certificate
+        # verifies must carry E's multiplicities at the same points
+        import curvesplit.conjscan as conjscan
+
+        results = []
+        real = conjscan.parameterize
+
+        def keeping(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(conjscan, "parameterize", keeping)
+        E = DivClass(8, (1, 3, 3, 3, 3, 3, 3, 3, 1))
+        cert = certify_unbalanced(E, points9, seed=2)
+        [phi] = results
+        assert [multiplicity_at(phi, pt) for pt in phi.points.points] == list(E.m)
+        assert cert.a_class == (3, 0, 1, 1, 1, 1, 1, 1, 1, 0)
+        assert cert.valid
 
     def test_odd_degree_has_none(self, points9):
         assert certify_unbalanced(DivClass(5, (2, 2, 2, 2, 2, 2, 1, 1, 0)), points9, seed=2) is None

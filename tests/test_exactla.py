@@ -51,7 +51,7 @@ def test_rank_proportional_rows():
 
 
 def test_kernel_identity_empty():
-    assert MatFp(np.eye(3, dtype=np.int64), P).kernel_basis() == []
+    assert MatFp(np.eye(3, dtype=np.int64), P).kernel_basis().shape == (0, 3)
 
 
 def test_kernel_zero_matrix():
@@ -74,6 +74,18 @@ def test_kernel_reduced_normal_form():
     v = basis[0]
     # free column is 1; pivot coordinates determined by the RREF
     assert v[1] == 1 and v[0] == P - 2 and v[2] == 0
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [np.eye(3, dtype=np.int64), [[1, 2, 3], [0, 0, 1]], np.zeros((2, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)],
+)
+def test_kernel_basis_is_one_read_only_array(entries):
+    m = MatFp(entries, P)
+    basis = m.kernel_basis()
+    assert isinstance(basis, np.ndarray) and basis.dtype == np.int64
+    assert basis.shape == (m.cols - m.rank(), m.cols)
+    assert not basis.flags.writeable
 
 
 def test_inverse_roundtrip():

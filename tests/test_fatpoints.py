@@ -131,6 +131,16 @@ def test_mu_matrix_and_syzygies_on_an_empty_basis(points9):
     assert plane_syzygies(Z, 3) == []
 
 
+@pytest.mark.parametrize("mults, k", [((2, 1, 1) + (0,) * 6, 3), ((4,) + (0,) * 8, 3), ((4,) + (1,) * 8, 6)])
+def test_ideal_basis_is_one_read_only_array(points9, mults, k):
+    # one (dim (I_Z)_k) x C(k+2, 2) array, also when the ideal is zero
+    Z = FatScheme(points9, mults)
+    basis = ideal_basis(Z, k)
+    assert isinstance(basis, np.ndarray) and basis.dtype == np.int64
+    assert basis.shape == (ideal_dim(Z, k), dim_forms(k))
+    assert not basis.flags.writeable
+
+
 def walk_down_alpha(Z: FatScheme) -> int:
     """Reference alpha: from the counting bound, walk down while the ideal
     one degree lower is still nonzero, one ideal_dim per degree."""

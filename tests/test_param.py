@@ -364,6 +364,15 @@ class TestCremona:
         with pytest.raises(DegenerateConfigurationError):
             cremona_apply((a, b, c), 1, 2, 3, P)
 
+    def test_points_at_another_modulus_are_refused(self):
+        # the modulus is never implied: points mod 211 are not mapped mod 2^31 - 1
+        pts = random_points(6, 5, 211).points
+        with pytest.raises(ValueError, match="mixed moduli"):
+            cremona_apply(pts, 1, 2, 3, P)
+        with pytest.raises(TypeError):
+            cremona_apply(pts, 1, 2, 3)
+        assert cremona_apply(pts, 1, 2, 3, 211).points_after[3].x == (1, 42, 129)
+
     def test_errors_come_in_order(self):
         a, b, c, q = random_points(4, seed=6).points
         on_bc = PlanePoint(tuple((x + 3 * y) % P for x, y in zip(b.x, c.x)), P)

@@ -157,7 +157,7 @@ def reference_min_syzygy(phi):
     of syzygy_matrix(phi, k) for the least k >= 1 with a kernel."""
     for k in range(1, phi.degree // 2 + 1):
         kernel = syzygy_matrix(phi, k).kernel_basis()
-        if kernel:
+        if len(kernel):
             vec = kernel[0]
             alphas = tuple(BinForm([vec[3 * w + i] for w in range(k + 1)], phi.p) for i in range(3))
             return Syzygy(k, alphas)
