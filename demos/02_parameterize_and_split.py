@@ -24,7 +24,7 @@ points = random_points(9, seed=2026)
 T = NumType(8, (3, 3, 3, 3, 3, 3, 3))
 phi = parameterize(T, points, seed=1)
 print("degree:", phi.degree)
-print("multiplicities:", [multiplicity_at(phi, pt) for pt in points.points])
+print("multiplicities:", [multiplicity_at(phi, points, i) for i in range(points.r)])
 
 ml = splitting_moving_lines(phi)
 sat = splitting_saturation(phi)

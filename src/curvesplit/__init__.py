@@ -43,7 +43,6 @@ from .lattice import (
 from .param import (
     CremonaStep,
     Parameterization,
-    PlanePoint,
     PointSet,
     cremona_apply,
     multiplicity_at,

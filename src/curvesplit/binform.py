@@ -19,6 +19,8 @@ import numpy as np
 
 from .exactla import MODULUS, check_modulus
 
+__all__ = ["BinForm", "gcd", "gcd_many", "div_exact", "ParamTriple"]
+
 _SPLIT = 1 << 16
 
 

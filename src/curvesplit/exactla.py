@@ -37,6 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = ["MODULUS", "is_prime", "check_modulus", "MatFp"]
+
 MODULUS = 2**31 - 1
 
 # (p-1)^2 must fit in int64 together with one subtraction of slack.
@@ -169,6 +171,10 @@ class MatFp:
         and the pivot coordinates filled from the RREF.  ``M v == 0`` for
         every row ``v``.
         """
+        return self._kernel()[0]
+
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """``kernel_basis`` and the free column of each of its rows."""
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -176,7 +182,7 @@ class MatFp:
         basis[range(len(free)), free] = 1
         basis[:, list(pivots)] = (-red[: len(pivots), free].T) % self.p
         basis.flags.writeable = False
-        return basis
+        return basis, np.array(free, dtype=np.int64)
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -112,14 +112,14 @@ def conditions_matrix(Z: FatScheme, k: int) -> MatFp:
     rows = np.empty((sum((o + 1) * (o + 2) // 2 for o in orders), len(monos)), dtype=np.int64)
     binom = np.array([[comb(e, i) % p for e in range(k + 1)] for i in range(k + 1)], dtype=np.int64)
     start = 0
-    for pt, o in zip(Z.points.points, orders):
+    for x, o in zip(Z.points.coords.tolist(), orders):
         if o < 0:
             continue
-        c = pt.x.index(1)  # the first nonzero coordinate, scaled to 1
+        c = x.index(1)  # the first nonzero coordinate, scaled to 1
         a, b = (j for j in range(3) if j != c)
         # ta[i], tb[j]: the u^i and v^j factors on every monomial
-        ta = _shift_table(pt.x[a], binom[: o + 1], p)[:, monos[:, a]]
-        tb = _shift_table(pt.x[b], binom[: o + 1], p)[:, monos[:, b]]
+        ta = _shift_table(x[a], binom[: o + 1], p)[:, monos[:, a]]
+        tb = _shift_table(x[b], binom[: o + 1], p)[:, monos[:, b]]
         for i in range(o + 1):
             np.multiply(ta[i], tb[: o + 1 - i], out=rows[start : start + o + 1 - i])
             start += o + 1 - i
@@ -141,12 +141,10 @@ def ideal_basis(Z: FatScheme, k: int) -> np.ndarray:
 def _prefix_basis(Z: FatScheme, K: int) -> tuple[np.ndarray, np.ndarray]:
     """ideal_basis(Z, K) as rows and each row's free column; the rows with free
     column below C(j+2, 2), cut there, are ideal_basis(Z, j) for j <= K."""
-    for i, (pt, m) in enumerate(zip(Z.points.points, Z.mults)):
-        if m and pt.x[0] == 0:
-            raise ValueError(f"point {i} {pt.x} of multiplicity {m} lies on x0 = 0; x0 must be a unit at every point")
-    basis = ideal_basis(Z, K)
-    # a kernel vector is 1 at its free column and 0 right of it
-    return basis, basis.shape[1] - 1 - (basis[:, ::-1] != 0).argmax(1)
+    for i, (x, m) in enumerate(zip(Z.points.coords.tolist(), Z.mults)):
+        if m and x[0] == 0:
+            raise ValueError(f"point {i} {tuple(x)} of multiplicity {m} lies on x0 = 0; x0 must be a unit at every point")
+    return conditions_matrix(Z, K)._kernel()
 
 
 def _least_degree(n: int) -> int:
@@ -220,7 +218,7 @@ def plane_syzygies(Z: FatScheme, k: int) -> list[tuple[PlaneForm, PlaneForm, Pla
 def _scheme_for(D: DivClass, points: PointSet) -> FatScheme:
     if D.r > points.r:
         raise ValueError(f"class touches {D.r} points but only {points.r} given")
-    sub = PointSet(points.points[: D.r], points.seed, points.p)
+    sub = PointSet(points.coords[: D.r], points.seed, points.p)
     # negative multiplicities are fixed components; they do not change h^0
     return FatScheme(sub, tuple(max(m, 0) for m in D.m))
 

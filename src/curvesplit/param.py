@@ -55,6 +55,24 @@ from .exactla import MODULUS, MatFp, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
 from .plane import PlaneForm, eval_row
 
+__all__ = [
+    "DegenerateConfigurationError",
+    "RetryLimitError",
+    "SeededRng",
+    "mix_seed",
+    "genericity_certificate",
+    "PointSet",
+    "random_points",
+    "CremonaStep",
+    "cremona_apply",
+    "fibre_at",
+    "multiplicity_at",
+    "sqrt_mod",
+    "ParameterizationError",
+    "Parameterization",
+    "parameterize",
+]
+
 
 _MASK = (1 << 64) - 1
 # point sets random_points draws before it gives up on the modulus
@@ -132,29 +150,9 @@ def mix_seed(*parts: int) -> int:
     return state
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """Projective point over F_p, scaled so its first nonzero coordinate is 1."""
-
-    x: tuple[int, int, int]
-    p: int = MODULUS
-
-    def __post_init__(self):
-        check_modulus(self.p)
-        coords = tuple(int(c) % self.p for c in self.x)
-        lead = next((c for c in coords if c), None)
-        if lead is None:
-            raise ValueError("(0, 0, 0) is not a projective point")
-        inv = pow(lead, -1, self.p)
-        object.__setattr__(self, "x", tuple(c * inv % self.p for c in coords))
-
-    def to_json(self) -> list[int]:
-        return list(self.x)
-
-
-def _line_through(a: PlanePoint, b: PlanePoint, p: int) -> tuple[int, int, int]:
+def _line_through(a, b, p: int) -> tuple[int, int, int]:
     """Coefficients of the line through two distinct points (cross product)."""
-    line = _cross(a.x, b.x, p)
+    line = _cross(a, b, p)
     if line == (0, 0, 0):
         raise ValueError("points coincide; no unique line")
     return line
@@ -174,9 +172,10 @@ def _bracket_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(triples, dtype=np.int64).reshape(-1, 3), np.array(sixes, dtype=np.int64).reshape(-1, 8)
 
 
-def genericity_certificate(points: tuple[PlanePoint, ...], p: int) -> bool:
+def genericity_certificate(coords: np.ndarray, p: int) -> bool:
     """Pairwise distinct, no 3 collinear, no 6 on a conic, read off the
-    brackets [ijk] = det(x_i, x_j, x_k) of every triple.
+    brackets [ijk] = det(x_i, x_j, x_k) of every triple of the normalized
+    (r, 3) rows ``coords``.
 
     Three points are collinear exactly when their bracket is 0.  Six points
     a < b < c < d < e < f lie on a conic exactly when the 6x6 determinant of
@@ -189,10 +188,9 @@ def genericity_certificate(points: tuple[PlanePoint, ...], p: int) -> bool:
     reduced before it is added to anything, so no int64 intermediate exceeds
     (p - 1)**2 < 2**63, and a bracket sums three reduced products.
     """
-    if len(set(points)) != len(points):
+    if len(set(map(tuple, coords.tolist()))) != len(coords):
         return False
-    triples, sixes = _bracket_tables(len(points))
-    coords = np.array([pt.x for pt in points], dtype=np.int64).reshape(-1, 3)
+    triples, sixes = _bracket_tables(len(coords))
     x, y, z = (coords[triples[:, i]] for i in range(3))
     cross = (y[:, [1, 2, 0]] * z[:, [2, 0, 1]] % p - y[:, [2, 0, 1]] * z[:, [1, 2, 0]] % p) % p
     brackets = (x * cross % p).sum(axis=1) % p
@@ -204,17 +202,38 @@ def genericity_certificate(points: tuple[PlanePoint, ...], p: int) -> bool:
     return bool((lhs != rhs).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """r certified-generic points plus the seed that produced them."""
+    """r points of the plane over F_p as one read-only (r, 3) int64 array,
+    each row reduced and scaled so its first nonzero coordinate is 1 (equal
+    rows, equal points), and the seed that drew them; compared by value."""
 
-    points: tuple[PlanePoint, ...]
+    coords: np.ndarray
     seed: int
     p: int = MODULUS
 
+    def __post_init__(self):
+        check_modulus(self.p)
+        x = np.asarray(self.coords, dtype=np.int64)
+        x = np.remainder(x.reshape(len(x), 3), self.p)
+        lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)].tolist()
+        if 0 in lead:
+            raise ValueError("(0, 0, 0) is not a projective point")
+        x = x * np.array([pow(v, -1, self.p) for v in lead], dtype=np.int64)[:, None] % self.p
+        x.flags.writeable = False
+        object.__setattr__(self, "coords", x)
+
     @property
     def r(self) -> int:
-        return len(self.points)
+        return len(self.coords)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return self.p == other.p and self.seed == other.seed and np.array_equal(self.coords, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.seed, self.coords.tobytes()))
 
 
 def random_points(r: int, seed: int, p: int = MODULUS) -> PointSet:
@@ -224,9 +243,9 @@ def random_points(r: int, seed: int, p: int = MODULUS) -> PointSet:
     check_modulus(p)
     for attempt in range(POINT_TRIES):
         rng = SeededRng(mix_seed(seed, attempt, 0x70494E54))
-        pts = tuple(PlanePoint((1, rng.below(p), rng.below(p)), p) for _ in range(r))
-        if genericity_certificate(pts, p):
-            return PointSet(pts, seed, p)
+        coords = np.array([(1, rng.below(p), rng.below(p)) for _ in range(r)], dtype=np.int64)
+        if genericity_certificate(coords, p):
+            return PointSet(coords, seed, p)
     raise RetryLimitError(f"no generic configuration of {r} points found mod {p}")
 
 
@@ -282,21 +301,20 @@ class CremonaStep:
     """
 
     centers: tuple[int, int, int]
-    points_before: tuple[PlanePoint, ...]
-    points_after: tuple[PlanePoint, ...]
+    points_before: PointSet
+    points_after: PointSet
     n_matrix: np.ndarray = field(compare=False)
-    p: int
 
     @property
     def quad_forms(self) -> tuple[PlaneForm, PlaneForm, PlaneForm]:
         """The forward conics: the components of sigma(N x), each a product
         of two lines, with coefficients in the order x0^2, x0x1, x0x2, x1^2,
         x1x2, x2^2."""
-        h = self.n_matrix.tolist()
+        h, p = self.n_matrix.tolist(), self.points_before.p
         forms = []
         for (a0, a1, a2), (b0, b1, b2) in ((h[1], h[2]), (h[0], h[2]), (h[0], h[1])):
             coeffs = (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0, a1 * b1, a1 * b2 + a2 * b1, a2 * b2)
-            forms.append(PlaneForm(2, coeffs, self.p))
+            forms.append(PlaneForm(2, coeffs, p))
         return tuple(forms)
 
     def pull_back(
@@ -314,6 +332,7 @@ class CremonaStep:
         configuration.
         """
         g0, g1, g2 = fibres
+        p = self.points_before.p
         hs = []
         for c, (f, g) in enumerate(zip(phis, (g1 * g2, g0 * g2, g0 * g1))):
             if f.is_zero:
@@ -325,34 +344,34 @@ class CremonaStep:
                 raise DegenerateConfigurationError(msg) from exc
         h0, h1, h2 = hs
         bracket = np.stack([(g0 * h1 * h2).coeffs, (g1 * h0 * h2).coeffs, (g2 * h0 * h1).coeffs])
-        combined = _combine(_inverse3(self.n_matrix, self.p), bracket, self.p)
-        return tuple(BinForm(row, self.p) for row in combined), (h0.monic(), h1.monic(), h2.monic())
+        combined = _combine(_inverse3(self.n_matrix, p), bracket, p)
+        return tuple(BinForm(row, p) for row in combined), (h0.monic(), h1.monic(), h2.monic())
 
     def to_json(self) -> dict:
         return {
             "centers": list(self.centers),
             "quad_forms": [list(q.coeffs) for q in self.quad_forms],
-            "points_before": [pt.to_json() for pt in self.points_before],
-            "points_after": [pt.to_json() for pt in self.points_after],
+            "points_before": self.points_before.coords.tolist(),
+            "points_after": self.points_after.coords.tolist(),
         }
 
 
-def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int) -> CremonaStep:
+def cremona_apply(points: PointSet, i: int, j: int, k: int) -> CremonaStep:
     """Quadratic Cremona map centered at points i, j, k (1-based indices).
 
     All r points go through N in one product, then through sigma.  A point
     other than a center whose image has two zero coordinates lies on a
-    fundamental line; the lowest such index is reported.
+    fundamental line; the lowest such index is reported.  The image points
+    keep the seed of ``points``.
     """
-    r = len(points)
+    r, p = points.r, points.p
     if not (1 <= i < j < k <= r):
         raise ValueError(f"center indices ({i}, {j}, {k}) must satisfy 1 <= i < j < k <= {r}")
-    if any(pt.p != p for pt in points):
-        raise ValueError("mixed moduli")
-    pi, pj, pk = points[i - 1], points[j - 1], points[k - 1]
+    x = points.coords
+    pi, pj, pk = x[[i - 1, j - 1, k - 1]].tolist()
     n_matrix = np.array([_line_through(pj, pk, p), _line_through(pi, pk, p), _line_through(pi, pj, p)], dtype=np.int64)
     n_matrix.flags.writeable = False
-    y0, y1, y2 = _combine(n_matrix, np.array([pt.x for pt in points], dtype=np.int64).T, p)
+    y0, y1, y2 = _combine(n_matrix, x.T, p)
     if y0[i - 1] == 0:
         raise DegenerateConfigurationError("collinear centers")
 
@@ -363,43 +382,39 @@ def cremona_apply(points: tuple[PlanePoint, ...], i: int, j: int, k: int, p: int
     if on_line.any():
         raise DegenerateConfigurationError(f"point {int(on_line.argmax()) + 1} lies on a fundamental line")
     images[:, slots] = np.eye(3, dtype=np.int64)
-    after = tuple(PlanePoint(tuple(x), p) for x in images.T.tolist())
-    if len(set(after)) != len(after):
+    after = PointSet(images.T, points.seed, p)
+    if len(set(map(tuple, after.coords.tolist()))) != r:
         raise DegenerateConfigurationError("transformed points collide")
-    return CremonaStep((i, j, k), tuple(points), after, n_matrix, p)
+    return CremonaStep((i, j, k), points, after, n_matrix)
 
 
-def fibre_at(phis: tuple[BinForm, BinForm, BinForm], point: PlanePoint) -> BinForm:
-    """Monic fibre of the parameterized curve over a plane point.
+def fibre_at(phis: tuple[BinForm, BinForm, BinForm], points: PointSet, i: int) -> BinForm:
+    """Monic fibre of the parameterized curve over row i of ``points``.
 
-    Normalizing the point at a nonzero coordinate c, the parameter values
-    mapping to the point are the common roots of phi_a - l_a phi_c and
-    phi_b - l_b phi_c; the fibre is their gcd, a constant off the curve.
+    With the point normalized at its first nonzero coordinate c, the
+    parameter values mapping to the point are the common roots of
+    phi_a - x_a phi_c and phi_b - x_b phi_c; the fibre is their gcd, a
+    constant off the curve.
     """
-    if phis[0].p != point.p:
+    if phis[0].p != points.p:
         raise ValueError("mixed moduli")
-    c = next(idx for idx, v in enumerate(point.x) if v)
-    others = [idx for idx in range(3) if idx != c]
-    diffs = []
-    for a in others:
-        term = phis[a]
-        if point.x[a]:
-            term = term - phis[c].scale(point.x[a])
-        diffs.append(term)
+    x = points.coords[i].tolist()
+    c = x.index(1)  # the first nonzero coordinate, scaled to 1
+    diffs = [phis[a] - phis[c].scale(x[a]) if x[a] else phis[a] for a in range(3) if a != c]
     if all(f.is_zero for f in diffs):
         raise ValueError("components are proportional at this point; not a curve")
     return gcd_many(diffs)
 
 
-def multiplicity_at(phi: ParamTriple, point: PlanePoint) -> int:
-    """Multiplicity of the parameterized curve at a plane point: the degree
-    of its gcd fibre there, which counts the parameters over the point with
-    multiplicity (0 off the curve).
+def multiplicity_at(phi: ParamTriple, points: PointSet, i: int) -> int:
+    """Multiplicity of the parameterized curve at row i of ``points``: the
+    degree of its gcd fibre there, which counts the parameters over the
+    point with multiplicity (0 off the curve).
 
     ``parameterize`` does not call it: it reads the fibres it carries.  This
     is the independent check the tests hold those against.
     """
-    return fibre_at(phi.phis, point).degree
+    return fibre_at(phi.phis, points, i).degree
 
 
 def _legendre(a: int, p: int) -> int:
@@ -440,24 +455,25 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return root
 
 
-def _line_triple(a: PlanePoint, b: PlanePoint, p: int) -> tuple[BinForm, BinForm, BinForm]:
+def _line_triple(a, b, p: int) -> tuple[BinForm, BinForm, BinForm]:
     """phi(s, t) = s*a + t*b."""
-    return tuple(BinForm((a.x[c], b.x[c]), p) for c in range(3))
+    return tuple(BinForm((a[c], b[c]), p) for c in range(3))
 
 
-def _parameterize_line(mults, points, rng: SeededRng, p: int):
+def _parameterize_line(mults, points: PointSet, rng: SeededRng, p: int):
     assigned = [idx for idx, m in enumerate(mults) if m == 1]
     if any(m not in (0, 1) for m in mults) or len(assigned) > 2:
         raise ValueError(f"not a line type: multiplicities {mults}")
-    chosen = [points[idx] for idx in assigned]
-    avoid = [points[idx] for idx, m in enumerate(mults) if m == 0]
+    rows = [tuple(x) for x in points.coords.tolist()]
+    chosen = [rows[idx] for idx in assigned]
+    avoid = [rows[idx] for idx, m in enumerate(mults) if m == 0]
     for _ in range(16):
-        extras = [PlanePoint((1, rng.below(p), rng.below(p)), p) for _ in range(2 - len(chosen))]
+        extras = [(1, rng.below(p), rng.below(p)) for _ in range(2 - len(chosen))]
         cand = chosen + extras
         if len(set(cand)) != 2:
             continue
         line = _line_through(cand[0], cand[1], p)
-        if any(sum(a * b for a, b in zip(line, q.x)) % p == 0 for q in avoid):
+        if any(sum(a * b for a, b in zip(line, q)) % p == 0 for q in avoid):
             if len(chosen) == 2:
                 raise DegenerateConfigurationError("forced line hits an assigned zero-multiplicity point")
             continue
@@ -486,17 +502,17 @@ def _conic_point(mat: np.ndarray, rng: SeededRng, p: int) -> tuple[int, int, int
     return None
 
 
-def _parameterize_conic(mults, points, rng: SeededRng, p: int):
+def _parameterize_conic(mults, points: PointSet, rng: SeededRng, p: int):
     assigned = [idx for idx, m in enumerate(mults) if m == 1]
     if any(m not in (0, 1) for m in mults) or len(assigned) > 5:
         raise ValueError(f"not a conic type: multiplicities {mults}")
-    base = [points[idx] for idx in assigned]
+    base = [tuple(points.coords[idx].tolist()) for idx in assigned]
     for _ in range(16):
-        extras = [PlanePoint((1, rng.below(p), rng.below(p)), p) for _ in range(5 - len(base))]
+        extras = [(1, rng.below(p), rng.below(p)) for _ in range(5 - len(base))]
         five = base + extras
         if len(set(five)) != 5:
             continue
-        rows = np.vstack([eval_row(pt.x, 2, p) for pt in five])
+        rows = np.vstack([eval_row(pt, 2, p) for pt in five])
         kernel = MatFp(rows, p).kernel_basis()
         if len(kernel) != 1:
             if not extras:
@@ -547,7 +563,7 @@ def _parameterize_conic(mults, points, rng: SeededRng, p: int):
     raise DegenerateConfigurationError("could not complete the conic point set")
 
 
-def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
+def _parameterize_pencil(d: int, mults, points: PointSet, rng: SeededRng, p: int):
     """Degree-d curve with a (d-1)-fold point: swept by the lines through it.
 
     With the multiple point moved to (0, 0, 1), such a curve is
@@ -560,19 +576,19 @@ def _parameterize_pencil(d: int, mults, points, rng: SeededRng, p: int):
     rest_ok = all(m in (0, 1, d - 1) for m in mults)
     if d < 3 or len(center_candidates) != 1 or not rest_ok:
         raise ValueError(f"base class of degree {d} with multiplicities {mults} is not parameterizable")
-    center = points[center_candidates[0]]
+    center = points.coords[center_candidates[0]]
     if len(simple) > 2 * d:
         raise ValueError("too many simple points for a pencil curve")
     for _ in range(16):
         u = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
         w = np.array([0, 1, rng.below(p)], dtype=np.int64)
-        umat = np.vstack([u, w, np.array(center.x, dtype=np.int64)]).T % p
+        umat = np.vstack([u, w, center]).T % p
         uinv = _inverse3(umat, p)
         if uinv is None:
             continue
         # frame coordinates (a, b, c) of the simple points; two of them share
         # a line through the center when their (a, b) are proportional
-        a, b, cc = _combine(uinv, np.array([points[idx].x for idx in simple], dtype=np.int64).reshape(-1, 3).T, p)
+        a, b, cc = _combine(uinv, points.coords[simple].T, p)
         same_line = np.triu(np.outer(a, b) % p == np.outer(b, a) % p, 1)
         if ((a == 0) & (b == 0)).any() or same_line.any():
             raise DegenerateConfigurationError("simple points collide in the pencil through the center")
@@ -626,9 +642,9 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
     for quad in word:
         classes.append(reflect(classes[-1], [quad]))
     steps: list[CremonaStep] = []
-    current = pts.points
+    current = pts
     for quad in word:
-        step = cremona_apply(current, quad.i, quad.j, quad.k, p)
+        step = cremona_apply(current, quad.i, quad.j, quad.k)
         steps.append(step)
         current = step.points_after
 
@@ -643,7 +659,7 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
 
     # the fibres of the base curve over every point; each pull-back replaces
     # those over its own centers and keeps the rest (module docstring)
-    fibres = [fibre_at(phis, pt) for pt in current]
+    fibres = [fibre_at(phis, current, idx) for idx in range(current.r)]
     for step, cls in zip(reversed(steps), reversed(classes[:-1])):
         slots = [c - 1 for c in step.centers]
         phis, center_fibres = step.pull_back(phis, tuple(fibres[idx] for idx in slots))

@@ -16,6 +16,8 @@ import numpy as np
 from .binform import BinForm, ParamTriple
 from .exactla import MODULUS
 
+__all__ = ["monomials", "dim_forms", "eval_row", "var_shift", "PlaneForm"]
+
 
 @lru_cache(maxsize=None)
 def monomials(k: int) -> tuple[tuple[int, int, int], ...]:

@@ -15,7 +15,7 @@ from curvesplit.exactla import (
     check_modulus,
     is_prime,
 )
-from curvesplit.param import DegenerateConfigurationError, PlanePoint, _inverse3, cremona_apply
+from curvesplit.param import DegenerateConfigurationError, PointSet, _inverse3, cremona_apply
 
 P = MODULUS
 
@@ -101,10 +101,10 @@ def test_singular_inverse_raises():
     # the frame matrix N of a Cremona step has no inverse exactly when its
     # centers are collinear; cremona_apply refuses such centers, so
     # CremonaStep.pull_back never meets a singular N
-    pts = tuple(PlanePoint(x, P) for x in [(1, 2, 3), (0, 1, 0), (1, 3, 3), (1, 1, 7), (2, 5, 1)])
+    pts = PointSet([(1, 2, 3), (0, 1, 0), (1, 3, 3), (1, 1, 7), (2, 5, 1)], 0, P)
     with pytest.raises(DegenerateConfigurationError, match="collinear centers"):
-        cremona_apply(pts, 1, 2, 3, P)
-    step = cremona_apply(pts, 1, 4, 5, P)
+        cremona_apply(pts, 1, 2, 3)
+    step = cremona_apply(pts, 1, 4, 5)
     assert _inverse3(step.n_matrix, P) is not None
 
 
@@ -364,8 +364,8 @@ def test_singular_inverse_is_none_at_both_moduli(p):
 
 @pytest.mark.parametrize("p", [7, P])
 def test_singular_inverse_raises_at_both_moduli(p):
-    pts = tuple(PlanePoint(x, p) for x in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)])
+    pts = PointSet([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)], 0, p)
     rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
     assert _inverse3(np.array(rows), p) is None
     with pytest.raises(DegenerateConfigurationError, match="collinear centers"):
-        cremona_apply(pts, 1, 2, 3, p)
+        cremona_apply(pts, 1, 2, 3)

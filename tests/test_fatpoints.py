@@ -21,7 +21,7 @@ from curvesplit.fatpoints import (
     plane_syzygies,
 )
 from curvesplit.lattice import DivClass
-from curvesplit.param import PlanePoint, PointSet, random_points
+from curvesplit.param import PointSet, random_points
 from curvesplit.plane import dim_forms, eval_row, monomials
 
 P = MODULUS
@@ -57,13 +57,13 @@ def derivative_conditions(Z: FatScheme, k: int) -> np.ndarray:
         for e in range(k + 1):
             ff[e, b] = ff[e, b - 1] * ((e - b + 1) % p) % p
     rows = []
-    for pt, o in zip(Z.points.points, orders):
+    for x, o in zip(Z.points.coords.tolist(), orders):
         if o < 0:
             continue
         # factor[j][b][e] = ff(e, b) * x_j^(e-b), zero when e < b
         factor = []
         for j in range(3):
-            pows = [pow(pt.x[j], e, p) for e in range(k + 1)]
+            pows = [pow(x[j], e, p) for e in range(k + 1)]
             per_b = []
             for b in range(o + 1):
                 col = np.zeros(k + 1, dtype=np.int64)
@@ -85,7 +85,7 @@ def random_scheme(rng: random.Random, p: int, k: int) -> FatScheme:
         coords.add((1, rng.randrange(p), rng.randrange(p)))
     pts = rng.sample(sorted(coords), rng.randint(1, 5))
     mults = tuple(rng.randint(0, k + 3) for _ in pts)
-    return FatScheme(PointSet(tuple(PlanePoint(x, p) for x in pts), 0, p), mults)
+    return FatScheme(PointSet(pts, 0, p), mults)
 
 
 def assert_matches_reference(Z: FatScheme, k: int) -> None:
@@ -117,7 +117,7 @@ def test_taylor_conditions_match_the_derivative_reference(p):
     ],
 )
 def test_taylor_conditions_edge_schemes(p, coords, mults, k):
-    assert_matches_reference(FatScheme(PointSet(tuple(PlanePoint(x, p) for x in coords), 0, p), mults), k)
+    assert_matches_reference(FatScheme(PointSet(coords, 0, p), mults), k)
 
 
 def test_mu_matrix_and_syzygies_on_an_empty_basis(points9):
@@ -175,7 +175,7 @@ def test_schemes_through_x0_zero_are_refused():
     # x0 must be a unit at every point of positive multiplicity; the
     # per-degree functions still take such schemes
     p = 1009
-    pts = PointSet((PlanePoint((1, 2, 3), p), PlanePoint((0, 1, 5), p), PlanePoint((0, 0, 1), p)), 0, p)
+    pts = PointSet([(1, 2, 3), (0, 1, 5), (0, 0, 1)], 0, p)
     Z = FatScheme(pts, (2, 3, 0))
     for call in (
         lambda: mu_rank(Z, 3),
@@ -190,8 +190,8 @@ def test_schemes_through_x0_zero_are_refused():
     Z0 = FatScheme(pts, (2, 0, 0))
     assert alpha_degree(Z0) == walk_down_alpha(Z0) == 2
     # the certificate, on nine points with the fourth on x0 = 0
-    nine = random_points(9, seed=5, p=p).points
-    off = PointSet(nine[:3] + (PlanePoint((0, 1, 7), p),) + nine[4:], 0, p)
+    nine = random_points(9, seed=5, p=p).coords
+    off = PointSet(np.vstack([nine[:3], [(0, 1, 7)], nine[4:]]), 0, p)
     with pytest.raises(ValueError, match=r"point 3 \(0, 1, 7\) of multiplicity 1 lies on x0 = 0"):
         check_nongeneric_resolution(DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)), off)
 
@@ -228,9 +228,9 @@ class TestIdealDim:
     def test_basis_vanishes_at_points(self, points9):
         Z = FatScheme(points9, (2, 1, 1, 0, 0, 0, 0, 0, 0))
         for vec in ideal_basis(Z, 3):
-            for pt, m in zip(points9.points, Z.mults):
+            for x, m in zip(points9.coords.tolist(), Z.mults):
                 if m >= 1:
-                    assert int((vec * eval_row(pt.x, 3, P) % P).sum() % P) == 0
+                    assert int((vec * eval_row(x, 3, P) % P).sum() % P) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_point_beyond_the_degree_kills_every_form(self, points9, k):
