@@ -1,8 +1,13 @@
 """Homogeneous forms in two variables s, t over F_p.
 
 A form of degree d is a coefficient vector ``c`` of length d+1 with ``c[i]``
-the coefficient of ``s^(d-i) t^i``.  The zero form carries an explicit flag
-(empty coefficient vector); its degree is undefined.
+the coefficient of ``s^(d-i) t^i``.  Every form has a degree, the zero form
+included: the zero of degree d is d+1 zero coefficients, as a syzygy of
+degree k may have zero components in S_k.  So a product with a zero is the
+zero of the summed degree, a sum needs one degree whether or not a term is
+zero, and zeros of different degrees are different forms.  An empty vector
+is refused.  ``to_json`` prints every zero as ``[-1, []]`` and ``to_text``
+as ``0``, whatever its degree.
 
 One kernel, ``_reduce``, divides univariate polynomials in place, and both
 gcds and exact division run on it.  A form t^k u is dehomogenized at t = 1
@@ -19,7 +24,7 @@ import numpy as np
 
 from .exactla import MODULUS, check_modulus
 
-__all__ = ["BinForm", "gcd", "gcd_many", "div_exact", "ParamTriple"]
+__all__ = ["BinForm", "gcd_many", "div_exact", "ParamTriple"]
 
 _SPLIT = 1 << 16
 
@@ -71,24 +76,18 @@ class BinForm:
     def __init__(self, coeffs, p: int = MODULUS):
         check_modulus(p)
         arr = np.remainder(np.asarray(coeffs, dtype=np.int64).ravel(), p)
-        if arr.size and not arr.any():
-            arr = arr[:0]
+        if not arr.size:
+            raise ValueError("a form of degree d has d + 1 coefficients; got none")
         arr.flags.writeable = False
         self.coeffs = arr
         self.p = p
 
-    @classmethod
-    def zero(cls, p: int = MODULUS) -> "BinForm":
-        return cls((), p)
-
     @property
     def is_zero(self) -> bool:
-        return self.coeffs.size == 0
+        return not np.count_nonzero(self.coeffs)
 
     @property
     def degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero form has no degree")
         return self.coeffs.size - 1
 
     def __eq__(self, other) -> bool:
@@ -104,10 +103,6 @@ class BinForm:
 
     def __add__(self, other: "BinForm") -> "BinForm":
         self._compat(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
         return BinForm(self.coeffs + other.coeffs, self.p)
@@ -116,26 +111,21 @@ class BinForm:
         return self + (-other)
 
     def __neg__(self) -> "BinForm":
-        if self.is_zero:
-            return self
-        return BinForm((-self.coeffs) % self.p, self.p)
+        return BinForm(-self.coeffs, self.p)
 
     def __mul__(self, other: "BinForm") -> "BinForm":
         self._compat(other)
-        if self.is_zero or other.is_zero:
-            return BinForm.zero(self.p)
         return BinForm(_conv_mod(self.coeffs, other.coeffs, self.p), self.p)
 
     def scale(self, c: int) -> "BinForm":
-        if self.is_zero or c % self.p == 0:
-            return BinForm.zero(self.p)
         return BinForm(self.coeffs * (c % self.p) % self.p, self.p)
 
     def t_multiplicity(self) -> int:
         """Largest k with t^k dividing the form."""
-        if self.is_zero:
+        nonzero = self.coeffs.nonzero()[0]
+        if not nonzero.size:
             raise ValueError("the zero form is divisible by every power of t")
-        return int(np.nonzero(self.coeffs)[0][0])
+        return int(nonzero[0])
 
     def monic(self) -> "BinForm":
         """Scale so the first nonzero coefficient is 1."""
@@ -172,11 +162,6 @@ class BinForm:
         if self.is_zero:
             return [-1, []]
         return [self.degree, [int(c) for c in self.coeffs]]
-
-
-def gcd(f: BinForm, g: BinForm) -> BinForm:
-    """Monic gcd of two binary forms, not both zero."""
-    return gcd_many((f, g))
 
 
 def gcd_many(forms) -> BinForm:
@@ -218,13 +203,16 @@ def div_exact(f: BinForm, g: BinForm) -> BinForm:
     deg f - tf and deg g - tg and nonzero leading coefficients, an exact
     quotient u(s, 1) / v(s, 1) has degree (deg f - tf) - (deg g - tg) and
     the nonzero leading coefficient lead(u) / lead(v).  So f / g has degree
-    deg f - deg g exactly, and no degree check is needed.
+    deg f - deg g exactly, and no degree check is needed.  A zero f of
+    degree at least deg g gives the zero of degree deg f - deg g.
     """
     f._compat(g)
     if g.is_zero:
         raise ValueError("division by the zero form")
     if f.is_zero:
-        return BinForm.zero(f.p)
+        if f.degree < g.degree:
+            raise ValueError("non-exact division (degree)")
+        return BinForm(np.zeros(f.degree - g.degree + 1, dtype=np.int64), f.p)
     tf, tg = f.t_multiplicity(), g.t_multiplicity()
     if tf < tg:
         raise ValueError("non-exact division (t power)")
@@ -250,15 +238,11 @@ class ParamTriple:
 
     def __post_init__(self):
         phis = self.phis
-        degs = set()
         for f in phis:
             f._compat(phis[0])
-            if not f.is_zero:
-                degs.add(f.degree)
-        if len(degs) != 1:
+        if len({f.degree for f in phis}) != 1:
             raise ValueError("components must share one degree")
-        d = degs.pop()
-        if d < 1:
+        if self.degree < 1:
             raise ValueError("parameterization degree must be >= 1")
         g = gcd_many(phis)
         if g.degree != 0:
@@ -270,10 +254,7 @@ class ParamTriple:
 
     @property
     def degree(self) -> int:
-        for f in self.phis:
-            if not f.is_zero:
-                return f.degree
-        raise AssertionError("unreachable: all components zero")
+        return self.phi0.degree
 
     @property
     def p(self) -> int:

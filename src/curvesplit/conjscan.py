@@ -123,7 +123,7 @@ def _parameterize_and_split(T: NumType, sub_seed: int, p: int) -> tuple[ParamTri
     return phi, splitting_moving_lines(phi)
 
 
-def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = True) -> ScanRecord:
+def scan_record(T: NumType, seed: int, p: int = MODULUS, certify: bool = False) -> ScanRecord:
     """Process one type with a sub-seed derived from the type itself.
 
     Any exception raised while processing the type becomes the record's

@@ -665,7 +665,7 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
         phis, center_fibres = step.pull_back(phis, tuple(fibres[idx] for idx in slots))
         for idx, fibre in zip(slots, center_fibres):
             fibres[idx] = fibre
-        got = max(f.degree for f in phis if not f.is_zero)
+        got = phis[0].degree
         if got != cls.d:
             raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")
 

@@ -83,12 +83,9 @@ class PlaneForm:
             for _ in range(k):
                 cur.append(cur[-1] * f)
             pows.append(cur)
-        total = BinForm.zero(self.p)
+        total = BinForm(np.zeros(phi.degree * k + 1, dtype=np.int64), self.p)
         for c, (a, b, cc) in zip(self.coeffs, monomials(k)):
             if c == 0:
                 continue
-            term = pows[0][a] * pows[1][b] * pows[2][cc]
-            if term.is_zero:
-                continue
-            total = total + term.scale(c)
+            total = total + (pows[0][a] * pows[1][b] * pows[2][cc]).scale(c)
         return total

@@ -78,21 +78,16 @@ class Syzygy:
     def __post_init__(self):
         if all(f.is_zero for f in self.alphas):
             raise ValueError("the zero syzygy is not a syzygy")
-        for f in self.alphas:
-            if not f.is_zero and f.degree != self.degree:
-                raise ValueError("syzygy components must share the stated degree")
+        if any(f.degree != self.degree for f in self.alphas):
+            raise ValueError("syzygy components must share the stated degree")
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "alphas": [f.to_json() for f in self.alphas]}
 
 
 def is_syzygy(phi: ParamTriple, syz: Syzygy) -> bool:
-    acc = BinForm.zero(phi.p)
-    for alpha, f in zip(syz.alphas, phi.phis):
-        if alpha.is_zero or f.is_zero:
-            continue
-        acc = acc + alpha * f
-    return acc.is_zero
+    (a0, a1, a2), (f0, f1, f2) = syz.alphas, phi.phis
+    return (a0 * f0 + a1 * f1 + a2 * f2).is_zero
 
 
 def syzygy_matrix(phi: ParamTriple, k: int) -> MatFp:
@@ -110,8 +105,6 @@ def syzygy_matrix(phi: ParamTriple, k: int) -> MatFp:
     mat = np.zeros((rows, 3 * (k + 1)), dtype=np.int64)
     for w in range(k + 1):
         for i, f in enumerate(phi.phis):
-            if f.is_zero:
-                continue
             # s^(k-w) t^w shifts the t-exponent of every coefficient by w
             mat[w : w + d + 1, 3 * w + i] = f.coeffs
     return MatFp(mat, p)
@@ -196,9 +189,7 @@ def syzygy_from_plane(
     if all(f.is_zero for f in psis):
         raise ValueError("all plane forms vanish on the curve; degenerate input")
     g = gcd_many(psis)
-    alphas = tuple(div_exact(f, g) if not f.is_zero else f for f in psis)
-    degree = phi.degree * q - (0 if g.is_zero else g.degree)
-    syz = Syzygy(degree, alphas)
+    syz = Syzygy(phi.degree * q - g.degree, tuple(div_exact(f, g) for f in psis))
     if not is_syzygy(phi, syz):
         raise AssertionError("plane push-down failed the syzygy identity")
     return syz, g

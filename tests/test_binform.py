@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesplit.binform import BinForm, ParamTriple, div_exact, gcd, gcd_many
+from curvesplit.binform import BinForm, ParamTriple, div_exact, gcd_many
 from curvesplit.exactla import MODULUS
 
 P = MODULUS
@@ -16,6 +16,11 @@ T = BinForm((0, 1), P)  # t
 
 def form(*coeffs):
     return BinForm(coeffs, P)
+
+
+def zero(d, p=P):
+    """The zero form of degree d: d + 1 zero coefficients."""
+    return BinForm(np.zeros(d + 1, dtype=np.int64), p)
 
 
 def _value(f, s0, t0):
@@ -29,10 +34,13 @@ def _value(f, s0, t0):
 
 
 def forms(max_degree=8, allow_zero=False):
-    min_size = 0 if allow_zero else 1
-    return st.lists(
-        st.integers(min_value=0, max_value=P - 1), min_size=min_size, max_size=max_degree + 1
+    """Forms of degree <= max_degree; with allow_zero, also the zero of every such degree."""
+    drawn = st.lists(
+        st.integers(min_value=0, max_value=P - 1), min_size=1, max_size=max_degree + 1
     ).map(lambda cs: BinForm(cs, P))
+    if not allow_zero:
+        return drawn
+    return st.one_of(st.integers(min_value=0, max_value=max_degree).map(zero), drawn)
 
 
 def nonzero_forms(max_degree=8):
@@ -65,35 +73,34 @@ class TestMul:
     def test_distributive(self, f, g):
         a = g.draw(forms(4).filter(lambda x: not x.is_zero))
         b = g.draw(st.lists(st.integers(min_value=0, max_value=P - 1), min_size=a.degree + 1, max_size=a.degree + 1).map(lambda cs: BinForm(cs, P)))
-        if b.is_zero:
-            return
         assert f * (a + b) == f * a + f * b
 
 
 class TestGcd:
     def test_monomials(self):
-        assert gcd(form(1, 0, 0, 0, 0), form(0, 1, 0, 0, 0)) == form(1, 0, 0, 0)  # gcd(s^4, s^3 t) = s^3
+        assert gcd_many((form(1, 0, 0, 0, 0), form(0, 1, 0, 0, 0))) == form(1, 0, 0, 0)  # gcd(s^4, s^3 t) = s^3
 
     def test_coprime_lines(self):
-        assert gcd(form(1, 1), form(1, -1)) == form(1)
+        assert gcd_many((form(1, 1), form(1, -1))) == form(1)
 
     def test_t_powers(self):
         # both divisible by t: gcd(s t, t^2) = t
-        assert gcd(form(0, 1, 0), form(0, 0, 1)) == form(0, 1)
+        assert gcd_many((form(0, 1, 0), form(0, 0, 1))) == form(0, 1)
 
     def test_zero_one_side(self):
-        assert gcd(BinForm.zero(P), form(3, 0)) == form(1, 0)
+        for d in range(4):
+            assert gcd_many((zero(d), form(3, 0))) == form(1, 0)
 
     def test_both_zero_raises(self):
         with pytest.raises(ValueError, match="gcd of all-zero forms"):
-            gcd(BinForm.zero(P), BinForm.zero(P))
+            gcd_many((zero(1), zero(3)))
 
     @settings(max_examples=30, deadline=None)
     @given(f=nonzero_forms(4), g=nonzero_forms(4), h=nonzero_forms(3))
     def test_multiplicativity_oracle(self, f, g, h):
         # gcd(f h, g h) = h * gcd(f, g) up to the monic normalization
-        left = gcd(f * h, g * h)
-        right = (h * gcd(f, g)).monic()
+        left = gcd_many((f * h, g * h))
+        right = (h * gcd_many((f, g))).monic()
         assert left == right
 
 
@@ -111,17 +118,65 @@ class TestDivExact:
         assert div_exact(f * g, g) == f
 
 
+class TestGradedZero:
+    """A zero of degree d is d + 1 zero coefficients and behaves as a form of degree d."""
+
+    def test_empty_vector_refused(self):
+        with pytest.raises(ValueError, match="d \\+ 1 coefficients"):
+            BinForm((), P)
+        with pytest.raises(ValueError, match="d \\+ 1 coefficients"):
+            BinForm([], P)
+
+    @settings(max_examples=30, deadline=None)
+    @given(f=forms(6, True), e=st.integers(min_value=0, max_value=6))
+    def test_product_with_zero_has_the_summed_degree(self, f, e):
+        for prod in (f * zero(e), zero(e) * f):
+            assert prod.is_zero and prod.degree == f.degree + e
+            assert prod == zero(f.degree + e)
+
+    @settings(max_examples=30, deadline=None)
+    @given(f=forms(6, True))
+    def test_adding_the_zero_of_its_degree_is_the_identity(self, f):
+        assert f + zero(f.degree) == f
+        assert zero(f.degree) + f == f
+        assert f - f == zero(f.degree)
+        with pytest.raises(ValueError, match="different degrees"):
+            f + zero(f.degree + 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(f=forms(6, True), c=st.integers(min_value=-2, max_value=2))
+    def test_scaling_by_zero_keeps_the_degree(self, f, c):
+        assert f.scale(c * P) == zero(f.degree)
+        assert (-f.scale(0)).degree == f.degree
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(min_value=0, max_value=8), g=nonzero_forms(6))
+    def test_div_exact_of_a_zero(self, d, g):
+        if d < g.degree:
+            with pytest.raises(ValueError, match=r"^non-exact division \(degree\)$"):
+                div_exact(zero(d), g)
+        else:
+            assert div_exact(zero(d), g) == zero(d - g.degree)
+
+    def test_zeros_of_different_degrees_differ(self):
+        for d in range(9):
+            assert zero(d).to_json() == [-1, []]
+            assert zero(d).degree == d and zero(d).is_zero
+            assert zero(d) != zero(d + 1)
+
+
 def test_degree_law_gcd_lcm():
     f = form(1, 2, 1) * form(1, 1)
     g = form(1, 2, 1) * form(1, 5)
-    h = gcd(f, g)
+    h = gcd_many((f, g))
     lcm = f * div_exact(g, h)
     assert h.degree + lcm.degree == f.degree + g.degree
 
 
 def test_text_rendering():
     assert form(1, 0, 5).to_text() == "s^2 + 5*t^2"
-    assert BinForm.zero(P).to_text() == "0"
+    for d in range(4):
+        assert zero(d).to_text() == "0"
 
 
 class TestParamTriple:
@@ -136,6 +191,12 @@ class TestParamTriple:
     def test_proportional_rejected(self):
         with pytest.raises(ValueError, match="share the factor"):
             ParamTriple(form(1, 1), form(2, 2), form(3, 3))
+
+    def test_zero_component_of_the_shared_degree(self):
+        assert ParamTriple(form(1, 0), form(0, 1), zero(1)).degree == 1
+        for d in (0, 2):
+            with pytest.raises(ValueError, match="share one degree"):
+                ParamTriple(form(1, 0), form(0, 1), zero(d))
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -210,7 +271,9 @@ def ref_div_exact(f, g):
     if g.is_zero:
         raise ValueError("division by the zero form")
     if f.is_zero:
-        return BinForm.zero(f.p)
+        if f.degree < g.degree:
+            raise ValueError("non-exact division (degree)")
+        return zero(f.degree - g.degree, f.p)
     tf, tg = f.t_multiplicity(), g.t_multiplicity()
     if tf < tg:
         raise ValueError("non-exact division (t power)")
@@ -236,13 +299,12 @@ KERNEL_PRIMES = (7, 211, 2**31 - 1, 3037000493)
 
 def _random_form(rng, p, deg, zero_odds=0.0):
     """A random form of degree deg times a random power of s and of t;
-    zero with probability zero_odds, constant when deg and the powers are 0."""
-    if rng.random() < zero_odds:
-        return BinForm.zero(p)
-    while True:
-        f = BinForm([rng.randrange(p) for _ in range(deg + 1)], p)
-        if not f.is_zero:
-            break
+    zero (of that degree) with probability zero_odds, constant when deg and
+    the powers are 0."""
+    f = zero(deg, p)
+    if rng.random() >= zero_odds:
+        while f.is_zero:
+            f = BinForm([rng.randrange(p) for _ in range(deg + 1)], p)
     for var in ((1, 0), (0, 1)):
         for _ in range(rng.choice((0, 0, 1, 2))):
             f = f * BinForm(var, p)
@@ -264,9 +326,10 @@ def test_gcd_matches_the_reference(p):
     for _ in range(150):
         f, g = _related_pair(rng, p)
         if rng.random() < 0.15:
-            f, g = rng.choice(((BinForm.zero(p), g), (f, BinForm.zero(p))))
-        assert outcome(gcd, f, g) == outcome(ref_gcd, f, g), (f, g)
-        assert outcome(gcd, g, f) == outcome(ref_gcd, g, f), (g, f)
+            z = zero(rng.randrange(9), p)
+            f, g = rng.choice(((z, g), (f, z)))
+        assert outcome(gcd_many, (f, g)) == outcome(ref_gcd, f, g), (f, g)
+        assert outcome(gcd_many, (g, f)) == outcome(ref_gcd, g, f), (g, f)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -275,11 +338,11 @@ def test_gcd_many_matches_the_reference(p):
     for _ in range(100):
         common = _random_form(rng, p, rng.randrange(3))
         forms = [
-            common * _random_form(rng, p, rng.randrange(5)) if rng.random() < 0.8 else BinForm.zero(p)
+            common * _random_form(rng, p, rng.randrange(5)) if rng.random() < 0.8 else zero(rng.randrange(9), p)
             for _ in range(rng.randrange(1, 6))
         ]
         assert outcome(gcd_many, forms) == outcome(ref_gcd_many, forms), forms
-    zeros = [BinForm.zero(p)] * 3
+    zeros = [zero(d, p) for d in (0, 3, 8)]
     assert outcome(gcd_many, zeros) == outcome(ref_gcd_many, zeros) == ("error", "gcd of all-zero forms")
 
 

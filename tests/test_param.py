@@ -694,7 +694,7 @@ class TestPullBackFibres:
     def test_curve_on_a_fundamental_line_is_degenerate(self, points9):
         # the line y_0 = 0 through e_1 and e_2 is contracted to center 1
         step = cremona_apply(points9, 1, 2, 3)
-        phis = (BinForm.zero(P), BinForm((1, 0), P), BinForm((0, 1), P))
+        phis = (BinForm((0, 0), P), BinForm((1, 0), P), BinForm((0, 1), P))
         fibres = (BinForm((1,), P), BinForm((0, 1), P), BinForm((1, 0), P))
         with pytest.raises(DegenerateConfigurationError, match="lies on a fundamental line"):
             step.pull_back(phis, fibres)
@@ -840,7 +840,7 @@ def _reference_combine(matrix, forms, p):
     """The N^-1 combination as it was first written: nine scales, six adds."""
     out = []
     for c in range(3):
-        acc = BinForm.zero(p)
+        acc = BinForm(np.zeros(forms[0].coeffs.size, dtype=np.int64), p)
         for l in range(3):
             if forms[l].is_zero or matrix[c, l] == 0:
                 continue

@@ -1,7 +1,7 @@
 import pytest
 
 import curvesplit.splitting as splitting
-from curvesplit.binform import BinForm, ParamTriple, gcd
+from curvesplit.binform import BinForm, ParamTriple, gcd_many
 from curvesplit.exactla import MODULUS, MatFp
 from curvesplit.fatpoints import FatScheme, plane_syzygies
 from curvesplit.lattice import NumType, ascenzi_classify, enum_exceptional
@@ -218,7 +218,7 @@ class TestOneEliminationPerRoute:
 class TestSyzygyFromPlane:
     def test_koszul_relation(self, points9):
         phi = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=8)
-        assert gcd(phi.phi0, phi.phi1).degree == 0, "sample curve must have coprime first components"
+        assert gcd_many((phi.phi0, phi.phi1)).degree == 0, "sample curve must have coprime first components"
         x1 = PlaneForm(1, (0, 1, 0), P)
         mx0 = PlaneForm(1, (P - 1, 0, 0), P)
         zero = PlaneForm(1, (0, 0, 0), P)
