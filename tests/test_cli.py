@@ -260,6 +260,7 @@ PINNED_DIGESTS = {
     "split --type 8,3,3,3,3,3,3,3 --seed 5 --p 211": "4feb9a727cde04477a29972a1dd464b83c12f45ea3ed1534a6b9bc9df013e526",
     "param --type 16,8,8,7,5,4,4,4 --seed 3 --trace --p 211": "af34aabe91d1a4481d9cccd23095f21b5e36810e5e4a9a14cdc1dae63cf97ffe",
     "split --type 18,7,7,7,7,7,7,5 --seed 2": "4e17400ac7f08f2a82b346be54e63046615cd2357e988c4f01b7218ced7e47d3",
+    "param --type 8,3,3,3,3,3,3,3,1,1 --seed 5 --trace --p 3037000493": "146f6fead9aa2dffd98cd2bf8d0b0d6c8e68cd3572efc61183c6597850a84595",
 }
 
 
