@@ -41,7 +41,7 @@ import numpy as np
 from .exactla import MatFp
 from .lattice import DivClass, canonical_class, is_exceptional_class
 from .param import PointSet
-from .plane import PlaneForm, dim_forms, monomials, var_shift
+from .plane import dim_forms, monomials, var_shift
 
 __all__ = [
     "FatScheme",
@@ -201,18 +201,18 @@ def mu_rank(Z: FatScheme, k: int) -> MuReport:
     return betti_report(Z, [k])[0]
 
 
-def plane_syzygies(Z: FatScheme, k: int) -> list[tuple[PlaneForm, PlaneForm, PlaneForm]]:
-    """Triples (A0, A1, A2) in (I_Z)_k^3 with A0 x0 + A1 x1 + A2 x2 = 0.
-
-    These are the kernel vectors of mu_k, reassembled as forms; they are the
-    raw material for syzygies of parameterizations that come from the plane.
+def plane_syzygies(Z: FatScheme, k: int) -> np.ndarray:
+    """Triples (A0, A1, A2) in (I_Z)_k^3 with A0 x0 + A1 x1 + A2 x2 = 0, as
+    one read-only (n, 3, C(k+2, 2)) int64 array: the kernel vectors v of
+    mu_k, reassembled as A_j = sum_b v[3b + j] basis[b].  They are the raw
+    material for syzygies of parameterizations that come from the plane.
     """
     p = Z.p
     basis = ideal_basis(Z, k)
-    return [
-        tuple(PlaneForm(k, tuple((v[j::3, None] * basis % p).sum(0) % p), p) for j in range(3))
-        for v in _mu_matrix(basis, k, p).kernel_basis()
-    ]
+    kernel = _mu_matrix(basis, k, p).kernel_basis()
+    triples = np.stack([(kernel[:, j::3, None] * basis % p).sum(axis=1) % p for j in range(3)], axis=1)
+    triples.flags.writeable = False
+    return triples
 
 
 def _scheme_for(D: DivClass, points: PointSet) -> FatScheme:

@@ -357,9 +357,11 @@ def reduce_to_base(D: DivClass) -> tuple[WeylWord, DivClass]:
     lexicographically least triple).  That triple holds the three largest
     multiplicities, the lowest indices first among equal ones, so a stable
     sort on -m finds it.  Each applied step strictly decreases the degree, so
-    the loop runs at most d times.  The returned base class is
-    directly parameterizable for every class this engine feeds it: a line, a
-    conic, or a curve with a point of multiplicity d-1.
+    the loop runs at most d times.  For r >= 3 it stops at d >= 2 only when
+    the three largest multiplicities sum to at most d: a conic base has at
+    most two 1s, a pencil base (d-1 at one point) at most one simple point,
+    and ``param._parameterize_line`` refuses a line base with more than two
+    1s.  Every r = 9 exceptional type ends at a line through two points.
     """
     if D.d < 1:
         raise ValueError("reduction needs degree >= 1")

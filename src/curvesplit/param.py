@@ -53,7 +53,7 @@ import numpy as np
 from .binform import BinForm, ParamTriple, div_exact, gcd_many
 from .exactla import MODULUS, MatFp, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
-from .plane import PlaneForm, eval_row
+from .plane import eval_row
 
 __all__ = [
     "DegenerateConfigurationError",
@@ -306,16 +306,16 @@ class CremonaStep:
     n_matrix: np.ndarray = field(compare=False)
 
     @property
-    def quad_forms(self) -> tuple[PlaneForm, PlaneForm, PlaneForm]:
-        """The forward conics: the components of sigma(N x), each a product
-        of two lines, with coefficients in the order x0^2, x0x1, x0x2, x1^2,
-        x1x2, x2^2."""
-        h, p = self.n_matrix.tolist(), self.points_before.p
-        forms = []
-        for (a0, a1, a2), (b0, b1, b2) in ((h[1], h[2]), (h[0], h[2]), (h[0], h[1])):
-            coeffs = (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0, a1 * b1, a1 * b2 + a2 * b1, a2 * b2)
-            forms.append(PlaneForm(2, coeffs, p))
-        return tuple(forms)
+    def quad_forms(self) -> np.ndarray:
+        """The forward conics sigma(N x), each a product of two lines a, b, as
+        a read-only (3, 6) int64 array in the order x0^2, x0x1, x0x2, x1^2,
+        x1x2, x2^2; x_i x_j (i < j) has a_i b_j + a_j b_i, products reduced."""
+        h, p = self.n_matrix, self.points_before.p
+        prods = h[[1, 0, 0], :, None] * h[[2, 2, 1], None, :] % p
+        i, j = np.triu_indices(3)
+        forms = (prods[:, i, j] + prods[:, j, i] * (i != j)) % p
+        forms.flags.writeable = False
+        return forms
 
     def pull_back(
         self, phis: tuple[BinForm, BinForm, BinForm], fibres: tuple[BinForm, BinForm, BinForm]
@@ -350,7 +350,7 @@ class CremonaStep:
     def to_json(self) -> dict:
         return {
             "centers": list(self.centers),
-            "quad_forms": [list(q.coeffs) for q in self.quad_forms],
+            "quad_forms": self.quad_forms.tolist(),
             "points_before": self.points_before.coords.tolist(),
             "points_after": self.points_after.coords.tolist(),
         }

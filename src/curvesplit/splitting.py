@@ -30,7 +30,7 @@ import numpy as np
 
 from .binform import BinForm, ParamTriple, div_exact, gcd_many
 from .exactla import MatFp
-from .plane import PlaneForm, dim_forms, var_shift
+from .plane import _row_degree, dim_forms, restrict, var_shift
 
 __all__ = [
     "SplitType",
@@ -165,27 +165,27 @@ def min_syzygy(phi: ParamTriple) -> Syzygy:
     return syz
 
 
-def syzygy_from_plane(
-    phi: ParamTriple, a_forms: tuple[PlaneForm, PlaneForm, PlaneForm]
-) -> tuple[Syzygy, BinForm]:
+def syzygy_from_plane(phi: ParamTriple, a_forms: np.ndarray) -> tuple[Syzygy, BinForm]:
     """Push a plane relation A0 x0 + A1 x1 + A2 x2 = 0 down to a syzygy.
 
+    ``a_forms`` holds A0, A1, A2 as the rows of a (3, C(q+2, 2)) array, such
+    as one triple of ``plane_syzygies``; it is reduced mod phi.p.
     Restricting the A_i to the curve gives psi_i = A_i(phi) of degree d*q;
     dividing out g = gcd(psi) leaves a syzygy of degree d*q - deg g, with g
     the cofactor.  Raises ValueError if the plane relation fails or if every
     A_i vanishes on the curve.
     """
-    q = a_forms[0].degree
     p = phi.p
-    for f in a_forms:
-        if f.degree != q or f.p != p:
-            raise ValueError("plane forms must share one degree and modulus")
+    a_forms = np.asarray(a_forms, dtype=np.int64) % p
+    q = _row_degree(a_forms.shape[-1])
+    if a_forms.shape != (3, dim_forms(q)):
+        raise ValueError("need three plane forms of one degree, as a (3, C(q+2, 2)) array")
     relation = np.zeros(dim_forms(q + 1), dtype=np.int64)
     for j, f in enumerate(a_forms):
-        relation[var_shift(q, j)] += f.coeffs
+        relation[var_shift(q, j)] += f
     if (relation % p).any():
         raise ValueError("the given forms do not satisfy A0 x0 + A1 x1 + A2 x2 = 0")
-    psis = tuple(f.compose(phi) for f in a_forms)
+    psis = restrict(a_forms, phi)
     if all(f.is_zero for f in psis):
         raise ValueError("all plane forms vanish on the curve; degenerate input")
     g = gcd_many(psis)

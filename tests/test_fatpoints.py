@@ -128,7 +128,9 @@ def test_mu_matrix_and_syzygies_on_an_empty_basis(points9):
     mat = _mu_matrix(basis, 3, Z.p)
     assert (mat.rows, mat.cols) == (dim_forms(4), 0)
     assert mat.rank() == 0
-    assert plane_syzygies(Z, 3) == []
+    triples = plane_syzygies(Z, 3)
+    assert triples.shape == (0, 3, dim_forms(3)) and triples.dtype == np.int64
+    assert not triples.flags.writeable
 
 
 @pytest.mark.parametrize("mults, k", [((2, 1, 1) + (0,) * 6, 3), ((4,) + (0,) * 8, 3), ((4,) + (1,) * 8, 6)])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -272,6 +273,43 @@ class TestReduceToBase:
         word, base = reduce_to_base(D)
         assert word == ()
         assert base == D
+
+    @staticmethod
+    def _base(T: NumType, r: int) -> DivClass:
+        """The base class of T padded with zeros to r points, as
+        ``parameterize`` pads it to its point set."""
+        return reduce_to_base(DivClass(T.d, T.m + (0,) * (r - T.r)))[1]
+
+    def test_every_r9_exceptional_type_ends_at_a_line(self):
+        # the loop stops at d >= 2 only when the three largest multiplicities
+        # sum to at most d; every exceptional type runs on to d = 1
+        types = [T for T in enum_exceptional(9, 61) if T.d >= 1]
+        assert len(types) == 1053
+        for T in types:
+            base = self._base(T, 9)
+            assert base.d == 1 and sorted(base.m) == [0] * 7 + [1, 1], T
+
+    def test_base_cases_get_what_they_accept(self):
+        # the r <= 7 classification at d in {0, 1, 2}, padded to r >= 3: a
+        # pencil base has one (d-1)-fold point and at most one simple point,
+        # a conic at most two 1s, a line at most two 1s
+        from curvesplit.conjscan import R7_FAMILIES
+
+        kinds = collections.Counter()
+        for fam in R7_FAMILIES:
+            for d in range(3) if fam.step is not None else (0,):
+                T = fam.member(d)
+                if T.d < 1:
+                    continue
+                base = self._base(T, max(T.r, 3))
+                m = sorted(base.m)
+                assert base.d < 2 or sum(m[-3:]) <= base.d, T
+                if base.d <= 2:
+                    assert set(m) <= {0, 1} and m.count(1) <= 2, T
+                else:
+                    assert set(m) <= {0, 1, base.d - 1} and m.count(base.d - 1) == 1 and m.count(1) <= 1, T
+                kinds[min(base.d, 3)] += 1
+        assert kinds == {3: 57, 2: 48, 1: 27}
 
     @staticmethod
     def _bruteforce_reduction(D):

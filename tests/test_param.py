@@ -29,15 +29,15 @@ from curvesplit.param import (
     random_points,
     sqrt_mod,
 )
-from curvesplit.plane import eval_row, monomials
+from curvesplit.plane import eval_row, monomials, restrict
 
 P = MODULUS
 
 
-def _value(form, x):
-    """A plane form at a point: its eval_row dotted with its coefficients,
-    summed over Python ints, since int64 would overflow past p ~ 2**31."""
-    return sum(a * c for a, c in zip(eval_row(x, form.degree, form.p).tolist(), form.coeffs)) % form.p
+def _value(row, x, p):
+    """A quadratic form's coefficient row at a point: dotted with eval_row
+    over Python ints, since int64 would overflow past p ~ 2**31."""
+    return sum(a * c for a, c in zip(eval_row(x, 2, p).tolist(), row.tolist())) % p
 
 
 def _rank_mod(rows, p):
@@ -381,7 +381,7 @@ class TestCremona:
         u = rng.below(P)
         on_line = tuple((pj[c] + u * pk[c]) % P for c in range(3))
         step = cremona_apply(points9, 1, 2, 3)
-        vals = tuple(_value(q, on_line) for q in step.quad_forms)
+        vals = tuple(_value(q, on_line, P) for q in step.quad_forms)
         assert PointSet([vals], 0, P) == PointSet([(1, 0, 0)], 0, P)
 
     def test_standard_form_is_involution(self):
@@ -447,8 +447,11 @@ class TestCremona:
                     continue  # taken, or on a fundamental line
                 extra.append(x)
             step = cremona_apply(PointSet(taken + extra, base.seed, p), *centers)
+            forms = step.quad_forms
+            assert forms.shape == (3, 6) and forms.dtype == np.int64 and not forms.flags.writeable
+            assert ((0 <= forms) & (forms < p)).all()
             for x, image in zip(extra, step.points_after.coords[6:]):
-                want = PointSet([[_value(q, x) for q in step.quad_forms]], 0, p)
+                want = PointSet([[_value(q, x, p) for q in forms]], 0, p)
                 assert np.array_equal(image, want.coords[0])
             checked += len(extra)
         assert checked >= 100
@@ -469,7 +472,7 @@ class TestCremona:
             D = DivClass(d, m + (0,) * (9 - len(m)))
             phi = parameterize(NumType(d, m), points9, seed=rng.below(2**32))
             step = cremona_apply(points9, 1, 2, 3)
-            psis = [q.compose(phi) for q in step.quad_forms]
+            psis = restrict(step.quad_forms, phi)
             g = gcd_many(psis)
             image = ParamTriple(*(div_exact(f, g) for f in psis))
             expect = reflect(D, [Quad(1, 2, 3)])
