@@ -261,6 +261,9 @@ PINNED_DIGESTS = {
     "param --type 16,8,8,7,5,4,4,4 --seed 3 --trace --p 211": "af34aabe91d1a4481d9cccd23095f21b5e36810e5e4a9a14cdc1dae63cf97ffe",
     "split --type 18,7,7,7,7,7,7,5 --seed 2": "4e17400ac7f08f2a82b346be54e63046615cd2357e988c4f01b7218ced7e47d3",
     "param --type 8,3,3,3,3,3,3,3,1,1 --seed 5 --trace --p 3037000493": "146f6fead9aa2dffd98cd2bf8d0b0d6c8e68cd3572efc61183c6597850a84595",
+    "scan-conj9 --dmax 30 --seed 3 --p 3037000493": "0c165c68c3d1f919329c09dc0e09434c6682f6314dba70dffe1bc66664042cc1",
+    "split --type 61,26,21,20,20,19,19,19,19,19 --seed 1 --p 211": "af2ac8c4aacf6f85df1a66eb388ff226e9751f8023ba8bcf237685e02802a70e",
+    "param --type 61,26,21,20,20,19,19,19,19,19 --seed 2 --trace --p 3037000493": "630fff04b0cb483b70dafc16e0a607bb89703f5a3c37ce7939960d82e6bf49be",
 }
 
 
