@@ -14,6 +14,11 @@ gcds and exact division run on it.  A form t^k u is dehomogenized at t = 1
 into a copy of u(s, 1); the Euclidean algorithm runs on those copies, and the
 common power of t is restored once, at the end.  All gcd outputs are
 normalized so their first nonzero coefficient is 1.
+
+Products and exact division also work on bare coefficient rows, for callers
+that carry arrays: ``_conv_mod`` multiplies stacked rows, and
+``BinForm.__mul__`` is its one-row case; ``div_exact`` is the ``BinForm``
+wrapper of ``_div_exact``.
 """
 
 from __future__ import annotations
@@ -27,18 +32,45 @@ from .exactla import MODULUS, check_modulus
 __all__ = ["BinForm", "gcd_many", "div_exact", "ParamTriple"]
 
 _SPLIT = 1 << 16
+# _conv_mod forms all products of a row pair at once while the shorter row
+# times the product's length is at most this; past it a convolution is faster
+_SKEW_CELLS = 512
 
 
 def _conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact convolution of reduced int64 arrays modulo p.
+    """Exact row-by-row convolution modulo p of two stacks of reduced int64
+    rows: (k, la) by (k, lb) gives (k, la + lb - 1).  Rows zero-padded on
+    the right give products zero-padded on the right.
 
-    Splitting one operand into 16-bit halves keeps every partial sum below
-    2**63 for moduli up to ~3e9 and lengths into the thousands.
+    Short rows take every product at once, each reduced before the sum: the
+    (lb, la) products of a row pair, padded to width la + lb and read back
+    as (lb, la + lb - 1), hold b_j a_i at column i + j, so the column sums
+    are the product.  Longer rows are convolved one pair at a time, as
+    ``np.correlate`` with the longer row reversed (the lighter call), the
+    shorter operand split into 16-bit halves, which keeps every partial sum
+    below 2**63 for moduli up to ~3e9 and lengths into the thousands.
     """
-    hi, lo = np.divmod(a, _SPLIT)
-    out = (np.convolve(hi, b) % p) * _SPLIT
-    out += np.convolve(lo, b)
-    return out % p
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    (k, la), lb = a.shape, b.shape[1]
+    n = la + lb - 1
+    if lb * n <= _SKEW_CELLS:
+        buf = np.zeros((k, lb, la + lb), dtype=np.int64)
+        prods = buf[:, :, :la]
+        np.multiply(a[:, None, :], b[:, :, None], out=prods)
+        np.remainder(prods, p, out=prods)
+        return buf.reshape(k, -1)[:, : lb * n].reshape(k, lb, n).sum(axis=1) % p
+    out = np.empty((k, n), dtype=np.int64)
+    for r in range(k):
+        x = a[r, ::-1]
+        hi, lo = np.divmod(b[r], _SPLIT)
+        acc = np.correlate(hi, x, "full")
+        acc %= p
+        acc *= _SPLIT
+        acc += np.correlate(lo, x, "full")
+        out[r] = acc
+    out %= p
+    return out
 
 
 def _reduce(a: np.ndarray, b: np.ndarray, p: int, q: np.ndarray | None = None) -> np.ndarray:
@@ -82,6 +114,15 @@ class BinForm:
         self.coeffs = arr
         self.p = p
 
+    @classmethod
+    def _of(cls, coeffs: np.ndarray, p: int) -> "BinForm":
+        """The form on a fresh 1-D array of reduced int64 coefficients, taken
+        over without a copy or a check."""
+        coeffs.flags.writeable = False
+        form = object.__new__(cls)
+        form.coeffs, form.p = coeffs, p
+        return form
+
     @property
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.coeffs)
@@ -115,7 +156,7 @@ class BinForm:
 
     def __mul__(self, other: "BinForm") -> "BinForm":
         self._compat(other)
-        return BinForm(_conv_mod(self.coeffs, other.coeffs, self.p), self.p)
+        return BinForm._of(_conv_mod(self.coeffs[None], other.coeffs[None], self.p)[0], self.p)
 
     def scale(self, c: int) -> "BinForm":
         return BinForm(self.coeffs * (c % self.p) % self.p, self.p)
@@ -196,8 +237,9 @@ def gcd_many(forms) -> BinForm:
     return BinForm(coeffs, first.p)
 
 
-def div_exact(f: BinForm, g: BinForm) -> BinForm:
-    """Quotient f/g when g divides f exactly; raises ValueError otherwise.
+def _div_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of f/g for reduced int64 coefficient rows when g divides
+    f exactly; raises ValueError otherwise.
 
     With f = t^tf u and g = t^tg v, where u(s, 1) and v(s, 1) have degrees
     deg f - tf and deg g - tg and nonzero leading coefficients, an exact
@@ -206,21 +248,29 @@ def div_exact(f: BinForm, g: BinForm) -> BinForm:
     deg f - deg g exactly, and no degree check is needed.  A zero f of
     degree at least deg g gives the zero of degree deg f - deg g.
     """
-    f._compat(g)
-    if g.is_zero:
+    tg = g.nonzero()[0]
+    if not tg.size:
         raise ValueError("division by the zero form")
-    if f.is_zero:
-        if f.degree < g.degree:
+    tf = f.nonzero()[0]
+    if not tf.size:
+        if f.size < g.size:
             raise ValueError("non-exact division (degree)")
-        return BinForm(np.zeros(f.degree - g.degree + 1, dtype=np.int64), f.p)
-    tf, tg = f.t_multiplicity(), g.t_multiplicity()
+        return np.zeros(f.size - g.size + 1, dtype=np.int64)
+    tf, tg = int(tf[0]), int(tg[0])
     if tf < tg:
         raise ValueError("non-exact division (t power)")
-    out = np.zeros(max(f.degree - g.degree + 1, 0), dtype=np.int64)
+    out = np.zeros(max(f.size - g.size + 1, 0), dtype=np.int64)
     # the s^k coefficient of u / v is the s^(deg f - deg g - k) t^k one of f / g
-    if _reduce(f.coeffs[tf:][::-1].copy(), g.coeffs[tg:][::-1], f.p, out[tf - tg :][::-1]).size:
+    if _reduce(f[tf:][::-1].copy(), g[tg:][::-1], p, out[tf - tg :][::-1]).size:
         raise ValueError("non-exact division (nonzero remainder)")
-    return BinForm(out, f.p)
+    return out
+
+
+def div_exact(f: BinForm, g: BinForm) -> BinForm:
+    """Quotient f/g when g divides f exactly; raises ValueError otherwise
+    (``_div_exact``)."""
+    f._compat(g)
+    return BinForm(_div_exact(f.coeffs, g.coeffs, f.p), f.p)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,11 @@ all the points are found once, by gcd; each inverse map then divides the
 components by the fibres over its centers, hands back the fibres over the
 centers it restores and passes every other fibre on unchanged.  The verify
 reads each multiplicity m_i as the degree of the fibre carried to point i,
-so neither a step nor the verify needs a gcd of degree d.
+so neither a step nor the verify needs a gcd of degree d.  The chain runs on
+int64 arrays: the curve as its (3, d + 1) coefficient array, the fibres as
+rows, and one kernel, ``_bracket``, for the divisions and products of a step
+in either direction.  ``BinForm`` appears only at the boundary: the base
+cases, ``fibre_at`` and ``Parameterization``.
 
 The carried fibres are the gcd fibres exactly, so the verify decides as a
 gcd would.  The fibre of f = (f_0, f_1, f_2) over q is the monic gcd of the
@@ -27,10 +31,11 @@ root over the algebraic closure.  By induction over the steps, last first:
       curve, an invertible frame change of (s G, t G, -H): its common roots
       are those of G and H, and gcd(G, H) = 1 is checked.
 (ii)  A pull-back of a coprime curve with exact fibres over its centers is
-      coprime, with exact fibres monic(h_c) over the centers
+      coprime, with exact fibres monic(h_c) over the centers; so is a
+      push-forward, its inverse, with the centers' images e_0, e_1, e_2
       (``CremonaStep``).
-(iii) A pull-back keeps the fibre over every point that is not a center
-      (``CremonaStep``).
+(iii) Either direction keeps the fibre over every point that is not a
+      center (``CremonaStep``).
 
 ``multiplicity_at`` computes the gcd itself and stays the independent check
 of the tests.
@@ -50,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .binform import BinForm, ParamTriple, div_exact, gcd_many
+from .binform import BinForm, ParamTriple, _conv_mod, _div_exact, gcd_many
 from .exactla import MODULUS, MatFp, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
 from .plane import eval_row
@@ -249,6 +254,51 @@ def random_points(r: int, seed: int, p: int = MODULUS) -> PointSet:
     raise RetryLimitError(f"no generic configuration of {r} points found mod {p}")
 
 
+def _pad(rows: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarray:
+    """Rows of unequal lengths as one int64 array, zero-padded on the right."""
+    out = np.zeros((len(rows), max(row.size for row in rows)), dtype=np.int64)
+    for dst, row in zip(out, rows):
+        dst[: row.size] = row
+    return out
+
+
+def _pair_products(rows: np.ndarray, p: int) -> np.ndarray:
+    """(x_1 x_2, x_0 x_2, x_0 x_1) for three stacked rows x_c, in one
+    ``_conv_mod``."""
+    return _conv_mod(rows.take((1, 0, 0), axis=0), rows.take((2, 2, 1), axis=0), p)
+
+
+def _bracket(
+    coeffs: np.ndarray, fibres: tuple[np.ndarray, ...], p: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The bracket B = (g_0 h_1 h_2, g_1 h_0 h_2, g_2 h_0 h_1) of a curve
+    and its fibres over the centers, monic(h_0), monic(h_1), monic(h_2).
+
+    ``coeffs`` is the (3, d + 1) array of the components f_c, ``fibres``
+    their monic fibres g_0, g_1, g_2 over e_0, e_1, e_2 as int64 rows, and
+    h_0 = f_0 / (g_1 g_2) and so on (``CremonaStep``).  The products run on
+    stacked rows zero-padded on the right, so each is one ``_conv_mod``; the
+    bracket's rows all have degree 2d - deg g_0 - deg g_1 - deg g_2.  A zero
+    component, or a fibre product that does not divide its component, is a
+    degenerate configuration.
+    """
+    sizes = [g.size for g in fibres]
+    gs = _pad(fibres)
+    prods = _pair_products(gs, p)
+    hs = []
+    for c, (f, (i, j)) in enumerate(zip(coeffs, ((1, 2), (0, 2), (0, 1)))):
+        if not f.any():
+            raise DegenerateConfigurationError("image curve lies on a fundamental line")
+        try:
+            hs.append(_div_exact(f, prods[c, : sizes[i] + sizes[j] - 1], p))
+        except ValueError as exc:
+            raise DegenerateConfigurationError(f"fibre product does not divide component {c}: {exc}") from exc
+    hp = _pad(hs)
+    bracket = _conv_mod(gs, _pair_products(hp, p), p)
+    width = 2 * coeffs.shape[1] + 2 - sum(sizes)
+    return bracket[:, :width], tuple(h * pow(int(h[h.nonzero()[0][0]]), -1, p) % p for h in hs)
+
+
 @dataclass(frozen=True)
 class CremonaStep:
     """One quadratic Cremona map centered at three of the current points.
@@ -261,8 +311,11 @@ class CremonaStep:
     The three center slots of ``points_after`` hold the coordinate points
     e_0, e_1, e_2.  The inverse map is N^{-1} after sigma; ``pull_back``
     composes it with a parameterization f = (f_0, f_1, f_2) of the image
-    curve.  Let f be coprime with no zero component (``pull_back`` refuses
-    one) and g_c its monic fibre over e_c, so
+    curve, and ``push_forward`` composes the map with a curve through the
+    centers.  Both go through one kernel, the bracket B below (``_bracket``):
+    ``pull_back`` returns N^{-1} B(f), ``push_forward`` B(N f).  Let f be
+    coprime with no zero component (``_bracket`` refuses one) and g_c its
+    monic fibre over e_c, so
     g_0 = gcd(f_1, f_2), g_1 = gcd(f_0, f_2) and g_2 = gcd(f_0, f_1).
 
     (ii) The pull-back is coprime, and its fibres over the centers are
@@ -297,6 +350,16 @@ class CremonaStep:
     1/u_a - y_0/y_a = -y_0 / (u_a y_a) * (u_a - y_a/y_0).  So the two fibres
     have the same roots, each of the same order.
 
+    The push-forward.  N sends center i to a multiple of e_0, and an
+    invertible map changes no fibre, so a coprime curve f through the
+    centers with exact fibres over them makes N f coprime with those fibres
+    over e_0, e_1, e_2, and (ii) holds for B(N f) as it stands.  The two
+    directions are inverse up to one scalar: with l_c the leading
+    coefficient of h_c, B(f) has the fibres monic(h_c), its quotients are
+    l_1 l_2 g_0, l_0 l_2 g_1 and l_0 l_1 g_2, and B(B(f)) = l_0 l_1 l_2 f.
+    So f is, up to that scalar, the pull-back of B(N f), and (iii) for that
+    pull-back is (iii) for the push-forward.
+
     A parameterization keeps its steps in ``Parameterization.steps``.
     """
 
@@ -318,34 +381,38 @@ class CremonaStep:
         return forms
 
     def pull_back(
-        self, phis: tuple[BinForm, BinForm, BinForm], fibres: tuple[BinForm, BinForm, BinForm]
-    ) -> tuple[tuple[BinForm, BinForm, BinForm], tuple[BinForm, BinForm, BinForm]]:
+        self, coeffs: np.ndarray, fibres: tuple[np.ndarray, ...]
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Compose the inverse map with a parameterization of the image curve.
 
-        ``fibres`` are the monic fibres g_0, g_1, g_2 of ``phis`` over the
-        coordinate points e_0, e_1, e_2.  Returns N^{-1} (g_0 h_1 h_2,
+        ``coeffs`` is the (3, d + 1) array of the image curve's components
+        and ``fibres`` its monic fibres g_0, g_1, g_2 over the coordinate
+        points e_0, e_1, e_2, as int64 rows.  Returns N^{-1} (g_0 h_1 h_2,
         g_1 h_0 h_2, g_2 h_0 h_1), where h_0 = f_0 / (g_1 g_2) and so on, and
-        the fibres of that curve over the centers, monic(h_0), monic(h_1) and
-        monic(h_2) in center order, exact by (ii) of the class docstring.
-        The caller checks the degree against the reflected class.  A fibre
-        product that does not divide its component is a degenerate
-        configuration.
+        the fibres of that curve over the centers, monic(h_0), monic(h_1)
+        and monic(h_2) in center order, exact by (ii) of the class
+        docstring (``_bracket``).  The caller checks the degree against the
+        reflected class.  A fibre product that does not divide its component
+        is a degenerate configuration.
         """
-        g0, g1, g2 = fibres
         p = self.points_before.p
-        hs = []
-        for c, (f, g) in enumerate(zip(phis, (g1 * g2, g0 * g2, g0 * g1))):
-            if f.is_zero:
-                raise DegenerateConfigurationError("image curve lies on a fundamental line")
-            try:
-                hs.append(div_exact(f, g))
-            except ValueError as exc:
-                msg = f"fibre product does not divide component {c}: {exc}"
-                raise DegenerateConfigurationError(msg) from exc
-        h0, h1, h2 = hs
-        bracket = np.stack([(g0 * h1 * h2).coeffs, (g1 * h0 * h2).coeffs, (g2 * h0 * h1).coeffs])
-        combined = _combine(_inverse3(self.n_matrix, p), bracket, p)
-        return tuple(BinForm(row, p) for row in combined), (h0.monic(), h1.monic(), h2.monic())
+        bracket, center_fibres = _bracket(coeffs, fibres, p)
+        return _combine(_inverse3(self.n_matrix, p), bracket, p), center_fibres
+
+    def push_forward(
+        self, coeffs: np.ndarray, fibres: tuple[np.ndarray, ...]
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Compose the map with a parameterization of a curve through the
+        centers: the inverse of ``pull_back``, up to one nonzero scalar.
+
+        ``coeffs`` is the (3, d + 1) array of the curve's components and
+        ``fibres`` its monic fibres over the centers in center order, which
+        are those of N f over e_0, e_1, e_2.  Returns the bracket of N f,
+        sigma(N f) divided by the product of those fibres, and its monic
+        fibres over e_0, e_1, e_2, exact by (ii) of the class docstring.
+        """
+        p = self.points_before.p
+        return _bracket(_combine(self.n_matrix, coeffs, p), fibres, p)
 
     def to_json(self) -> dict:
         return {
@@ -625,14 +692,17 @@ class ParameterizationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Parameterization(ParamTriple):
-    """A triple with the points it was built through and verified at, and
-    the Cremona steps of its reduction, the first starting at those points.
+    """A triple with the points it was built through and verified at, the
+    Cremona steps of its reduction, the first starting at those points, and
+    its monic fibres over those points in point order, carried through the
+    pull-backs (module docstring).
 
     Equality, hash and ``to_json`` are the triple's.
     """
 
     points: PointSet
     steps: tuple[CremonaStep, ...]
+    fibres: tuple[BinForm, ...]
 
 
 def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameterization:
@@ -659,24 +729,27 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
 
     # the fibres of the base curve over every point; each pull-back replaces
     # those over its own centers and keeps the rest (module docstring)
-    fibres = [fibre_at(phis, current, idx) for idx in range(current.r)]
+    fibres = [fibre_at(phis, current, idx).coeffs for idx in range(current.r)]
+    coeffs = np.stack([f.coeffs for f in phis])
     for step, cls in zip(reversed(steps), reversed(classes[:-1])):
         slots = [c - 1 for c in step.centers]
-        phis, center_fibres = step.pull_back(phis, tuple(fibres[idx] for idx in slots))
+        coeffs, center_fibres = step.pull_back(coeffs, tuple(fibres[idx] for idx in slots))
         for idx, fibre in zip(slots, center_fibres):
             fibres[idx] = fibre
-        got = phis[0].degree
+        got = coeffs.shape[1] - 1
         if got != cls.d:
             raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")
 
     try:
-        res = Parameterization(*phis, pts, tuple(steps))
+        res = Parameterization(
+            *(BinForm(row, p) for row in coeffs), pts, tuple(steps), tuple(BinForm(f, p) for f in fibres)
+        )
     except ValueError as exc:
         raise DegenerateConfigurationError(str(exc)) from exc
     if res.degree != D.d:
         raise DegenerateConfigurationError("final degree disagrees with the class")
     for idx, m in enumerate(D.m):
-        got = fibres[idx].degree
+        got = res.fibres[idx].degree
         if got != m:
             raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
     return res

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesplit.binform import BinForm, ParamTriple, div_exact, gcd_many
+from curvesplit.binform import _SKEW_CELLS, BinForm, ParamTriple, _conv_mod, div_exact, gcd_many
 from curvesplit.exactla import MODULUS
 
 P = MODULUS
@@ -62,6 +62,45 @@ class TestMul:
             s0 = data.draw(st.integers(min_value=0, max_value=P - 1))
             t0 = data.draw(st.integers(min_value=1, max_value=P - 1))
             assert _value(f * g, s0, t0) == _value(f, s0, t0) * _value(g, s0, t0) % P
+
+    @pytest.mark.parametrize("p", (211, 2**31 - 1, 3037000493))
+    def test_stacked_conv_mod_matches_python_ints(self, p):
+        """``_conv_mod`` row by row against a Python-int convolution, for one
+        and three rows, on lengths either side of its switch between methods:
+        random rows, rows of p - 1 (the largest partial sums), and rows of
+        unequal true lengths zero-padded on the right into one stack."""
+
+        def ref(x, y):
+            out = [0] * (len(x) + len(y) - 1)
+            for i, a in enumerate(x):
+                for j, b in enumerate(y):
+                    out[i + j] += a * b
+            return [v % p for v in out]
+
+        rng = random.Random(p)
+        kinds = set()
+        for la, lb in ((1, 1), (1, 7), (5, 3), (10, 10), (16, 30), (23, 23), (40, 7), (62, 62), (9, 120)):
+            for k in (1, 3):
+                for fill in ("random", "p - 1", "padded"):
+                    if fill == "p - 1":
+                        a = np.full((k, la), p - 1, dtype=np.int64)
+                        b = np.full((k, lb), p - 1, dtype=np.int64)
+                    else:
+                        a = np.array([[rng.randrange(p) for _ in range(la)] for _ in range(k)], dtype=np.int64)
+                        b = np.array([[rng.randrange(p) for _ in range(lb)] for _ in range(k)], dtype=np.int64)
+                    sizes = [(la, lb)] * k
+                    if fill == "padded":
+                        sizes = [(rng.randint(1, la), rng.randint(1, lb)) for _ in range(k)]
+                        for row, (na, nb) in enumerate(sizes):
+                            a[row, na:] = 0
+                            b[row, nb:] = 0
+                    got = _conv_mod(a, b, p)
+                    assert got.shape == (k, la + lb - 1) and got.dtype == np.int64
+                    for row, (na, nb) in enumerate(sizes):
+                        want = ref(a[row, :na].tolist(), b[row, :nb].tolist())
+                        assert got[row].tolist() == want + [0] * (la + lb - na - nb), (la, lb, k, fill, row)
+                    kinds.add((k, fill, min(la, lb) * (la + lb - 1) <= _SKEW_CELLS))
+        assert len(kinds) == 12
 
     @settings(max_examples=30, deadline=None)
     @given(f=forms(5, True), g=forms(5, True), h=forms(5, True))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -669,8 +670,8 @@ class TestPullBackFibres:
         real = CremonaStep.pull_back
         calls = []
 
-        def recording(step, phis, fibres):
-            out = real(step, phis, fibres)
+        def recording(step, coeffs, fibres):
+            out = real(step, coeffs, fibres)
             calls.append((step, out))
             return out
 
@@ -687,20 +688,22 @@ class TestPullBackFibres:
             # the successful attempt's pull-backs, last step first
             done = calls[-len(res.steps):] if res.steps else []
             assert [id(step) for step, _ in done] == [id(step) for step in reversed(res.steps)]
-            for (step, (phis, fibres)), cls in zip(done, reversed(classes[:-1])):
+            for (step, (coeffs, fibres)), cls in zip(done, reversed(classes[:-1])):
+                phis = tuple(BinForm(row, p) for row in coeffs)
                 for c, fibre in zip(step.centers, fibres):
-                    assert fibre == fibre_at(phis, step.points_before, c - 1), (d, m, step.centers, c)
-                    assert fibre.degree == cls.m[c - 1], (d, m, step.centers, c)
+                    assert fibre.dtype == np.int64, (d, m, step.centers, c)
+                    assert BinForm(fibre, p) == fibre_at(phis, step.points_before, c - 1), (d, m, step.centers, c)
+                    assert fibre.size - 1 == cls.m[c - 1], (d, m, step.centers, c)
                     checked += 1
         assert checked == 405
 
     def test_curve_on_a_fundamental_line_is_degenerate(self, points9):
         # the line y_0 = 0 through e_1 and e_2 is contracted to center 1
         step = cremona_apply(points9, 1, 2, 3)
-        phis = (BinForm((0, 0), P), BinForm((1, 0), P), BinForm((0, 1), P))
-        fibres = (BinForm((1,), P), BinForm((0, 1), P), BinForm((1, 0), P))
+        coeffs = np.array([(0, 0), (1, 0), (0, 1)], dtype=np.int64)
+        fibres = (np.array([1]), np.array([0, 1]), np.array([1, 0]))
         with pytest.raises(DegenerateConfigurationError, match="lies on a fundamental line"):
-            step.pull_back(phis, fibres)
+            step.pull_back(coeffs, fibres)
 
     def test_wrong_fibre_retries(self, points9, monkeypatch):
         from curvesplit import param
@@ -723,9 +726,63 @@ class TestPullBackFibres:
             parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
 
 
+class TestParameterizationFibres:
+    """``Parameterization.fibres`` are the fibres the pull-backs carry, in
+    point order; they stay out of equality, hash and ``to_json``."""
+
+    @pytest.mark.parametrize("p", [P, 211])
+    def test_fibres_are_the_gcd_fibres(self, p):
+        checked = 0
+        for n, (d, m) in enumerate(TestPullBackFibres.CASES):
+            res = parameterize(NumType(d, m), random_points(9, n, p), seed=n)
+            assert len(res.fibres) == res.points.r == 9
+            for i, fibre in enumerate(res.fibres):
+                assert fibre == fibre_at(res.phis, res.points, i), (d, m, i)
+                checked += 1
+            assert [f.degree for f in res.fibres] == list(m) + [0] * (9 - len(m)), (d, m)
+        assert checked == 9 * len(TestPullBackFibres.CASES)
+
+    def test_fibres_stay_out_of_equality_hash_and_json(self, points9):
+        res = parameterize(TestParameterizePaths.QUARTIC, points9, seed=9)
+        other = dataclasses.replace(res, fibres=tuple(reversed(res.fibres)))
+        assert other.fibres != res.fibres
+        assert other == res and hash(other) == hash(res)
+        assert other.to_json() == res.to_json()
+        assert set(res.to_json()) == {"degree", "p", "components"}
+
+
+class TestPushForward:
+    """``CremonaStep.push_forward`` undoes ``pull_back`` up to one scalar."""
+
+    @pytest.mark.parametrize("p", [P, 211])
+    def test_push_forward_of_every_pull_back_of_a_scan(self, p, monkeypatch):
+        from curvesplit.conjscan import scan_conjecture9
+
+        real = CremonaStep.pull_back
+        calls = []
+
+        def recording(step, coeffs, fibres):
+            out = real(step, coeffs, fibres)
+            calls.append((step, coeffs, fibres, out))
+            return out
+
+        monkeypatch.setattr(CremonaStep, "pull_back", recording)
+        scan_conjecture9(30, 1, p)
+        assert len(calls) > 1000
+        for step, coeffs, fibres, (pulled, center_fibres) in calls:
+            image, image_fibres = step.push_forward(pulled, center_fibres)
+            # one nonzero scalar c with image = c * coeffs
+            assert image.shape == coeffs.shape, step.centers
+            idx = np.unravel_index(np.flatnonzero(coeffs)[0], coeffs.shape)
+            c = int(image[idx]) * pow(int(coeffs[idx]), -1, p) % p
+            assert c and np.array_equal(image, coeffs * c % p), step.centers
+            assert all(np.array_equal(a, b) for a, b in zip(image_fibres, fibres)), step.centers
+
+
 def _reference_parameterize_once(D, pts, rng):
     """``_parameterize_once`` as it verified before it read the carried
-    fibres: a fresh gcd of degree d at every point."""
+    fibres: a fresh gcd of degree d at every point, which become the
+    result's ``fibres``.  It carries forms, not arrays, between the steps."""
     from curvesplit import param
 
     p = pts.p
@@ -749,22 +806,27 @@ def _reference_parameterize_once(D, pts, rng):
     fibres = {idx: fibre_at(phis, current, idx) for idx in {c - 1 for step in steps for c in step.centers}}
     for step, cls in zip(reversed(steps), reversed(classes[:-1])):
         slots = [c - 1 for c in step.centers]
-        phis, center_fibres = step.pull_back(phis, tuple(fibres[idx] for idx in slots))
-        fibres.update(zip(slots, center_fibres))
+        # pull_back works on arrays: convert on the way in and on the way out
+        coeffs, center_fibres = step.pull_back(
+            np.stack([f.coeffs for f in phis]), tuple(fibres[idx].coeffs for idx in slots)
+        )
+        phis = tuple(BinForm(row, p) for row in coeffs)
+        fibres.update(zip(slots, (BinForm(f, p) for f in center_fibres)))
         got = max(f.degree for f in phis if not f.is_zero)
         if got != cls.d:
             raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")
     try:
-        res = Parameterization(*phis, pts, tuple(steps))
+        res = Parameterization(*phis, pts, tuple(steps), ())
     except ValueError as exc:
         raise DegenerateConfigurationError(str(exc)) from exc
     if res.degree != D.d:
         raise DegenerateConfigurationError("final degree disagrees with the class")
+    gcd_fibres = tuple(fibre_at(res.phis, pts, idx) for idx in range(pts.r))
     for idx, m in enumerate(D.m):
-        got = multiplicity_at(res, pts, idx)
+        got = gcd_fibres[idx].degree
         if got != m:
             raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
-    return res
+    return dataclasses.replace(res, fibres=gcd_fibres)
 
 
 class TestCarriedFibreVerify:
@@ -811,6 +873,7 @@ class TestCarriedFibreVerify:
                 assert res == ref, T
                 continue
             assert res.to_json() == ref.to_json() and res.points.seed == ref.points.seed, T
+            assert res.fibres == ref.fibres, T
             assert _multiplicities(res, res.points) == list(T.m), T
 
     def test_multiplicity_mismatch_retries(self, points9, monkeypatch):
