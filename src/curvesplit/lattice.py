@@ -360,7 +360,7 @@ def reduce_to_base(D: DivClass) -> tuple[WeylWord, DivClass]:
     the loop runs at most d times.  For r >= 3 it stops at d >= 2 only when
     the three largest multiplicities sum to at most d: a conic base has at
     most two 1s, a pencil base (d-1 at one point) at most one simple point,
-    and ``param._parameterize_line`` refuses a line base with more than two
+    which ``param``'s closed forms need; its line case refuses more than two
     1s.  Every r = 9 exceptional type ends at a line through two points.
     """
     if D.d < 1:

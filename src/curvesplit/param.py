@@ -2,17 +2,18 @@
 
 Given a numerical type and random points, the engine reduces the class by
 greedy quadratic reflections (mirrored geometrically by Cremona maps centered
-at triples of points), parameterizes the base case directly, and
-back-substitutes through the inverse maps.  The fibres of the base curve over
-all the points are found once, by gcd; each inverse map then divides the
-components by the fibres over its centers, hands back the fibres over the
-centers it restores and passes every other fibre on unchanged.  The verify
-reads each multiplicity m_i as the degree of the fibre carried to point i,
-so neither a step nor the verify needs a gcd of degree d.  The chain runs on
-int64 arrays: the curve as its (3, d + 1) coefficient array, the fibres as
-rows, and one kernel, ``_bracket``, for the divisions and products of a step
-in either direction.  ``BinForm`` appears only at the boundary: the base
-cases, ``fibre_at`` and ``Parameterization``.
+at triples of points), parameterizes the base case in closed form, and
+back-substitutes through the inverse maps.  Each base case returns its curve
+with its fibres over all the points, which its construction fixes, so no gcd
+finds them; each inverse map then divides the components by the fibres over
+its centers, hands back the fibres over the centers it restores and passes
+every other fibre on unchanged.  The verify reads each multiplicity m_i as
+the degree of the fibre carried to point i, so neither a step nor the verify
+needs a gcd of degree d.  The chain runs on int64 arrays: the curve as its
+(3, d + 1) coefficient array, the fibres as rows, and one kernel,
+``_bracket``, for the divisions and products of a step in either direction.
+``BinForm`` appears only at the boundary: the pencil's coprimality check,
+``fibre_at`` and ``Parameterization``.
 
 The carried fibres are the gcd fibres exactly, so the verify decides as a
 gcd would.  The fibre of f = (f_0, f_1, f_2) over q is the monic gcd of the
@@ -22,14 +23,17 @@ invertible A changes no fibre, since Af x Aq is f x q times the invertible
 cofactor matrix of A.  Call f coprime when its components have no common
 root over the algebraic closure.  By induction over the steps, last first:
 
-(i)   Every base curve is coprime, and its fibres are gcds by definition.
-      The line s a + t b: its two points a, b are distinct.  The conic
-      -Q(v) p0 + 2 (p0^T M v) v with v = s u + t w, where (p0, u, w) is a
-      basis and M nonsingular: at a common root v and p0 are independent,
-      so Q(v) = 0 = p0^T M v (p odd); with Q(p0) = 0 the whole line p0 v
-      lies on the conic, which no nonsingular conic contains.  The pencil
-      curve, an invertible frame change of (s G, t G, -H): its common roots
-      are those of G and H, and gcd(G, H) = 1 is checked.
+(i)   Every base curve is coprime, and its fibres are as built; a point of
+      multiplicity 0 on it is redrawn.  The line s a + t b, a != b: t over
+      a, s over b.  The conic M v, v = (s^2, st, t^2), M = [a | c | beta b]
+      invertible: v never vanishes, and the fibre over q is v's over
+      M^{-1} q: t over e_0 (q = a), s over e_2 (q = b), 1 off y1^2 = y0 y2.
+      The pencil curve, a frame change of (s G, t G, -H) with the center at
+      (0, 0, 1): gcd(G, H) = 1 is checked.  At q = (a, b, c), f x q is
+      (c t G + b H, -c s G - a H, (b s - a t) G), so the fibre over the
+      center is monic(G); over any other point it divides b s - a t (at a
+      root of G, b H and -a H are not both 0), with equality exactly when
+      H(a, b) + c G(a, b) = 0, as the simple point imposes.
 (ii)  A pull-back of a coprime curve with exact fibres over its centers is
       coprime, with exact fibres monic(h_c) over the centers; so is a
       push-forward, its inverse, with the centers' images e_0, e_1, e_2
@@ -42,9 +46,9 @@ of the tests.
 
 Randomness over a large prime field stands in for genericity: every
 degenerate configuration (collinear centers, a point landing on a fundamental
-line, a stuck linear system) raises DegenerateConfigurationError, and the
-driver retries with points regenerated deterministically from
-seed + retry counter.
+line, a base curve that cannot miss a point) raises
+DegenerateConfigurationError, and the driver retries with points regenerated
+deterministically from seed + retry counter.
 """
 
 from __future__ import annotations
@@ -56,9 +60,8 @@ from functools import lru_cache
 import numpy as np
 
 from .binform import BinForm, ParamTriple, _conv_mod, _div_exact, gcd_many
-from .exactla import MODULUS, MatFp, check_modulus
+from .exactla import MODULUS, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
-from .plane import eval_row
 
 __all__ = [
     "DegenerateConfigurationError",
@@ -72,7 +75,6 @@ __all__ = [
     "cremona_apply",
     "fibre_at",
     "multiplicity_at",
-    "sqrt_mod",
     "ParameterizationError",
     "Parameterization",
     "parameterize",
@@ -82,10 +84,6 @@ __all__ = [
 _MASK = (1 << 64) - 1
 # point sets random_points draws before it gives up on the modulus
 POINT_TRIES = 32
-
-
-def _bilinear(x: np.ndarray, mat: np.ndarray, y: np.ndarray, p: int) -> int:
-    return int((x * _combine(mat, y[:, None], p)[:, 0] % p).sum() % p)
 
 
 def _combine(matrix: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -254,6 +252,11 @@ def random_points(r: int, seed: int, p: int = MODULUS) -> PointSet:
     raise RetryLimitError(f"no generic configuration of {r} points found mod {p}")
 
 
+def _monic(row: np.ndarray, p: int) -> np.ndarray:
+    """A nonzero coefficient row scaled so its first nonzero entry is 1."""
+    return row * pow(int(row[row.nonzero()[0][0]]), -1, p) % p
+
+
 def _pad(rows: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarray:
     """Rows of unequal lengths as one int64 array, zero-padded on the right."""
     out = np.zeros((len(rows), max(row.size for row in rows)), dtype=np.int64)
@@ -296,7 +299,7 @@ def _bracket(
     hp = _pad(hs)
     bracket = _conv_mod(gs, _pair_products(hp, p), p)
     width = 2 * coeffs.shape[1] + 2 - sum(sizes)
-    return bracket[:, :width], tuple(h * pow(int(h[h.nonzero()[0][0]]), -1, p) % p for h in hs)
+    return bracket[:, :width], tuple(_monic(h, p) for h in hs)
 
 
 @dataclass(frozen=True)
@@ -484,50 +487,31 @@ def multiplicity_at(phi: ParamTriple, points: PointSet, i: int) -> int:
     return fibre_at(phi.phis, points, i).degree
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+def _base_fibres(r: int, slots, fibres, p: int) -> list[np.ndarray]:
+    """Monic fibres over r points as int64 rows: monic(``fibres[n]``) over
+    point ``slots[n]``, zipped, and the constant 1 over every other point."""
+    out = [np.ones(1, dtype=np.int64) for _ in range(r)]
+    for idx, fibre in zip(slots, fibres):
+        out[idx] = _monic(np.array(fibre, dtype=np.int64) % p, p)
+    return out
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod p, or None if a is a non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if _legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _legendre(z, p) != -1:
-        z += 1
-    m, c, t, root = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        root = root * b % p
-    return root
-
-
-def _line_triple(a, b, p: int) -> tuple[BinForm, BinForm, BinForm]:
-    """phi(s, t) = s*a + t*b."""
-    return tuple(BinForm((a[c], b[c]), p) for c in range(3))
+def _pencil_at(gvec: list[int], hvec: list[int], point: list[int], p: int) -> int:
+    """H(a, b) + c G(a, b) at the frame coordinates (a, b, c) of a point
+    other than the center: zero exactly when the pencil curve (s G, t G, -H)
+    passes through it (module docstring, (i))."""
+    a, b, c = point
+    d = len(hvec) - 1
+    h_at = sum(h * pow(a, d - k, p) * pow(b, k, p) for k, h in enumerate(hvec))
+    g_at = sum(g * pow(a, d - 1 - k, p) * pow(b, k, p) for k, g in enumerate(gvec))
+    return (h_at + c * g_at) % p
 
 
 def _parameterize_line(mults, points: PointSet, rng: SeededRng, p: int):
+    """The line s a + t b through the points of multiplicity 1, random points
+    standing in for missing ones, missing every point of multiplicity 0: its
+    (3, 2) coefficient array [a | b] and its fibres over all the points
+    (module docstring, (i))."""
     assigned = [idx for idx, m in enumerate(mults) if m == 1]
     if any(m not in (0, 1) for m in mults) or len(assigned) > 2:
         raise ValueError(f"not a line type: multiplicities {mults}")
@@ -544,145 +528,79 @@ def _parameterize_line(mults, points: PointSet, rng: SeededRng, p: int):
             if len(chosen) == 2:
                 raise DegenerateConfigurationError("forced line hits an assigned zero-multiplicity point")
             continue
-        return _line_triple(cand[0], cand[1], p)
+        return np.array(cand, dtype=np.int64).T, _base_fibres(points.r, assigned, ([0, 1], [1, 0]), p)
     raise DegenerateConfigurationError("could not place a generic line")
 
 
-def _conic_point(mat: np.ndarray, rng: SeededRng, p: int) -> tuple[int, int, int] | None:
-    """A rational point on x^T mat x = 0 via random line sections."""
-    for _ in range(64):
-        a = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
-        b = np.array([0, 1, rng.below(p)], dtype=np.int64)
-        qa = _bilinear(a, mat, a, p)
-        qb = _bilinear(b, mat, b, p)
-        qab = _bilinear(a, mat, b, p)
-        if qa == 0:
-            return tuple(int(v) for v in a)
-        disc = (qab * qab - qa * qb) % p
-        root = sqrt_mod(disc, p)
-        if root is None:
-            continue
-        s = (-qab + root) % p
-        pt = (s * a % p + qa * b % p) % p
-        if pt.any():
-            return tuple(int(v) for v in pt)
-    return None
-
-
 def _parameterize_conic(mults, points: PointSet, rng: SeededRng, p: int):
+    """The conic M (s^2, st, t^2), M = [a | c | beta b], through the points a,
+    b of multiplicity 1, random points standing in for missing ones, with c
+    and beta random: M and the fibres over all the points (module docstring,
+    (i)).  M is redrawn when it is singular or the conic passes through a
+    point q of multiplicity 0, that is y = M^{-1} q has y1^2 = y0 y2."""
     assigned = [idx for idx, m in enumerate(mults) if m == 1]
-    if any(m not in (0, 1) for m in mults) or len(assigned) > 5:
+    if any(m not in (0, 1) for m in mults) or len(assigned) > 2:
         raise ValueError(f"not a conic type: multiplicities {mults}")
-    base = [tuple(points.coords[idx].tolist()) for idx in assigned]
+    avoid = points.coords[[idx for idx, m in enumerate(mults) if m == 0]].T
     for _ in range(16):
-        extras = [(1, rng.below(p), rng.below(p)) for _ in range(5 - len(base))]
-        five = base + extras
-        if len(set(five)) != 5:
+        a, b = points.coords[assigned].tolist() + [[1, rng.below(p), rng.below(p)] for _ in range(2 - len(assigned))]
+        c = [rng.below(p) for _ in range(3)]
+        beta = rng.below(p)
+        mat = np.array([a, c, [beta * v % p for v in b]], dtype=np.int64).T
+        inv = _inverse3(mat, p)
+        if inv is None:
             continue
-        rows = np.vstack([eval_row(pt, 2, p) for pt in five])
-        kernel = MatFp(rows, p).kernel_basis()
-        if len(kernel) != 1:
-            if not extras:
-                raise DegenerateConfigurationError("assigned points fail to pin a unique conic")
-            continue
-        v = kernel[0]
-        inv2 = pow(2, -1, p)
-        mat = np.array(
-            [
-                [v[0], v[1] * inv2, v[2] * inv2],
-                [v[1] * inv2, v[3], v[4] * inv2],
-                [v[2] * inv2, v[4] * inv2, v[5]],
-            ],
-            dtype=np.int64,
-        ) % p
-        if _inverse3(mat, p) is None:
-            if not extras:
-                raise DegenerateConfigurationError("assigned points lie on a singular conic")
-            continue
-        pt0 = _conic_point(mat, rng, p)
-        if pt0 is None:
-            raise DegenerateConfigurationError("no rational point found on the conic")
-        # complete pt0 to a basis and sweep the pencil of lines through it
-        for _ in range(16):
-            u = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
-            w = np.array([0, 1, rng.below(p)], dtype=np.int64)
-            basis = np.vstack([np.array(pt0, dtype=np.int64), u, w]) % p
-            if _inverse3(basis, p) is None:
-                continue
-            p0 = np.array(pt0, dtype=np.int64)
-            qu = _bilinear(u, mat, u, p)
-            qw = _bilinear(w, mat, w, p)
-            quw = _bilinear(u, mat, w, p)
-            lu = _bilinear(p0, mat, u, p)
-            lw = _bilinear(p0, mat, w, p)
-            # phi = -Q(su+tw) * p0 + 2 * (p0^T M (su+tw)) * (su+tw)
-            comps = []
-            for c in range(3):
-                p0c, uc, wc = int(p0[c]), int(u[c]), int(w[c])
-                cs2 = (-qu * p0c + 2 * lu * uc) % p
-                cst = (-2 * quw * p0c + 2 * (lu * wc + lw * uc)) % p
-                ct2 = (-qw * p0c + 2 * lw * wc) % p
-                comps.append(BinForm((cs2, cst, ct2), p))
-            if all(f.is_zero for f in comps):
-                continue
-            return tuple(comps)
-        raise DegenerateConfigurationError("failed to complete a basis at the conic point")
-    raise DegenerateConfigurationError("could not complete the conic point set")
+        y0, y1, y2 = _combine(inv, avoid, p)
+        if not (y1 * y1 % p == y0 * y2 % p).any():
+            return mat, _base_fibres(points.r, assigned, ([0, 1], [1, 0]), p)
+    raise DegenerateConfigurationError("could not place a generic conic")
 
 
 def _parameterize_pencil(d: int, mults, points: PointSet, rng: SeededRng, p: int):
     """Degree-d curve with a (d-1)-fold point: swept by the lines through it.
 
-    With the multiple point moved to (0, 0, 1), such a curve is
-    (s G, t G, -H) for binary forms G, H of degrees d-1 and d; each simple
-    point pins the parameter value of its line through the center and imposes
-    one linear condition on (G, H).
+    With the multiple point moved to (0, 0, 1) by a random frame, such a
+    curve is (s G, t G, -H) for random binary forms G, H of degrees d-1 and
+    d.  A simple point of frame coordinates (a, b, c) fixes the s^d
+    coefficient of H through H(a, b) + c G(a, b) = 0; the frame is redrawn
+    when a = 0.  G and H are redrawn when they share a factor or the curve
+    passes through a point of multiplicity 0.  Returns the (3, d + 1)
+    coefficient array and the fibres over all the points (module docstring,
+    (i)).
     """
-    center_candidates = [idx for idx, m in enumerate(mults) if m == d - 1]
+    center = [idx for idx, m in enumerate(mults) if m == d - 1]
     simple = [idx for idx, m in enumerate(mults) if m == 1]
-    rest_ok = all(m in (0, 1, d - 1) for m in mults)
-    if d < 3 or len(center_candidates) != 1 or not rest_ok:
+    if d < 3 or len(center) != 1 or len(simple) > 1 or any(m not in (0, 1, d - 1) for m in mults):
         raise ValueError(f"base class of degree {d} with multiplicities {mults} is not parameterizable")
-    center = points.coords[center_candidates[0]]
-    if len(simple) > 2 * d:
-        raise ValueError("too many simple points for a pencil curve")
+    avoid = [idx for idx, m in enumerate(mults) if m == 0]
     for _ in range(16):
         u = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
         w = np.array([0, 1, rng.below(p)], dtype=np.int64)
-        umat = np.vstack([u, w, center]).T % p
+        umat = np.vstack([u, w, points.coords[center[0]]]).T % p
         uinv = _inverse3(umat, p)
         if uinv is None:
             continue
-        # frame coordinates (a, b, c) of the simple points; two of them share
-        # a line through the center when their (a, b) are proportional
-        a, b, cc = _combine(uinv, points.coords[simple].T, p)
-        same_line = np.triu(np.outer(a, b) % p == np.outer(b, a) % p, 1)
-        if ((a == 0) & (b == 0)).any() or same_line.any():
-            raise DegenerateConfigurationError("simple points collide in the pencil through the center")
-        rows = []
-        for ai, bi, ci in zip(a.tolist(), b.tolist(), cc.tolist()):
-            # condition H(a, b) + c * G(a, b) = 0 on the stacked (G | H) vector
-            gpows = [pow(ai, d - 1 - t, p) * pow(bi, t, p) % p for t in range(d)]
-            hpows = [pow(ai, d - t, p) * pow(bi, t, p) % p for t in range(d + 1)]
-            rows.append([ci * v % p for v in gpows] + hpows)
-        kernel = MatFp(np.array(rows, dtype=np.int64).reshape(-1, 2 * d + 1), p).kernel_basis()
-        if not len(kernel):
-            raise DegenerateConfigurationError("no pencil curve through the prescribed points")
+        # frame coordinates (a, b, c) of every point
+        frame = _combine(uinv, points.coords.T, p).T.tolist()
+        if any(frame[idx][0] == 0 for idx in simple):
+            continue
         for _ in range(16):
-            coeffs = np.zeros(2 * d + 1, dtype=np.int64)
-            for vec in kernel:
-                coeffs = (coeffs + rng.below(p) * vec) % p
+            coeffs = [rng.below(p) for _ in range(2 * d + 1)]
             gvec, hvec = coeffs[:d], coeffs[d:]
-            if not gvec.any() or not hvec.any():
+            for idx in simple:
+                hvec[0] = 0
+                hvec[0] = -_pencil_at(gvec, hvec, frame[idx], p) * pow(frame[idx][0], -d, p) % p
+            if not any(gvec) or gcd_many([BinForm(gvec, p), BinForm(hvec, p)]).degree != 0:
                 continue
-            if gcd_many([BinForm(gvec, p), BinForm(hvec, p)]).degree != 0:
+            if any(_pencil_at(gvec, hvec, frame[idx], p) == 0 for idx in avoid):
                 continue
             # (s G, t G, -H) in the normalized frame, then back through the
-            # frame change, which is invertible: the rows are not all zero
-            frame = np.zeros((3, d + 1), dtype=np.int64)
-            frame[0, :d] = frame[1, 1:] = gvec
-            frame[2] = -hvec % p
-            return tuple(BinForm(row, p) for row in _combine(umat, frame, p))
+            # frame change
+            curve = np.zeros((3, d + 1), dtype=np.int64)
+            curve[0, :d] = curve[1, 1:] = gvec
+            curve[2] = [-h % p for h in hvec]
+            fibres = [gvec] + [[frame[idx][1], -frame[idx][0]] for idx in simple]  # G, b s - a t
+            return _combine(umat, curve, p), _base_fibres(points.r, center + simple, fibres, p)
     raise DegenerateConfigurationError("failed to build the pencil curve")
 
 
@@ -705,6 +623,18 @@ class Parameterization(ParamTriple):
     fibres: tuple[BinForm, ...]
 
 
+def _base_curve(base: DivClass, points: PointSet, rng: SeededRng) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The curve of class ``base`` through ``points``: its (3, d + 1)
+    coefficient array and its monic fibres over the points, in point order."""
+    if any(m < 0 for m in base.m):
+        raise ParameterizationError(f"base class {base} has negative multiplicities")
+    if base.d == 1:
+        return _parameterize_line(base.m, points, rng, points.p)
+    if base.d == 2:
+        return _parameterize_conic(base.m, points, rng, points.p)
+    return _parameterize_pencil(base.d, base.m, points, rng, points.p)
+
+
 def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameterization:
     p = pts.p
     word, base = reduce_to_base(D)
@@ -718,19 +648,9 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
         steps.append(step)
         current = step.points_after
 
-    if any(m < 0 for m in base.m):
-        raise ParameterizationError(f"base class {base} has negative multiplicities")
-    if base.d == 1:
-        phis = _parameterize_line(base.m, current, rng, p)
-    elif base.d == 2:
-        phis = _parameterize_conic(base.m, current, rng, p)
-    else:
-        phis = _parameterize_pencil(base.d, base.m, current, rng, p)
-
-    # the fibres of the base curve over every point; each pull-back replaces
-    # those over its own centers and keeps the rest (module docstring)
-    fibres = [fibre_at(phis, current, idx).coeffs for idx in range(current.r)]
-    coeffs = np.stack([f.coeffs for f in phis])
+    # each pull-back replaces the fibres over its own centers and keeps the
+    # rest (module docstring)
+    coeffs, fibres = _base_curve(base, current, rng)
     for step, cls in zip(reversed(steps), reversed(classes[:-1])):
         slots = [c - 1 for c in step.centers]
         coeffs, center_fibres = step.pull_back(coeffs, tuple(fibres[idx] for idx in slots))

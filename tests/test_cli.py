@@ -247,7 +247,7 @@ def test_resume_with_matching_certify_reproduces_the_scan(tmp_path, capsys):
 PINNED_DIGESTS = {
     "param --type 4,2,2,2,1,1,1,1,1 --seed 3 --trace": "686202bd3caaa1b11f61ec3f20ae9da51c6929eb48a3df93639698a2fd7b2574",
     "param --type 3,2 --seed 1": "7d3c891a42dabcc9f593b508c5298afb92f20b0dedf63037a25bd160c4cadbf6",
-    "param --type 10,4,4,4,4,4,4 --seed 2 --trace": "6ce12355b4727e4d48ab4337d3db87f30a03abe5e88333b11cdeeea55107e9ed",
+    "param --type 10,4,4,4,4,4,4 --seed 2 --trace": "666024fc7cda058e5d8ac8f5365f4c26fe4d0e5ecbc0471773527aa0e9cbad5b",
     "param --type 8,3,3,3,3,3,3,3,1,1 --seed 5 --trace --p 211": "b0216ec19bd9fdba6b5bdce97986521210c4991bf80afb11e9d7fcc553aa752c",
     "split --type 8,3,3,3,3,3,3,3 --seed 1": "d61e55c0df0b875b1347a83e432d3c216322126b01f6fa7cdaf6e04652c31e61",
     "fatpoints --mults 4,1,1,1,1,1,1,1,1 --k 4..6 --seed 7": "790c54c2a3a3321a1e2c6b229991dda2a9bcb146e2e2b8ac97ddd35ff9a707c0",
@@ -258,12 +258,14 @@ PINNED_DIGESTS = {
     "fatpoints --mults 3,2,2,1,1,1,1,1,1 --k 3..6 --seed 4 --p 211": "21d82bbd60bfc8ca19718c69efea196920009f6bf8bbd39c07e4bbcadf788a70",
     "split --type 20,9,7,7,7,7,7,5,5,5 --seed 2": "40989e37d9a8a67a5229f3115b4c8917b0d387d72e383bd817798f2e53fe971e",
     "split --type 8,3,3,3,3,3,3,3 --seed 5 --p 211": "4feb9a727cde04477a29972a1dd464b83c12f45ea3ed1534a6b9bc9df013e526",
-    "param --type 16,8,8,7,5,4,4,4 --seed 3 --trace --p 211": "af34aabe91d1a4481d9cccd23095f21b5e36810e5e4a9a14cdc1dae63cf97ffe",
+    "param --type 16,8,8,7,5,4,4,4 --seed 3 --trace --p 211": "fef43d9e299737dddee596172894369d8e97d5e90595d577e2906024cc139b47",
     "split --type 18,7,7,7,7,7,7,5 --seed 2": "4e17400ac7f08f2a82b346be54e63046615cd2357e988c4f01b7218ced7e47d3",
     "param --type 8,3,3,3,3,3,3,3,1,1 --seed 5 --trace --p 3037000493": "146f6fead9aa2dffd98cd2bf8d0b0d6c8e68cd3572efc61183c6597850a84595",
     "scan-conj9 --dmax 30 --seed 3 --p 3037000493": "0c165c68c3d1f919329c09dc0e09434c6682f6314dba70dffe1bc66664042cc1",
     "split --type 61,26,21,20,20,19,19,19,19,19 --seed 1 --p 211": "af2ac8c4aacf6f85df1a66eb388ff226e9751f8023ba8bcf237685e02802a70e",
     "param --type 61,26,21,20,20,19,19,19,19,19 --seed 2 --trace --p 3037000493": "630fff04b0cb483b70dafc16e0a607bb89703f5a3c37ce7939960d82e6bf49be",
+    "param --type 2,1,1 --seed 1 --trace": "e2738ff74941e29fb2c9cd4e7768e4a59bdc923fe4b908cde766e4e1e21602b1",
+    "param --type 5,4,1 --seed 1": "266863bb9429e9edde1b94d4b371677570e6e68b8e7bf59752526388f8330eea",
 }
 
 

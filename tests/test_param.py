@@ -17,8 +17,9 @@ from curvesplit.param import (
     PointSet,
     RetryLimitError,
     SeededRng,
+    _base_curve,
     _combine,
-    _conic_point,
+    _parameterize_conic,
     _parameterize_pencil,
     cremona_apply,
     fibre_at,
@@ -28,7 +29,6 @@ from curvesplit.param import (
     Parameterization,
     parameterize,
     random_points,
-    sqrt_mod,
 )
 from curvesplit.plane import eval_row, monomials, restrict
 
@@ -310,45 +310,8 @@ class TestPointSet:
 
 
 class TestSqrtMod:
-    def test_roundtrip(self):
-        rng = SeededRng(5)
-        for _ in range(50):
-            a = rng.below(P)
-            sq = a * a % P
-            root = sqrt_mod(sq, P)
-            assert root is not None and root * root % P == sq
-
-    def test_nonresidue(self):
-        # -1 is a non-residue mod p = 3 (mod 4)
-        assert P % 4 == 3
-        assert sqrt_mod(P - 1, P) is None
-
-    # p = 1 (mod 4) takes the Tonelli-Shanks branch; p - 1 has 2-adic
-    # valuation 4, 16 and 23
-    TS_PRIMES = (1009, 65537, 998244353)
-
-    @pytest.mark.parametrize("p", TS_PRIMES)
-    def test_tonelli_shanks_roundtrip(self, p):
-        assert p % 4 == 1
-        rng = SeededRng(p)
-        for _ in range(50):
-            a = rng.below(p)
-            sq = a * a % p
-            root = sqrt_mod(sq, p)
-            assert root is not None and root * root % p == sq
-
-    @pytest.mark.parametrize("p", TS_PRIMES)
-    def test_tonelli_shanks_nonresidue(self, p):
-        rng = SeededRng(p + 1)
-        found = 0
-        while found < 20:
-            a = rng.below(p)
-            if pow(a, (p - 1) // 2, p) == p - 1:
-                assert sqrt_mod(a, p) is None
-                found += 1
-
     def test_conic_base_at_p_1_mod_4(self):
-        # (2; 1, 1) is its own base: the conic point is found through sqrt_mod
+        # (2; 1, 1) is its own base: the conic through points 1 and 2
         p = 1009
         T = NumType(2, (1, 1))
         for s in range(6):
@@ -356,22 +319,6 @@ class TestSqrtMod:
             phi = parameterize(T, pts, s)
             assert phi.degree == 2
             assert _multiplicities(phi, pts) == [1, 1] + [0] * 7
-
-    @pytest.mark.parametrize("p", [211, MODULUS, 3037000493])
-    def test_conic_point_lies_on_the_conic(self, p):
-        # 3037000493 is the largest prime the int64 bound admits: the point
-        # s a + q(a) b sums two products near p^2 and must reduce each first
-        rng = SeededRng(p)
-        found = 0
-        for _ in range(300):
-            mat = np.array([[rng.below(p) for _ in range(3)] for _ in range(3)], dtype=np.int64)
-            mat = np.triu(mat) + np.triu(mat, 1).T
-            pt = _conic_point(mat, rng, p)
-            if pt is not None:
-                found += 1
-                q = [[int(v) for v in row] for row in mat]
-                assert sum(pt[i] * q[i][j] * pt[j] for i in range(3) for j in range(3)) % p == 0, (mat, pt)
-        assert found >= 290
 
 
 class TestCremona:
@@ -706,17 +653,21 @@ class TestPullBackFibres:
             step.pull_back(coeffs, fibres)
 
     def test_wrong_fibre_retries(self, points9, monkeypatch):
+        # the first base curve hands back its fibre over point 1, a center
+        # of the last step, times s + t
         from curvesplit import param
 
-        real = param.fibre_at
+        real = param._base_curve
         calls = []
 
-        def wrong_first(phis, points, i):
-            calls.append(i)
-            fibre = real(phis, points, i)
-            return fibre * BinForm((1, 1), points.p) if len(calls) == 1 else fibre
+        def wrong_first(base, points, rng):
+            calls.append(points)
+            coeffs, fibres = real(base, points, rng)
+            if len(calls) == 1:
+                fibres[0] = (BinForm(fibres[0], points.p) * BinForm((1, 1), points.p)).coeffs
+            return coeffs, fibres
 
-        monkeypatch.setattr(param, "fibre_at", wrong_first)
+        monkeypatch.setattr(param, "_base_curve", wrong_first)
         res = parameterize(self.QUARTIC, points9, seed=9)
         assert res.points != points9
         assert _multiplicities(res, res.points) == list(self.QUARTIC.m) + [0]
@@ -795,14 +746,8 @@ def _reference_parameterize_once(D, pts, rng):
     for quad in word:
         steps.append(cremona_apply(current, quad.i, quad.j, quad.k))
         current = steps[-1].points_after
-    if any(m < 0 for m in base.m):
-        raise param.ParameterizationError(f"base class {base} has negative multiplicities")
-    if base.d == 1:
-        phis = param._parameterize_line(base.m, current, rng, p)
-    elif base.d == 2:
-        phis = param._parameterize_conic(base.m, current, rng, p)
-    else:
-        phis = param._parameterize_pencil(base.d, base.m, current, rng, p)
+    coeffs, _ = param._base_curve(base, current, rng)
+    phis = tuple(BinForm(row, p) for row in coeffs)
     fibres = {idx: fibre_at(phis, current, idx) for idx in {c - 1 for step in steps for c in step.centers}}
     for step, cls in zip(reversed(steps), reversed(classes[:-1])):
         slots = [c - 1 for c in step.centers]
@@ -887,7 +832,8 @@ class TestCarriedFibreVerify:
         def through_3_first(mults, points, rng, p):
             calls.append(points)
             if len(calls) == 1:
-                return param._line_triple(points.coords[0], points.coords[2], p)
+                line = points.coords[[0, 2]].T.copy()
+                return line, param._base_fibres(points.r, (0, 2), ([0, 1], [1, 0]), p)
             return real(mults, points, rng, p)
 
         monkeypatch.setattr(param, "_parameterize_line", through_3_first)
@@ -935,19 +881,120 @@ def test_combine_matches_scale_and_add(p):
             assert got[0].is_zero
 
 
-def test_pencil_collision_is_caught_on_the_first_frame():
-    # (5, 22, 43) = (1, 2, 7) + 4 (1, 5, 9) lies on the line through the
-    # center and (1, 2, 7); normalized, its frame coordinates are a multiple
-    # of those of (1, 2, 7), not equal to them
-    p = 211
-    pts = PointSet([(1, 5, 9), (1, 2, 7), (5, 22, 43), (0, 1, 0), (1, 1, 1), (1, 3, 2)], 0, p)
-    rng = SeededRng(4)
-    with pytest.raises(DegenerateConfigurationError, match="simple points collide in the pencil through the center"):
-        _parameterize_pencil(3, (2, 1, 1, 1, 1, 1), pts, rng, p)
-    # one frame drawn: u = (1, *, *) and w = (0, 1, *)
-    first = SeededRng(4)
-    for _ in range(3):
-        first.below(p)
-    assert rng.state == first.state
-    # the filler points alone pass the test
-    assert _parameterize_pencil(3, (2, 0, 0, 1, 1, 1), pts, SeededRng(4), p)
+class _ConstantRng:
+    """An rng stub whose every draw is ``value``; counts its draws."""
+
+    def __init__(self, value: int):
+        self.value, self.calls = value, 0
+
+    def below(self, n: int) -> int:
+        self.calls += 1
+        return self.value % n
+
+
+class _ScriptedRng(_ConstantRng):
+    """``value`` for the first ``n_constant`` draws, then a ``SeededRng``."""
+
+    def __init__(self, value: int, n_constant: int, seed: int):
+        super().__init__(value)
+        self.n_constant, self.rest = n_constant, SeededRng(seed)
+
+    def below(self, n: int) -> int:
+        if self.calls < self.n_constant:
+            return super().below(n)
+        self.calls += 1
+        return self.rest.below(n)
+
+
+class TestBaseCurves:
+    """Each base case returns its curve and its fibres over all the points in
+    closed form (``param`` module docstring, (i)); a point of multiplicity 0
+    on the curve is redrawn, 16 times at most."""
+
+    @staticmethod
+    def _bases() -> set[DivClass]:
+        """Every base class of the dmax=61 list at r = 9 and of the r <= 7
+        family members up to degree 4 (``list7-check --dmax-param 4``)."""
+        from curvesplit.conjscan import R7_FAMILIES
+
+        types = [(T, 9) for T in enum_exceptional(9, 61) if T.d >= 1]
+        for fam in R7_FAMILIES:
+            types += [(fam.member(d), max(fam.member(d).r, 3)) for d in (range(5) if fam.step is not None else (0,))]
+        return {reduce_to_base(DivClass(T.d, T.m + (0,) * (r - T.r)))[1] for T, r in types if T.d >= 1}
+
+    @pytest.mark.parametrize("p", [211, MODULUS, 3037000493])
+    def test_fibres_are_the_gcd_fibres(self, p):
+        bases = sorted(self._bases(), key=lambda D: (D.d, D.m))
+        kinds = Counter(min(D.d, 3) for D in bases)
+        assert kinds == {1: 21, 2: 15, 3: 75}, kinds
+        checked = 0
+        for base in bases:
+            for seed in (1, 2, 3):
+                pts = random_points(base.r, mix_seed(seed, base.d, *base.m), p)
+                coeffs, fibres = _base_curve(base, pts, SeededRng(seed))
+                assert coeffs.shape == (3, base.d + 1) and coeffs.dtype == np.int64, base
+                assert ((0 <= coeffs) & (coeffs < p)).all(), base
+                phis = tuple(BinForm(row, p) for row in coeffs)
+                assert [BinForm(f, p) for f in fibres] == [fibre_at(phis, pts, i) for i in range(pts.r)], base
+                assert [f.size - 1 for f in fibres] == list(base.m), base
+                checked += 1
+        assert checked == 3 * 111
+
+    def test_conic_redraws_a_curve_through_a_zero_point(self):
+        # with every draw equal to 5, the conic is M (s^2, st, t^2) with
+        # M = [a | (5, 5, 5) | 5 b]; q = M (1, 1, 1) lies on it
+        p = 211
+        a, b = random_points(2, 3, p).coords.tolist()
+        q = [(x + 5 + 5 * y) % p for x, y in zip(a, b)]
+        rng = _ConstantRng(5)
+        coeffs, _ = _parameterize_conic((1, 1), PointSet([a, b], 0, p), rng, p)
+        assert rng.calls == 4
+        phis = tuple(BinForm(row, p) for row in coeffs)
+        assert fibre_at(phis, PointSet([q], 0, p), 0).degree == 1
+        pts = PointSet([a, b, q], 0, p)
+        rng = _ConstantRng(5)
+        with pytest.raises(DegenerateConfigurationError, match="could not place a generic conic"):
+            _parameterize_conic((1, 1, 0), pts, rng, p)
+        assert rng.calls == 16 * 4  # c and beta, 16 times
+        # the first draw is that conic, the second misses q
+        rng = _ScriptedRng(5, 4, seed=1)
+        coeffs, fibres = _parameterize_conic((1, 1, 0), pts, rng, p)
+        assert rng.calls == 8
+        phis = tuple(BinForm(row, p) for row in coeffs)
+        assert [fibre_at(phis, pts, i).degree for i in range(3)] == [1, 1, 0]
+        assert [f.tolist() for f in fibres] == [[0, 1], [1, 0], [1]]
+
+    def test_pencil_redraws_a_curve_through_a_zero_point(self):
+        # with every draw equal to 5, the cubic is (s G, t G, -H) in the frame
+        # [u | w | center], u = (1, 5, 5), w = (0, 1, 5), G = 5 (s^2 + st + t^2)
+        # and H = 5 (s^3 + s^2 t + s t^2 + t^3); q is its point at (s, t) = (1, 2)
+        p = 211
+        center = (1, 7, 3)
+        umat = np.array([(1, 5, 5), (0, 1, 5), center], dtype=np.int64).T
+        g, h = 5 * (1 + 2 + 4), 5 * (1 + 2 + 4 + 8)
+        q = _combine(umat, np.array([[g], [2 * g], [-h]], dtype=np.int64) % p, p)[:, 0].tolist()
+        rng = _ConstantRng(5)
+        coeffs, _ = _parameterize_pencil(3, (2,), PointSet([center], 0, p), rng, p)
+        assert rng.calls == 3 + 7
+        phis = tuple(BinForm(row, p) for row in coeffs)
+        assert fibre_at(phis, PointSet([q], 0, p), 0).degree == 1
+        pts = PointSet([center, q], 0, p)
+        rng = _ConstantRng(5)
+        with pytest.raises(DegenerateConfigurationError, match="failed to build the pencil curve"):
+            _parameterize_pencil(3, (2, 0), pts, rng, p)
+        assert rng.calls == 16 * (3 + 16 * 7)  # 16 frames, each with 16 draws of G and H
+        # the first draw of G and H is that cubic, the second misses q
+        rng = _ScriptedRng(5, 3 + 7, seed=1)
+        coeffs, fibres = _parameterize_pencil(3, (2, 0), pts, rng, p)
+        assert rng.calls == 3 + 2 * 7
+        phis = tuple(BinForm(row, p) for row in coeffs)
+        assert [fibre_at(phis, pts, i).degree for i in range(2)] == [2, 0]
+        assert BinForm(fibres[0], p) == fibre_at(phis, pts, 0) and fibres[1].tolist() == [1]
+
+    def test_refused_multiplicities(self, points9):
+        rng = SeededRng(1)
+        with pytest.raises(ValueError, match="not a conic type"):
+            _parameterize_conic((1, 1, 1, 0, 0, 0, 0, 0, 0), points9, rng, P)
+        with pytest.raises(ValueError, match="is not parameterizable"):
+            _parameterize_pencil(3, (2, 1, 1, 0, 0, 0, 0, 0, 0), points9, rng, P)
+        assert _parameterize_pencil(3, (2, 1, 0, 0, 0, 0, 0, 0, 0), points9, rng, P)
