@@ -330,6 +330,33 @@ def test_d12_condition_matrices_pinned():
     assert got == D12_DIGESTS
 
 
+# sha256 of red.tobytes() + repr(pivots) for the saturation matrix
+# syzygy_matrix(phi, d - 2) of a degree-61 scan type and of a semi-adjoint
+# type of the dmax=61 list, phi at seed 1 and the default modulus: 121 x 180
+# and 119 x 177, with rank-deficient panels past the second; computed before
+# the panel pivots were read off a prefix of the rows
+SYZYGY_DIGESTS = {
+    (61, (26, 21, 20, 20, 19, 19, 19, 19, 19)): "8572a0312c3d5c596ae6f53b4c5200ff023e6f42d02ed10b5735ce044a7617e5",
+    (60, (25, 21, 21, 19, 19, 19, 19, 19, 17)): "fe93fe08a2d36af3e511612c13488e5f900f97226b557386699e8a09ce4463c2",
+}
+
+
+def test_saturation_matrices_pinned():
+    from curvesplit.lattice import NumType
+    from curvesplit.param import parameterize, random_points
+    from curvesplit.splitting import syzygy_matrix
+
+    got = {}
+    for d, m in SYZYGY_DIGESTS:
+        T = NumType(d, m)
+        phi = parameterize(T, random_points(T.r, 1, P), 1)
+        mat = syzygy_matrix(phi, d - 2)
+        assert mat.cols > _LEAF_COLS
+        red, pivots = mat.rref()
+        got[d, m] = hashlib.sha256(red.tobytes() + repr(pivots).encode()).hexdigest()
+    assert got == SYZYGY_DIGESTS
+
+
 def _product(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
     return [[sum(a[i][k] * b[k][j] for k in range(3)) % p for j in range(3)] for i in range(3)]
 
