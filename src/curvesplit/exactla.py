@@ -7,14 +7,17 @@ All elimination is done with modular inverses, so results are exact.  There
 is one elimination, ``MatFp.rref``: a forward pass to row-echelon form, then
 back-substitution on the free columns of the pivot rows.  ``rank`` and
 ``kernel_basis`` are its only users.  The forward pass of a matrix with at
-most 128 columns is the leaf, which touches only the rows below each pivot
-that are nonzero in its column, on the columns from the pivot on.  A wider
-matrix goes by panels of 32 columns: the leaf eliminates one panel of the
-remaining rows and records their row order, the panel's pivot rows are
-multiplied by the inverse of their pivot block, and the rows below get the
-Schur update ``B2 - A21 U12``; the back-substitution then goes one panel of
-pivot rows at a time.  Those products, forward and back, are float64 matmuls
-(BLAS) over 16-bit limbs, in chunks of 128 columns.
+most 128 columns is the leaf, which updates in place, on the columns from
+each pivot on, the block of rows from the first to the last one below the
+pivot that is nonzero in its column.  A wider matrix goes by panels of 32
+columns: the leaf, run on a copy of the first rows of the panel's remaining
+rows (twice the panel's width, doubled until the panel has a pivot in every
+column or every row is in), gives the panel's pivot columns and row order,
+the panel's pivot rows are multiplied by the inverse of their pivot block,
+and the rows below get the Schur update ``B2 - A21 U12``; the
+back-substitution then goes one panel of pivot rows at a time.  Those
+products, forward and back, are float64 matmuls (BLAS) over 16-bit limbs,
+in chunks of 128 columns.
 
 Two bounds keep every step exact:
 
@@ -138,14 +141,17 @@ class MatFp:
 
         * forward elimination to row-echelon form with unit pivots.  With at
           most ``_LEAF_COLS`` columns this is the leaf, ``_echelon``: each
-          pivot row is normalized from its pivot column on, and only the rows
-          below that are nonzero in the pivot column are updated, on the
-          columns from the pivot column on.  Wider matrices go by panels of
-          ``_PANEL`` columns (``_blocked_echelon``): the leaf finds the pivots
-          and the row order of one panel of the remaining rows, the panel's
-          pivot rows are multiplied by the inverse of their pivot block, and
-          the rows below get the Schur update ``B2 - A21 U12``, every product
-          a float64 matmul made exact by ``_mul_mod``;
+          pivot row is normalized from its pivot column on, and the block of
+          rows from the first to the last one below it that is nonzero in the
+          pivot column is updated in place, on the columns from the pivot
+          column on (the rows in between are zero there and subtract 0).
+          Wider matrices go by panels of ``_PANEL`` columns
+          (``_blocked_echelon``): the leaf, run on a copy of a prefix of the
+          panel's remaining rows (``_panel_pivots``), finds the pivots and
+          the row order that it would find on all of them, the panel's pivot
+          rows are multiplied by the inverse of their pivot block, and the
+          rows below get the Schur update ``B2 - A21 U12``, every product a
+          float64 matmul made exact by ``_mul_mod``;
         * back-substitution, from the last pivot upwards, on the free
           (non-pivot) columns of the pivot rows only, one row at a time after
           the leaf and one panel at a time after the panels; the pivot columns
@@ -223,7 +229,13 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 def _echelon(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """The leaf: forward elimination of ``a`` in place to row-echelon form
     with unit pivots.  Returns the pivot columns and the row permutation
-    (``perm[i]`` is the input row now at row i)."""
+    (``perm[i]`` is the input row now at row i).
+
+    At each column the pivot row is the first remaining row nonzero there.
+    Once it is normalized, the rows from the first to the last one below it
+    that are nonzero in the column lose their entry there times the pivot
+    row, as one in-place update of that contiguous block; a row in between
+    is zero in the column, so it subtracts 0 and stays as it is."""
     nrows, ncols = a.shape
     perm = np.arange(nrows)
     pivots: list[int] = []
@@ -231,7 +243,7 @@ def _echelon(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
@@ -243,8 +255,10 @@ def _echelon(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
         row *= pow(int(row[0]), -1, p)
         row %= p
         if nz.size > 1:
-            below = nz[1:] + r
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], row)) % p
+            # the rows between are zero at c: they subtract 0
+            blk = a[r + nz[1] : r + nz[-1] + 1, c:]
+            blk -= blk[:, :1] * row
+            blk %= p
         pivots.append(c)
         r += 1
     return pivots, perm
@@ -253,12 +267,12 @@ def _echelon(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
 def _blocked_echelon(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """Forward elimination of ``a`` in place by panels of ``_PANEL`` columns.
 
-    For each panel the leaf, run on a copy of the panel's remaining rows,
-    gives its pivot columns J and the row order that puts its k pivot rows
-    first.  With that order, A11 (the pivot rows on J) is invertible and
-    A21 (the other rows on J) holds the multipliers: the pivot rows become
-    A11^-1 times themselves, reduced on J, and every other row loses A21
-    times the new pivot rows.  On the panel's columns this is the leaf's
+    For each panel, ``_panel_pivots`` gives the pivot columns J of the leaf
+    on the panel's remaining rows and the row order that puts its k pivot
+    rows first.  With that order, A11 (the pivot rows on J) is invertible and A21 (the
+    other rows on J) holds the multipliers: the pivot rows become A11^-1
+    times themselves, reduced on J, and every other row loses A21 times the
+    new pivot rows.  On the panel's columns this is the leaf's
     result with the pivot rows reduced on each other; the pivots of the
     Schur complement that remains are the next pivots of the whole matrix,
     so the pivot columns are those of the leaf on the whole matrix.
@@ -272,7 +286,7 @@ def _blocked_echelon(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     for c0 in range(0, ncols, _PANEL):
         if r == nrows:
             break
-        piv, perm = _echelon(a[r:, c0 : c0 + _PANEL].copy(), p)
+        piv, perm = _panel_pivots(a[r:, c0 : c0 + _PANEL], p)
         k = len(piv)
         if not k:
             continue
@@ -291,6 +305,31 @@ def _blocked_echelon(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
         starts.append(r)
         r += k
     return pivots, starts
+
+
+def _panel_pivots(panel: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the row permutation of the leaf on ``panel``,
+    which is not modified, read off the leaf on a copy of a prefix of its
+    rows.
+
+    The prefix is the first 2w rows of a panel of width w, and twice as many
+    each time until the leaf on it finds w pivots or it holds every row; the
+    rows past it follow in their order.  This is the leaf's result on all
+    the rows: the leaf pivots on the first row nonzero in a column, and its
+    update of a row reads only that row and the pivot row, so until it picks
+    a row past the prefix, the leaf on all rows does to the prefix exactly
+    what the leaf on the prefix does.  If the prefix has a pivot in every
+    column, that pivot is also the first nonzero row of all the rows, so the
+    rows past the prefix are never chosen and never moved.
+    """
+    nrows, w = panel.shape
+    h = 2 * w
+    while True:
+        h = min(h, nrows)
+        piv, perm = _echelon(panel[:h].copy(), p)
+        if len(piv) == w or h == nrows:
+            return piv, np.concatenate([perm, np.arange(h, nrows)])
+        h *= 2
 
 
 def _mul_mod(x: np.ndarray, y: np.ndarray, p: int, acc: np.ndarray | None = None) -> np.ndarray:

@@ -11,7 +11,9 @@ from curvesplit.exactla import (
     _PANEL,
     MODULUS,
     MatFp,
+    _echelon,
     _mul_mod,
+    _panel_pivots,
     check_modulus,
     is_prime,
 )
@@ -306,6 +308,110 @@ def test_mul_mod_exact_at_the_largest_entries(p, k):
     x, y, acc = (p - 1 - rng.integers(0, min(p, 256), size=s) for s in ((6, k), (k, 9), (6, 9)))
     expect = (acc.astype(object) + x.astype(object) @ y.astype(object)) % p
     assert _mul_mod(x, y, p, acc).tolist() == expect.tolist()
+
+
+def _reference_echelon(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The leaf with a gather and a scatter: the rows below each pivot that
+    are nonzero in its column are copied out, updated and written back."""
+    nrows, ncols = a.shape
+    perm = np.arange(nrows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            s = r + nz[0]
+            a[[r, s], c:] = a[[s, r], c:]
+            perm[[r, s]] = perm[[s, r]]
+        row = a[r, c:]
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        if nz.size > 1:
+            below = nz[1:] + r
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], row)) % p
+        pivots.append(c)
+        r += 1
+    return pivots, perm
+
+
+def _banded_syzygy_matrices(p: int) -> list[np.ndarray]:
+    """syzygy_matrix(phi, k) of a degree-61 scan type at k = 29 (the moving
+    lines), 40 and 59, reduced mod p; phi is built at the default modulus,
+    since no 9 points mod 7 are generic enough for it."""
+    from curvesplit.lattice import NumType
+    from curvesplit.param import parameterize, random_points
+    from curvesplit.splitting import syzygy_matrix
+
+    T = NumType(61, (26, 21, 20, 20, 19, 19, 19, 19, 19))
+    phi = parameterize(T, random_points(T.r, 1, P), 1)
+    return [syzygy_matrix(phi, k).entries % p for k in (29, 40, 59)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_leaf_matches_gather_scatter_reference(p):
+    rng = np.random.default_rng([p, 61])
+    sparse = [(rng.random(shape) < 0.08) * (p - 1) for shape in ((120, 100), (60, 128), (200, 40))]
+    # the nonzero rows below a pivot are not contiguous
+    assert (np.diff(np.flatnonzero(sparse[0][1:, 0])) > 1).any()
+    for a in _banded_syzygy_matrices(p) + sparse:
+        got, ref = a.astype(np.int64), a.astype(np.int64)
+        pivots, perm = _echelon(got, p)
+        ref_pivots, ref_perm = _reference_echelon(ref, p)
+        assert pivots == ref_pivots and len(pivots) > 0
+        assert np.array_equal(perm, ref_perm)
+        assert np.array_equal(got, ref)
+
+
+PANEL_KINDS = ["dense", "zero_top_rows", "late_last_pivot", "rank_deficient", "short"]
+
+
+def _panel_case(kind: str, p: int) -> np.ndarray:
+    w = _PANEL
+    rng = np.random.default_rng([PANEL_KINDS.index(kind), p, w])
+    if kind == "dense":
+        return rng.integers(0, p, size=(300, w))
+    if kind == "zero_top_rows":
+        # the first 100 rows are zero: prefixes of 2w and 4w rows hold fewer
+        # than w pivots, 8w rows hold w of them and leave 44 rows past it
+        a = rng.integers(0, p, size=(300, w))
+        a[:100] = 0
+        return a
+    if kind == "late_last_pivot":
+        # the first 100 rows are zero in the last column: a prefix of 2w rows
+        # holds w - 1 pivots, one of 4w rows holds w
+        a = rng.integers(0, p, size=(300, w))
+        a[:100, -1] = 0
+        return a
+    if kind == "rank_deficient":
+        # a zero column and a column equal to an earlier one: w - 2 pivots,
+        # so the prefix grows to every row
+        a = rng.integers(0, p, size=(150, w))
+        a[:, 5] = 0
+        a[:, 20] = a[:, 3]
+        return a
+    if kind == "short":
+        return rng.integers(0, p, size=(w + 8, w))
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("kind", PANEL_KINDS)
+def test_panel_pivots_match_the_leaf_on_the_whole_panel(kind, p):
+    a = _panel_case(kind, p)
+    # a view into a wider matrix, as _blocked_echelon passes it
+    wide = np.zeros((a.shape[0] + 3, _PANEL + 10), dtype=np.int64)
+    wide[3:, 4 : 4 + _PANEL] = a
+    panel = wide[3:, 4 : 4 + _PANEL]
+    pivots, perm = _panel_pivots(panel, p)
+    ref_pivots, ref_perm = _echelon(a.copy(), p)
+    assert pivots == ref_pivots
+    assert np.array_equal(perm, ref_perm)
+    assert np.array_equal(panel, a)
+    assert len(pivots) == (_PANEL - 2 if kind == "rank_deficient" else _PANEL)
 
 
 # sha256 of red.tobytes() + repr(pivots) for the three d'=12 condition
