@@ -264,15 +264,40 @@ def _echelon(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, perm
 
 
+def _panel_pivots(panel: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the row permutation of the leaf on ``panel``,
+    which is not modified, read off the leaf on a copy of a prefix of its
+    rows.
+
+    The prefix is the first 2w rows of a panel of width w, and twice as many
+    each time until the leaf on it finds w pivots or it holds every row; the
+    rows past it follow in their order.  This is the leaf's result on all
+    the rows: the leaf pivots on the first row nonzero in a column, and its
+    update of a row reads only that row and the pivot row, so until it picks
+    a row past the prefix, the leaf on all rows does to the prefix exactly
+    what the leaf on the prefix does.  If the prefix has a pivot in every
+    column, that pivot is also the first nonzero row of all the rows, so the
+    rows past the prefix are never chosen and never moved.
+    """
+    nrows, w = panel.shape
+    h = 2 * w
+    while True:
+        h = min(h, nrows)
+        piv, perm = _echelon(panel[:h].copy(), p)
+        if len(piv) == w or h == nrows:
+            return piv, np.concatenate([perm, np.arange(h, nrows)])
+        h *= 2
+
+
 def _blocked_echelon(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """Forward elimination of ``a`` in place by panels of ``_PANEL`` columns.
 
     For each panel, ``_panel_pivots`` gives the pivot columns J of the leaf
     on the panel's remaining rows and the row order that puts its k pivot
-    rows first.  With that order, A11 (the pivot rows on J) is invertible and A21 (the
-    other rows on J) holds the multipliers: the pivot rows become A11^-1
-    times themselves, reduced on J, and every other row loses A21 times the
-    new pivot rows.  On the panel's columns this is the leaf's
+    rows first.  With that order, A11 (the pivot rows on J) is invertible
+    and A21 (the other rows on J) holds the multipliers: the pivot rows
+    become A11^-1 times themselves, reduced on J, and every other row loses
+    A21 times the new pivot rows.  On the panel's columns this is the leaf's
     result with the pivot rows reduced on each other; the pivots of the
     Schur complement that remains are the next pivots of the whole matrix,
     so the pivot columns are those of the leaf on the whole matrix.
@@ -305,31 +330,6 @@ def _blocked_echelon(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
         starts.append(r)
         r += k
     return pivots, starts
-
-
-def _panel_pivots(panel: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """The pivot columns and the row permutation of the leaf on ``panel``,
-    which is not modified, read off the leaf on a copy of a prefix of its
-    rows.
-
-    The prefix is the first 2w rows of a panel of width w, and twice as many
-    each time until the leaf on it finds w pivots or it holds every row; the
-    rows past it follow in their order.  This is the leaf's result on all
-    the rows: the leaf pivots on the first row nonzero in a column, and its
-    update of a row reads only that row and the pivot row, so until it picks
-    a row past the prefix, the leaf on all rows does to the prefix exactly
-    what the leaf on the prefix does.  If the prefix has a pivot in every
-    column, that pivot is also the first nonzero row of all the rows, so the
-    rows past the prefix are never chosen and never moved.
-    """
-    nrows, w = panel.shape
-    h = 2 * w
-    while True:
-        h = min(h, nrows)
-        piv, perm = _echelon(panel[:h].copy(), p)
-        if len(piv) == w or h == nrows:
-            return piv, np.concatenate([perm, np.arange(h, nrows)])
-        h *= 2
 
 
 def _mul_mod(x: np.ndarray, y: np.ndarray, p: int, acc: np.ndarray | None = None) -> np.ndarray:
