@@ -176,7 +176,7 @@ def _cmd_fatpoints(args, cfg: Config) -> int:
 def _cmd_scan(args, cfg: Config) -> int:
     cfg.check_degree(args.dmax)
     resumed = []
-    if args.resume and args.out and os.path.exists(args.out):
+    if args.resume and os.path.exists(args.out):
         with open(args.out) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
         resumed = [ScanRecord.from_json(obj) for obj in lines if "type" in obj]
@@ -194,6 +194,9 @@ def _cmd_scan(args, cfg: Config) -> int:
 
 def _cmd_search(args, cfg: Config) -> int:
     T = _parse_type(args.type)
+    cfg.check_degree(T.d)
+    if args.damax is not None:
+        cfg.check_degree(args.damax)
     D = T.to_divclass()
     pts = _points_for(T, cfg)
     res = search_min_product(D, pts, args.damax, compare_seed=cfg.seed if args.compare else None)
@@ -282,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.out:
+        parser.error("--resume needs --out: it skips the types already present there")
     try:
         cfg = Config(p=args.p, seed=args.seed, fmt=args.format)
         return args.func(args, cfg)

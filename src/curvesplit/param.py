@@ -23,9 +23,10 @@ invertible A changes no fibre, since Af x Aq is f x q times the invertible
 cofactor matrix of A.  Call f coprime when its components have no common
 root over the algebraic closure.  By induction over the steps, last first:
 
-(i)   Every base curve is coprime, and its fibres are as built; a point of
-      multiplicity 0 on it is redrawn.  The line s a + t b, a != b: t over
-      a, s over b.  The conic M v, v = (s^2, st, t^2), M = [a | c | beta b]
+(i)   Every base curve is coprime, and its fibres are as built; a base
+      curve through a point of multiplicity 0 is a degenerate
+      configuration.  The line s a + t b, a != b: t over a, s over b.
+      The conic M v, v = (s^2, st, t^2), M = [a | c | beta b]
       invertible: v never vanishes, and the fibre over q is v's over
       M^{-1} q: t over e_0 (q = a), s over e_2 (q = b), 1 off y1^2 = y0 y2.
       The pencil curve, a frame change of (s G, t G, -H) with the center at
@@ -46,9 +47,10 @@ of the tests.
 
 Randomness over a large prime field stands in for genericity: every
 degenerate configuration (collinear centers, a point landing on a fundamental
-line, a base curve that cannot miss a point) raises
-DegenerateConfigurationError, and the driver retries with points regenerated
-deterministically from seed + retry counter.
+line, a base draw that misses genericity) raises
+DegenerateConfigurationError with its reason.  Each base case draws once;
+the attempt loop of ``parameterize`` is the only retry, on points and a base
+rng regenerated deterministically from seed + attempt counter.
 """
 
 from __future__ import annotations
@@ -509,51 +511,44 @@ def _pencil_at(gvec: list[int], hvec: list[int], point: list[int], p: int) -> in
 
 def _parameterize_line(mults, points: PointSet, rng: SeededRng, p: int):
     """The line s a + t b through the points of multiplicity 1, random points
-    standing in for missing ones, missing every point of multiplicity 0: its
-    (3, 2) coefficient array [a | b] and its fibres over all the points
-    (module docstring, (i))."""
+    standing in for missing ones: its (3, 2) coefficient array [a | b] and its
+    fibres over all the points (module docstring, (i)).  Stand-in points that
+    coincide, or a line through a point of multiplicity 0, are a degenerate
+    configuration."""
     assigned = [idx for idx, m in enumerate(mults) if m == 1]
     if any(m not in (0, 1) for m in mults) or len(assigned) > 2:
         raise ValueError(f"not a line type: multiplicities {mults}")
     rows = [tuple(x) for x in points.coords.tolist()]
-    chosen = [rows[idx] for idx in assigned]
-    avoid = [rows[idx] for idx, m in enumerate(mults) if m == 0]
-    for _ in range(16):
-        extras = [(1, rng.below(p), rng.below(p)) for _ in range(2 - len(chosen))]
-        cand = chosen + extras
-        if len(set(cand)) != 2:
-            continue
-        line = _line_through(cand[0], cand[1], p)
-        if any(sum(a * b for a, b in zip(line, q)) % p == 0 for q in avoid):
-            if len(chosen) == 2:
-                raise DegenerateConfigurationError("forced line hits an assigned zero-multiplicity point")
-            continue
-        return np.array(cand, dtype=np.int64).T, _base_fibres(points.r, assigned, ([0, 1], [1, 0]), p)
-    raise DegenerateConfigurationError("could not place a generic line")
+    cand = [rows[idx] for idx in assigned] + [(1, rng.below(p), rng.below(p)) for _ in range(2 - len(assigned))]
+    if len(set(cand)) != 2:
+        raise DegenerateConfigurationError("stand-in points of the line coincide")
+    line = _line_through(cand[0], cand[1], p)
+    if any(sum(a * b for a, b in zip(line, q)) % p == 0 for q, m in zip(rows, mults) if m == 0):
+        raise DegenerateConfigurationError("the line passes through a point of multiplicity 0")
+    return np.array(cand, dtype=np.int64).T, _base_fibres(points.r, assigned, ([0, 1], [1, 0]), p)
 
 
 def _parameterize_conic(mults, points: PointSet, rng: SeededRng, p: int):
     """The conic M (s^2, st, t^2), M = [a | c | beta b], through the points a,
     b of multiplicity 1, random points standing in for missing ones, with c
     and beta random: M and the fibres over all the points (module docstring,
-    (i)).  M is redrawn when it is singular or the conic passes through a
-    point q of multiplicity 0, that is y = M^{-1} q has y1^2 = y0 y2."""
+    (i)).  A singular M, or a conic through a point q of multiplicity 0, that
+    is y = M^{-1} q has y1^2 = y0 y2, is a degenerate configuration."""
     assigned = [idx for idx, m in enumerate(mults) if m == 1]
     if any(m not in (0, 1) for m in mults) or len(assigned) > 2:
         raise ValueError(f"not a conic type: multiplicities {mults}")
     avoid = points.coords[[idx for idx, m in enumerate(mults) if m == 0]].T
-    for _ in range(16):
-        a, b = points.coords[assigned].tolist() + [[1, rng.below(p), rng.below(p)] for _ in range(2 - len(assigned))]
-        c = [rng.below(p) for _ in range(3)]
-        beta = rng.below(p)
-        mat = np.array([a, c, [beta * v % p for v in b]], dtype=np.int64).T
-        inv = _inverse3(mat, p)
-        if inv is None:
-            continue
-        y0, y1, y2 = _combine(inv, avoid, p)
-        if not (y1 * y1 % p == y0 * y2 % p).any():
-            return mat, _base_fibres(points.r, assigned, ([0, 1], [1, 0]), p)
-    raise DegenerateConfigurationError("could not place a generic conic")
+    a, b = points.coords[assigned].tolist() + [[1, rng.below(p), rng.below(p)] for _ in range(2 - len(assigned))]
+    c = [rng.below(p) for _ in range(3)]
+    beta = rng.below(p)
+    mat = np.array([a, c, [beta * v % p for v in b]], dtype=np.int64).T
+    inv = _inverse3(mat, p)
+    if inv is None:
+        raise DegenerateConfigurationError("the conic matrix is singular")
+    y0, y1, y2 = _combine(inv, avoid, p)
+    if (y1 * y1 % p == y0 * y2 % p).any():
+        raise DegenerateConfigurationError("the conic passes through a point of multiplicity 0")
+    return mat, _base_fibres(points.r, assigned, ([0, 1], [1, 0]), p)
 
 
 def _parameterize_pencil(d: int, mults, points: PointSet, rng: SeededRng, p: int):
@@ -562,46 +557,42 @@ def _parameterize_pencil(d: int, mults, points: PointSet, rng: SeededRng, p: int
     With the multiple point moved to (0, 0, 1) by a random frame, such a
     curve is (s G, t G, -H) for random binary forms G, H of degrees d-1 and
     d.  A simple point of frame coordinates (a, b, c) fixes the s^d
-    coefficient of H through H(a, b) + c G(a, b) = 0; the frame is redrawn
-    when a = 0.  G and H are redrawn when they share a factor or the curve
-    passes through a point of multiplicity 0.  Returns the (3, d + 1)
-    coefficient array and the fibres over all the points (module docstring,
-    (i)).
+    coefficient of H through H(a, b) + c G(a, b) = 0.  A singular frame, a
+    simple point at a = 0, G and H with a common factor, or a curve through a
+    point of multiplicity 0 is a degenerate configuration.  Returns the
+    (3, d + 1) coefficient array and the fibres over all the points (module
+    docstring, (i)).
     """
     center = [idx for idx, m in enumerate(mults) if m == d - 1]
     simple = [idx for idx, m in enumerate(mults) if m == 1]
     if d < 3 or len(center) != 1 or len(simple) > 1 or any(m not in (0, 1, d - 1) for m in mults):
         raise ValueError(f"base class of degree {d} with multiplicities {mults} is not parameterizable")
-    avoid = [idx for idx, m in enumerate(mults) if m == 0]
-    for _ in range(16):
-        u = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
-        w = np.array([0, 1, rng.below(p)], dtype=np.int64)
-        umat = np.vstack([u, w, points.coords[center[0]]]).T % p
-        uinv = _inverse3(umat, p)
-        if uinv is None:
-            continue
-        # frame coordinates (a, b, c) of every point
-        frame = _combine(uinv, points.coords.T, p).T.tolist()
-        if any(frame[idx][0] == 0 for idx in simple):
-            continue
-        for _ in range(16):
-            coeffs = [rng.below(p) for _ in range(2 * d + 1)]
-            gvec, hvec = coeffs[:d], coeffs[d:]
-            for idx in simple:
-                hvec[0] = 0
-                hvec[0] = -_pencil_at(gvec, hvec, frame[idx], p) * pow(frame[idx][0], -d, p) % p
-            if not any(gvec) or gcd_many([BinForm(gvec, p), BinForm(hvec, p)]).degree != 0:
-                continue
-            if any(_pencil_at(gvec, hvec, frame[idx], p) == 0 for idx in avoid):
-                continue
-            # (s G, t G, -H) in the normalized frame, then back through the
-            # frame change
-            curve = np.zeros((3, d + 1), dtype=np.int64)
-            curve[0, :d] = curve[1, 1:] = gvec
-            curve[2] = [-h % p for h in hvec]
-            fibres = [gvec] + [[frame[idx][1], -frame[idx][0]] for idx in simple]  # G, b s - a t
-            return _combine(umat, curve, p), _base_fibres(points.r, center + simple, fibres, p)
-    raise DegenerateConfigurationError("failed to build the pencil curve")
+    u = np.array([1, rng.below(p), rng.below(p)], dtype=np.int64)
+    w = np.array([0, 1, rng.below(p)], dtype=np.int64)
+    umat = np.vstack([u, w, points.coords[center[0]]]).T % p
+    uinv = _inverse3(umat, p)
+    if uinv is None:
+        raise DegenerateConfigurationError("the pencil frame is singular")
+    # frame coordinates (a, b, c) of every point
+    frame = _combine(uinv, points.coords.T, p).T.tolist()
+    if any(frame[idx][0] == 0 for idx in simple):
+        raise DegenerateConfigurationError("the simple point has frame coordinate a = 0")
+    coeffs = [rng.below(p) for _ in range(2 * d + 1)]
+    gvec, hvec = coeffs[:d], coeffs[d:]
+    for idx in simple:
+        hvec[0] = 0
+        hvec[0] = -_pencil_at(gvec, hvec, frame[idx], p) * pow(frame[idx][0], -d, p) % p
+    if not any(gvec) or gcd_many([BinForm(gvec, p), BinForm(hvec, p)]).degree != 0:
+        raise DegenerateConfigurationError("gcd(G, H) != 1")
+    if any(_pencil_at(gvec, hvec, frame[idx], p) == 0 for idx, m in enumerate(mults) if m == 0):
+        raise DegenerateConfigurationError("the pencil curve passes through a point of multiplicity 0")
+    # (s G, t G, -H) in the normalized frame, then back through the frame
+    # change
+    curve = np.zeros((3, d + 1), dtype=np.int64)
+    curve[0, :d] = curve[1, 1:] = gvec
+    curve[2] = [-h % p for h in hvec]
+    fibres = [gvec] + [[frame[idx][1], -frame[idx][0]] for idx in simple]  # G, b s - a t
+    return _combine(umat, curve, p), _base_fibres(points.r, center + simple, fibres, p)
 
 
 class ParameterizationError(ValueError):

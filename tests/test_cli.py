@@ -86,6 +86,33 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_resume_without_out_is_a_usage_error(capsys):
+    # with no file to resume from, the scan would silently start over
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-conj9", "--dmax", "8", "--resume"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--resume needs --out" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("param", "--type", "250,1"),
+        ("split", "--type", "250,1"),
+        ("scan-conj9", "--dmax", "250"),
+        ("fatpoints", "--mults", "1,1", "--k", "250"),
+        ("search-conjR", "--type", "250,1", "--damax", "1"),
+        ("search-conjR", "--type", "8,3,3,3,3,3,3,3,1,1", "--damax", "250"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_degree_cap_holds_for_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: degree 250 exceeds the configured cap 200\n"
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "split", "--type", "3,1,1")  # fails genus numerics
     assert code == 1
@@ -116,6 +143,11 @@ def test_param_trace_does_not_retry(capsys):
     assert err == "error: parameterization failed after 1 attempts: point 8 lies on a fundamental line\n"
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["triple"]["degree"] == 8
+    # a degenerate base draw is such an error too, with its reason
+    argv = ("param", "--type", "7,4,3,3,3,1,1,0", "--seed", "8", "--p", "211")
+    code, out, err = run_cli(capsys, *argv, "--trace")
+    assert (code, out) == (1, "")
+    assert err.endswith("after 1 attempts: the pencil curve passes through a point of multiplicity 0\n")
 
 
 def test_classify_output(capsys):
@@ -266,6 +298,8 @@ PINNED_DIGESTS = {
     "param --type 61,26,21,20,20,19,19,19,19,19 --seed 2 --trace --p 3037000493": "630fff04b0cb483b70dafc16e0a607bb89703f5a3c37ce7939960d82e6bf49be",
     "param --type 2,1,1 --seed 1 --trace": "e2738ff74941e29fb2c9cd4e7768e4a59bdc923fe4b908cde766e4e1e21602b1",
     "param --type 5,4,1 --seed 1": "266863bb9429e9edde1b94d4b371677570e6e68b8e7bf59752526388f8330eea",
+    # the first attempt's pencil passes through the point of multiplicity 0
+    "param --type 7,4,3,3,3,1,1,0 --seed 8 --p 211": "09fb365956cee55b2fc93367355ab25eca212fdcd9ce68eab4479b17ea6beba1",
 }
 
 

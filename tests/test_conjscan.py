@@ -242,7 +242,8 @@ class TestScanDriver:
 
     def test_retry_attempts_are_pinned_at_a_small_prime(self, monkeypatch):
         # every attempt's outcome (success, or the degenerate configuration
-        # that triggers the next) is part of the output at p = 211
+        # that triggers the next, a base draw among them) is part of the
+        # output at p = 211
         from curvesplit import param
 
         attempts, successes = [], []
@@ -257,6 +258,11 @@ class TestScanDriver:
         monkeypatch.setattr(param, "_parameterize_once", counting)
         records, summary = scan_conjecture9(30, 2, 211)
         assert (len(attempts), len(successes), len(records), summary["n_errors"]) == (250, 185, 187, 0)
+        attempts.clear()
+        successes.clear()
+        # list7-check --dmax-param 4 --seed 2 --p 211
+        rows = [row for fam in R7_FAMILIES for row in classification7_spotcheck(fam, range(5), 2, 211)]
+        assert (len(attempts), len(successes), len(rows), sum(not row.ok for row in rows)) == (213, 205, 209, 0)
 
 
 class TestFaultInjection:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -892,24 +893,34 @@ class _ConstantRng:
         return self.value % n
 
 
-class _ScriptedRng(_ConstantRng):
-    """``value`` for the first ``n_constant`` draws, then a ``SeededRng``."""
-
-    def __init__(self, value: int, n_constant: int, seed: int):
-        super().__init__(value)
-        self.n_constant, self.rest = n_constant, SeededRng(seed)
-
-    def below(self, n: int) -> int:
-        if self.calls < self.n_constant:
-            return super().below(n)
-        self.calls += 1
-        return self.rest.below(n)
+# every base-case rejection, drawn with every draw equal to 5:
+# (reason, degree, multiplicities, points, rng calls of one draw).  The line
+# stand-ins are both (1, 5, 5); the conic is M (s^2, st, t^2) with
+# M = [a | (5, 5, 5) | 5 b]; the pencil frame is [u | w | center] with
+# u = (1, 5, 5) and w = (0, 1, 5), G = 5 (s^2 + st + t^2) and
+# H = h s^3 + 5 (s^2 t + s t^2 + t^3), h solved from the simple point.
+_A, _B = random_points(2, 3, P).coords.tolist()
+_U, _W, _C = np.array([1, 5, 5]), np.array([0, 1, 5]), np.array([1, 7, 3])
+_REJECTIONS = [
+    ("stand-in points of the line coincide", 1, (0,), [_A], 4),
+    ("the line passes through a point of multiplicity 0", 1, (1, 1, 0), [_A, _B, 2 * np.array(_A) + 3 * np.array(_B)], 0),
+    ("the conic matrix is singular", 2, (1, 1), [[1, 1, 1], _B], 4),
+    # q = M (1, 1, 1)
+    ("the conic passes through a point of multiplicity 0", 2, (1, 1, 0), [_A, _B, np.add(_A, 5) + 5 * np.array(_B)], 4),
+    ("the pencil frame is singular", 3, (2,), [_U + _W], 3),
+    ("the simple point has frame coordinate a = 0", 3, (2, 1), [_C, _W + _C], 3),
+    # frame coordinates (1, 1, -1) make h = 0, so t divides H by G
+    ("gcd(G, H) != 1", 3, (2, 1), [_C, _U + _W - _C], 3 + 7),
+    # q is the curve's point at (s, t) = (1, 2): (G, 2 G, -H) there, through the frame
+    ("the pencil curve passes through a point of multiplicity 0", 3, (2, 0), [_C, 35 * _U + 70 * _W - 75 * _C], 3 + 7),
+]
 
 
 class TestBaseCurves:
     """Each base case returns its curve and its fibres over all the points in
-    closed form (``param`` module docstring, (i)); a point of multiplicity 0
-    on the curve is redrawn, 16 times at most."""
+    closed form (``param`` module docstring, (i)).  It draws once: a draw
+    that misses genericity raises DegenerateConfigurationError with its
+    reason, and the attempt loop of ``parameterize`` retries."""
 
     @staticmethod
     def _bases() -> set[DivClass]:
@@ -927,11 +938,23 @@ class TestBaseCurves:
         bases = sorted(self._bases(), key=lambda D: (D.d, D.m))
         kinds = Counter(min(D.d, 3) for D in bases)
         assert kinds == {1: 21, 2: 15, 3: 75}, kinds
-        checked = 0
+        checked = degenerate = 0
         for base in bases:
             for seed in (1, 2, 3):
                 pts = random_points(base.r, mix_seed(seed, base.d, *base.m), p)
-                coeffs, fibres = _base_curve(base, pts, SeededRng(seed))
+                rng = SeededRng(seed)
+                # a degenerate draw takes the next attempt's points and rng,
+                # as ``parameterize`` does
+                for attempt in range(1, 25):
+                    try:
+                        coeffs, fibres = _base_curve(base, pts, rng)
+                        break
+                    except DegenerateConfigurationError:
+                        degenerate += 1
+                        pts = random_points(base.r, mix_seed(seed, attempt, 0x52455452), p)
+                        rng = SeededRng(mix_seed(seed, attempt, 0x504152))
+                else:
+                    pytest.fail(f"{base}: 24 degenerate draws")
                 assert coeffs.shape == (3, base.d + 1) and coeffs.dtype == np.int64, base
                 assert ((0 <= coeffs) & (coeffs < p)).all(), base
                 phis = tuple(BinForm(row, p) for row in coeffs)
@@ -939,57 +962,31 @@ class TestBaseCurves:
                 assert [f.size - 1 for f in fibres] == list(base.m), base
                 checked += 1
         assert checked == 3 * 111
+        # the retry path runs at the small prime and never at the large ones
+        assert degenerate > 0 if p == 211 else degenerate == 0
 
-    def test_conic_redraws_a_curve_through_a_zero_point(self):
-        # with every draw equal to 5, the conic is M (s^2, st, t^2) with
-        # M = [a | (5, 5, 5) | 5 b]; q = M (1, 1, 1) lies on it
-        p = 211
-        a, b = random_points(2, 3, p).coords.tolist()
-        q = [(x + 5 + 5 * y) % p for x, y in zip(a, b)]
+    @pytest.mark.parametrize("reason, d, mults, coords, calls", _REJECTIONS, ids=[r[0] for r in _REJECTIONS])
+    def test_a_degenerate_draw_raises_its_reason(self, reason, d, mults, coords, calls):
+        pts = PointSet(coords, 0, P)
         rng = _ConstantRng(5)
-        coeffs, _ = _parameterize_conic((1, 1), PointSet([a, b], 0, p), rng, p)
-        assert rng.calls == 4
-        phis = tuple(BinForm(row, p) for row in coeffs)
-        assert fibre_at(phis, PointSet([q], 0, p), 0).degree == 1
-        pts = PointSet([a, b, q], 0, p)
-        rng = _ConstantRng(5)
-        with pytest.raises(DegenerateConfigurationError, match="could not place a generic conic"):
-            _parameterize_conic((1, 1, 0), pts, rng, p)
-        assert rng.calls == 16 * 4  # c and beta, 16 times
-        # the first draw is that conic, the second misses q
-        rng = _ScriptedRng(5, 4, seed=1)
-        coeffs, fibres = _parameterize_conic((1, 1, 0), pts, rng, p)
-        assert rng.calls == 8
-        phis = tuple(BinForm(row, p) for row in coeffs)
-        assert [fibre_at(phis, pts, i).degree for i in range(3)] == [1, 1, 0]
-        assert [f.tolist() for f in fibres] == [[0, 1], [1, 0], [1]]
+        with pytest.raises(DegenerateConfigurationError, match=f"^{re.escape(reason)}$"):
+            _base_curve(DivClass(d, mults), pts, rng)
+        assert rng.calls == calls
 
-    def test_pencil_redraws_a_curve_through_a_zero_point(self):
-        # with every draw equal to 5, the cubic is (s G, t G, -H) in the frame
-        # [u | w | center], u = (1, 5, 5), w = (0, 1, 5), G = 5 (s^2 + st + t^2)
-        # and H = 5 (s^3 + s^2 t + s t^2 + t^3); q is its point at (s, t) = (1, 2)
-        p = 211
-        center = (1, 7, 3)
-        umat = np.array([(1, 5, 5), (0, 1, 5), center], dtype=np.int64).T
-        g, h = 5 * (1 + 2 + 4), 5 * (1 + 2 + 4 + 8)
-        q = _combine(umat, np.array([[g], [2 * g], [-h]], dtype=np.int64) % p, p)[:, 0].tolist()
-        rng = _ConstantRng(5)
-        coeffs, _ = _parameterize_pencil(3, (2,), PointSet([center], 0, p), rng, p)
-        assert rng.calls == 3 + 7
-        phis = tuple(BinForm(row, p) for row in coeffs)
-        assert fibre_at(phis, PointSet([q], 0, p), 0).degree == 1
-        pts = PointSet([center, q], 0, p)
-        rng = _ConstantRng(5)
-        with pytest.raises(DegenerateConfigurationError, match="failed to build the pencil curve"):
-            _parameterize_pencil(3, (2, 0), pts, rng, p)
-        assert rng.calls == 16 * (3 + 16 * 7)  # 16 frames, each with 16 draws of G and H
-        # the first draw of G and H is that cubic, the second misses q
-        rng = _ScriptedRng(5, 3 + 7, seed=1)
-        coeffs, fibres = _parameterize_pencil(3, (2, 0), pts, rng, p)
-        assert rng.calls == 3 + 2 * 7
-        phis = tuple(BinForm(row, p) for row in coeffs)
-        assert [fibre_at(phis, pts, i).degree for i in range(2)] == [2, 0]
-        assert BinForm(fibres[0], p) == fibre_at(phis, pts, 0) and fibres[1].tolist() == [1]
+    @pytest.mark.parametrize("reason, d, mults, coords, calls", _REJECTIONS, ids=[r[0] for r in _REJECTIONS])
+    def test_parameterize_retries_a_degenerate_draw(self, monkeypatch, reason, d, mults, coords, calls):
+        from curvesplit import param
+
+        seed = 4
+        pts = PointSet(coords, 0, P)
+        first = mix_seed(seed, 0, 0x504152)
+        monkeypatch.setattr(param, "SeededRng", lambda s: _ConstantRng(5) if s == first else SeededRng(s))
+        D = DivClass(d, mults)
+        with pytest.raises(RetryLimitError, match=f"after 1 attempts: {re.escape(reason)}$"):
+            parameterize(D, pts, seed, max_retries=1)
+        res = parameterize(D, pts, seed)
+        assert res.points.seed == mix_seed(seed, 1, 0x52455452)
+        assert _multiplicities(res, res.points) == list(mults)
 
     def test_refused_multiplicities(self, points9):
         rng = SeededRng(1)
