@@ -72,8 +72,17 @@ def _parse_type(text: str) -> NumType:
 def _parse_krange(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        ks = list(range(int(lo), int(hi) + 1))
+        if not ks:
+            raise ValueError(f"degree range {text!r} is empty")
+        return ks
     return [int(v) for v in text.split(",")]
+
+
+def _non_negative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be non-negative")
+    return value
 
 
 def _emit(obj: dict, cfg: Config) -> None:
@@ -196,7 +205,7 @@ def _cmd_search(args, cfg: Config) -> int:
     T = _parse_type(args.type)
     cfg.check_degree(T.d)
     if args.damax is not None:
-        cfg.check_degree(args.damax)
+        cfg.check_degree(_non_negative("--damax", args.damax))
     D = T.to_divclass()
     pts = _points_for(T, cfg)
     res = search_min_product(D, pts, args.damax, compare_seed=cfg.seed if args.compare else None)
@@ -213,6 +222,7 @@ def _cmd_search(args, cfg: Config) -> int:
 
 
 def _cmd_list7(args, cfg: Config) -> int:
+    _non_negative("--dmax-param", args.dmax_param)
     rows = []
     nbad = 0
     for fam in R7_FAMILIES:

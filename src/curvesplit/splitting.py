@@ -17,9 +17,10 @@ k <= K ``syzygy_matrix(phi, k)`` is its first 3(k+1) columns, less rows that
 are zero there.  ``MatFp.rref`` pivots on the first nonzero entry, so the
 rank of a column prefix is the number of pivots in it, and the kernel vector
 of a free column f, zero right of f, is the same for every K >= f // 3.
-Saturation reads (and checks dim Syz_k for) every k <= d - 2 off the pivots
-at K = d - 2; the minimal syzygy is the first free column's vector at
-K = d // 2.
+Saturation reads (and checks dim Syz_k for) every k <= K off the pivots at
+K = min(d // 2, d - 2), and again at K = d - 2 only when that prefix never
+saturates (gap >= 3); the minimal syzygy is the first free column's vector
+at K = d // 2.
 """
 
 from __future__ import annotations
@@ -132,15 +133,29 @@ def splitting_saturation(phi: ParamTriple) -> SplitType:
     dim J_{d+k} is the rank of ``syzygy_matrix(phi, k)``; the least k with
     dim J_{d+k} = k + d + 1 gives sigma = d + k = b + d - 1 <= 2d - 2, and
     dim Syz_k = 3(k+1) - dim J_{d+k} must be (k - a + 1)_+ + (k - b + 1)_+.
+
+    The ranks for k <= K are read off the pivots of ``syzygy_matrix(phi, K)``,
+    first at K = min(d // 2, d - 2), which shows sigma whenever the gap is at
+    most 2 (then b - 1 <= d // 2), and only if that prefix never saturates
+    again at K = d - 2, as for (16; 6^7) with splitting (6, 10).  Stopping at
+    the first K that saturates loses nothing.  The column prefixes of a larger
+    matrix have the same pivots, so the same least k, hence the same b, comes
+    out.  Saturation persists, as J_j = S_j gives J_{j+1} = S_1 J_j = S_{j+1},
+    so for every k >= b - 1 the rank is k + d + 1 and dim Syz_k = 2k + 2 - d,
+    which is also the module formula there (k >= b - 1 >= a - 1); checking
+    dim Syz_k for k <= K thus checks it in every degree.
     """
     d = phi.degree
     if d < 2:
         raise ValueError("saturation analysis needs degree >= 2")
-    pivots = syzygy_matrix(phi, d - 2).rref()[1]
-    k = np.arange(d - 1)
-    ranks = np.searchsorted(pivots, 3 * (k + 1))
-    saturated = np.flatnonzero(ranks == k + d + 1)
-    if not saturated.size:
+    for K in sorted({min(d // 2, d - 2), d - 2}):
+        pivots = syzygy_matrix(phi, K).rref()[1]
+        k = np.arange(K + 1)
+        ranks = np.searchsorted(pivots, 3 * (k + 1))
+        saturated = np.flatnonzero(ranks == k + d + 1)
+        if saturated.size:
+            break
+    else:
         raise ValueError("saturation cap 2d-2 exceeded; components share a factor or the map is degenerate")
     b = int(saturated[0]) + 1
     split = SplitType(d - b, b)

@@ -62,8 +62,8 @@ def test_split_runs_the_saturation_once(capsys, monkeypatch):
     assert code == 0
     data = json.loads(out)
     assert data["sigma"] == data["b"] + 8 - 1
-    # moving lines at d//2 - 1, saturation at d - 2, the minimal syzygy at d//2
-    assert calls == [3, 6, 4]
+    # moving lines at d//2 - 1, saturation (gap 2) and the minimal syzygy at d//2
+    assert calls == [3, 4, 4]
     assert [r for r in rrefs if r is not None] == ["splitting_moving_lines", "splitting_saturation", "min_syzygy"]
 
 
@@ -111,6 +111,22 @@ def test_degree_cap_holds_for_every_command(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: degree 250 exceeds the configured cap 200\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fatpoints", "--mults", "2,1,1", "--k", "7..5"), "degree range '7..5' is empty"),
+        (("fatpoints", "--mults", "2,1,1", "--k", "-1"), "degree must be non-negative"),
+        (("search-conjR", "--type", "8,3,3,3,3,3,3,3,1,1", "--damax", "-1"), "--damax must be non-negative"),
+        (("list7-check", "--dmax-param", "-1"), "--dmax-param must be non-negative"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_empty_or_negative_bounds_are_domain_errors(capsys, argv, message):
+    # an empty range or a negative bound is an error, never an empty answer
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_domain_error_exits_one(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 import curvesplit.splitting as splitting
 from curvesplit.binform import BinForm, ParamTriple, gcd_many
+from curvesplit.conjscan import R7_FAMILIES
 from curvesplit.exactla import MODULUS, MatFp
 from curvesplit.fatpoints import FatScheme, conditions_matrix, mu_rank, plane_syzygies
 from curvesplit.lattice import NumType, ascenzi_classify, enum_exceptional
@@ -174,6 +175,8 @@ def outcome(route, phi):
 
 # (p, every n-th exceptional type of degree >= 2 at dmax=61, point seed)
 SAMPLES = [(P, 37, 1), (211, 61, 1), (1009, 59, 2)]
+# members of each r <= 7 family up to this parameter: degrees up to 25
+R7_MAX_PARAM = 3
 
 
 class TestOneEliminationPerRoute:
@@ -188,6 +191,49 @@ class TestOneEliminationPerRoute:
             assert outcome(splitting_saturation, phi) == outcome(reference_saturation, phi), T
             syz, ref = min_syzygy(phi), reference_min_syzygy(phi)
             assert syz.to_json() == ref.to_json(), T
+
+    @pytest.mark.parametrize("p,seed", [(P, 1), (211, 1), (1009, 2)])
+    def test_saturation_past_half_the_degree(self, p, seed):
+        # gap >= 3 puts sigma past the prefix K = d // 2, which no dmax=61
+        # type does; the r <= 7 families and the golden (16; 6^7) reach it
+        types = {
+            fam.member(t)
+            for fam in R7_FAMILIES
+            for t in (range(R7_MAX_PARAM + 1) if fam.step is not None else (0,))
+        }
+        assert NumType(16, (6,) * 7) in types
+        wide = 0
+        for T in sorted((T for T in types if T.d >= 2), key=lambda t: t.sort_key()):
+            phi = parameterize(T, random_points(max(T.r, 3), seed, p), seed)
+            ref = outcome(reference_saturation, phi)
+            assert outcome(splitting_saturation, phi) == ref, T
+            wide += ref.gap >= 3
+        assert wide >= 40
+
+    @pytest.mark.parametrize(
+        "T, degrees",
+        [
+            (NumType(2, (1,) * 5), [0]),
+            (NumType(3, (2, 1, 1, 1, 1, 1, 1)), [1]),
+            (NumType(8, (3,) * 7), [4]),
+            (NumType(16, (6,) * 7), [8, 14]),
+        ],
+        ids=str,
+    )
+    def test_saturation_elimination_degrees(self, monkeypatch, T, degrees):
+        real = splitting.syzygy_matrix
+        calls = []
+
+        def counting(phi, k):
+            calls.append(k)
+            return real(phi, k)
+
+        monkeypatch.setattr(splitting, "syzygy_matrix", counting)
+        for p in (P, 211, 1009):
+            phi = parameterize(T, random_points(max(T.r, 3), 1, p), 1)
+            calls.clear()
+            splitting_saturation(phi)
+            assert calls == degrees, p
 
     def test_degenerate_coprime_triple(self):
         # s^2, t^2, s^2 + t^2: a syzygy of degree 0, reported in degree 1 as
