@@ -56,7 +56,6 @@ from .splitting import (
     moving_line_matrix,
     splitting_moving_lines,
     splitting_saturation,
-    syzygy_from_plane,
 )
 
 __version__ = "0.1.0"

@@ -222,11 +222,13 @@ def _cmd_search(args, cfg: Config) -> int:
 
 
 def _cmd_list7(args, cfg: Config) -> int:
-    _non_negative("--dmax-param", args.dmax_param)
+    top = _non_negative("--dmax-param", args.dmax_param)
+    # a member's degree is affine in its parameter: the largest is at 0 or at the top
+    cfg.check_degree(max(fam.member(d).d for fam in R7_FAMILIES for d in ((0, top) if fam.step else (0,))))
     rows = []
     nbad = 0
     for fam in R7_FAMILIES:
-        for row in classification7_spotcheck(fam, range(args.dmax_param + 1), cfg.seed, cfg.p):
+        for row in classification7_spotcheck(fam, range(top + 1), cfg.seed, cfg.p):
             rows.append(row.to_json())
             nbad += 0 if row.ok else 1
     for row in rows:

@@ -50,7 +50,6 @@ __all__ = [
     "ideal_dim",
     "ideal_basis",
     "mu_rank",
-    "plane_syzygies",
     "h0_class",
     "class_cohomology",
     "alpha_degree",
@@ -199,20 +198,6 @@ def _mu_report(basis: np.ndarray, free: np.ndarray, k: int, p: int) -> MuReport:
 def mu_rank(Z: FatScheme, k: int) -> MuReport:
     """Rank/kernel/cokernel of multiplication by linear forms at degree k."""
     return betti_report(Z, [k])[0]
-
-
-def plane_syzygies(Z: FatScheme, k: int) -> np.ndarray:
-    """Triples (A0, A1, A2) in (I_Z)_k^3 with A0 x0 + A1 x1 + A2 x2 = 0, as
-    one read-only (n, 3, C(k+2, 2)) int64 array: the kernel vectors v of
-    mu_k, reassembled as A_j = sum_b v[3b + j] basis[b].  They are the raw
-    material for syzygies of parameterizations that come from the plane.
-    """
-    p = Z.p
-    basis = ideal_basis(Z, k)
-    kernel = _mu_matrix(basis, k, p).kernel_basis()
-    triples = np.stack([(kernel[:, j::3, None] * basis % p).sum(axis=1) % p for j in range(3)], axis=1)
-    triples.flags.writeable = False
-    return triples
 
 
 def _scheme_for(D: DivClass, points: PointSet) -> FatScheme:

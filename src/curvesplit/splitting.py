@@ -4,7 +4,8 @@ For a degree-d parameterization the pulled-back twisted cotangent bundle
 splits as O(-a) + O(-b) with a <= b and a + b = d, and the syzygies of
 (phi0, phi1, phi2) have dim Syz_k = (k - a + 1)_+ + (k - b + 1)_+, which
 gives the moving-line law below for odd d too.  Three independent routes,
-one elimination each:
+each one elimination, save that saturation eliminates a second time when
+the gap is 3 or more:
 
 * moving lines: the nullity p of the coefficient matrix of the map
   (S_{n-1})^3 -> S_{n-1+d} (d = 2n + delta) gives a = n - p;
@@ -29,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binform import BinForm, ParamTriple, div_exact, gcd_many
+from .binform import BinForm, ParamTriple
 from .exactla import MatFp
-from .plane import _row_degree, dim_forms, restrict, var_shift
 
 __all__ = [
     "SplitType",
@@ -41,7 +41,6 @@ __all__ = [
     "splitting_moving_lines",
     "splitting_saturation",
     "min_syzygy",
-    "syzygy_from_plane",
     "is_syzygy",
 ]
 
@@ -178,33 +177,3 @@ def min_syzygy(phi: ParamTriple) -> Syzygy:
     if not is_syzygy(phi, syz):
         raise AssertionError("kernel vector is not a syzygy; matrix layout broken")
     return syz
-
-
-def syzygy_from_plane(phi: ParamTriple, a_forms: np.ndarray) -> tuple[Syzygy, BinForm]:
-    """Push a plane relation A0 x0 + A1 x1 + A2 x2 = 0 down to a syzygy.
-
-    ``a_forms`` holds A0, A1, A2 as the rows of a (3, C(q+2, 2)) array, such
-    as one triple of ``plane_syzygies``; it is reduced mod phi.p.
-    Restricting the A_i to the curve gives psi_i = A_i(phi) of degree d*q;
-    dividing out g = gcd(psi) leaves a syzygy of degree d*q - deg g, with g
-    the cofactor.  Raises ValueError if the plane relation fails or if every
-    A_i vanishes on the curve.
-    """
-    p = phi.p
-    a_forms = np.asarray(a_forms, dtype=np.int64) % p
-    q = _row_degree(a_forms.shape[-1])
-    if a_forms.shape != (3, dim_forms(q)):
-        raise ValueError("need three plane forms of one degree, as a (3, C(q+2, 2)) array")
-    relation = np.zeros(dim_forms(q + 1), dtype=np.int64)
-    for j, f in enumerate(a_forms):
-        relation[var_shift(q, j)] += f
-    if (relation % p).any():
-        raise ValueError("the given forms do not satisfy A0 x0 + A1 x1 + A2 x2 = 0")
-    psis = restrict(a_forms, phi)
-    if all(f.is_zero for f in psis):
-        raise ValueError("all plane forms vanish on the curve; degenerate input")
-    g = gcd_many(psis)
-    syz = Syzygy(phi.degree * q - g.degree, tuple(div_exact(f, g) for f in psis))
-    if not is_syzygy(phi, syz):
-        raise AssertionError("plane push-down failed the syzygy identity")
-    return syz, g

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from curvesplit import conjscan
 from curvesplit.cli import main
 
 
@@ -111,6 +112,21 @@ def test_degree_cap_holds_for_every_command(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: degree 250 exceeds the configured cap 200\n"
+
+
+def test_list7_check_refuses_members_above_the_degree_cap(capsys, monkeypatch):
+    # the largest member degree is 205 at --dmax-param 39 and 200 at 38
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(conjscan, "parameterize", refuse)
+    code, out, err = run_cli(capsys, "list7-check", "--dmax-param", "39")
+    assert (code, out, err) == (1, "", "error: degree 205 exceeds the configured cap 200\n")
+    with pytest.raises(Built):
+        main(["list7-check", "--dmax-param", "38"])
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from curvesplit.param import (
     parameterize,
     random_points,
 )
-from curvesplit.plane import eval_row, monomials, restrict
+from curvesplit.plane import eval_row, monomials
 
 P = MODULUS
 
@@ -40,6 +40,23 @@ def _value(row, x, p):
     """A quadratic form's coefficient row at a point: dotted with eval_row
     over Python ints, since int64 would overflow past p ~ 2**31."""
     return sum(a * c for a, c in zip(eval_row(x, 2, p).tolist(), row.tolist())) % p
+
+
+def _substitute(row, k, phi):
+    """The degree-k plane form ``row`` at phi: the powers of phi built afresh
+    for this row, then one scaled monomial added at a time."""
+    p = phi.p
+    pows = []
+    for f in phi.phis:
+        cur = [BinForm((1,), p)]
+        for _ in range(k):
+            cur.append(cur[-1] * f)
+        pows.append(cur)
+    total = BinForm(np.zeros(phi.degree * k + 1, dtype=np.int64), p)
+    for c, (a, b, cc) in zip(row, monomials(k)):
+        if c:
+            total = total + (pows[0][a] * pows[1][b] * pows[2][cc]).scale(c)
+    return total
 
 
 def _rank_mod(rows, p):
@@ -421,7 +438,7 @@ class TestCremona:
             D = DivClass(d, m + (0,) * (9 - len(m)))
             phi = parameterize(NumType(d, m), points9, seed=rng.below(2**32))
             step = cremona_apply(points9, 1, 2, 3)
-            psis = restrict(step.quad_forms, phi)
+            psis = [_substitute(row, 2, phi) for row in step.quad_forms]
             g = gcd_many(psis)
             image = ParamTriple(*(div_exact(f, g) for f in psis))
             expect = reflect(D, [Quad(1, 2, 3)])

@@ -1,14 +1,11 @@
-import numpy as np
 import pytest
 
 import curvesplit.splitting as splitting
-from curvesplit.binform import BinForm, ParamTriple, gcd_many
+from curvesplit.binform import BinForm, ParamTriple
 from curvesplit.conjscan import R7_FAMILIES
 from curvesplit.exactla import MODULUS, MatFp
-from curvesplit.fatpoints import FatScheme, conditions_matrix, mu_rank, plane_syzygies
 from curvesplit.lattice import NumType, ascenzi_classify, enum_exceptional
 from curvesplit.param import SeededRng, parameterize, random_points
-from curvesplit.plane import dim_forms, var_shift
 from curvesplit.splitting import (
     SplitType,
     Syzygy,
@@ -17,7 +14,6 @@ from curvesplit.splitting import (
     moving_line_matrix,
     splitting_moving_lines,
     splitting_saturation,
-    syzygy_from_plane,
     syzygy_matrix,
 )
 
@@ -260,69 +256,3 @@ class TestOneEliminationPerRoute:
         monkeypatch.setattr(splitting, "syzygy_matrix", column_zeroed)
         with pytest.raises(AssertionError, match="syzygy dimensions"):
             splitting_saturation(phi)
-
-
-class TestSyzygyFromPlane:
-    def test_koszul_relation(self, points9):
-        phi = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=8)
-        assert gcd_many((phi.phi0, phi.phi1)).degree == 0, "sample curve must have coprime first components"
-        # the rows x1, -x0, 0: a plane relation is a (3, C(q+2, 2)) array
-        syz, cof = syzygy_from_plane(phi, np.array([[0, 1, 0], [P - 1, 0, 0], [0, 0, 0]]))
-        assert cof.degree == 0
-        assert syz.degree == phi.degree
-
-    def test_rejects_non_relation(self, points9):
-        phi = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=8)
-        with pytest.raises(ValueError, match="do not satisfy"):
-            syzygy_from_plane(phi, np.array([[1, 0, 0]] * 3))
-        # a width that is no C(q+2, 2), and a row count other than three
-        with pytest.raises(ValueError, match="do not match any degree"):
-            syzygy_from_plane(phi, np.zeros((3, 4), dtype=np.int64))
-        with pytest.raises(ValueError, match="three plane forms"):
-            syzygy_from_plane(phi, np.zeros((2, 3), dtype=np.int64))
-
-    def test_pencil_of_lines_through_multiple_point(self, points9):
-        # the linear syzygy on the pencil through p_1 pushes down to a
-        # syzygy of degree d - m_1
-        T = NumType(5, (4, 1, 1, 1))
-        phi = parameterize(T, points9, seed=8)
-        Z = FatScheme(points9, (1, 0, 0, 0, 0, 0, 0, 0, 0))
-        triples = plane_syzygies(Z, 1)
-        assert len(triples) == 1
-        syz, cof = syzygy_from_plane(phi, triples[0])
-        assert syz.degree == T.d - T.max_mult == 1
-        assert cof.degree == T.d * 1 - syz.degree
-
-    def test_seven_point_cubics(self, points9):
-        # cubics through 7 generic points carry a linear syzygy; pushed to
-        # the degree-8 curve it certifies a = 3 with a cofactor of degree 21
-        phi = parameterize(NumType(8, (3,) * 7), points9, seed=8)
-        Z = FatScheme(points9, (1, 1, 1, 1, 1, 1, 1, 0, 0))
-        triples = plane_syzygies(Z, 3)
-        assert len(triples) == 1
-        syz, cof = syzygy_from_plane(phi, triples[0])
-        assert syz.degree == 3
-        assert cof.degree == 21
-        assert is_syzygy(phi, syz)
-
-    # 3037000493 is the largest prime the int64 bound admits: every product
-    # below must be reduced before it is summed
-    @pytest.mark.parametrize("p", [P, 3037000493])
-    @pytest.mark.parametrize(
-        "mults, k",
-        [((1,) + (0,) * 8, 1), ((1,) * 7 + (0, 0), 3), ((2, 1, 1) + (0,) * 6, 3), ((4,) + (1,) * 8, 6)],
-    )
-    def test_plane_syzygies_are_relations_in_the_ideal(self, p, mults, k):
-        # one read-only (n, 3, C(k+2, 2)) array of independent triples, n the
-        # kernel of mu_k, each with sum A_j x_j = 0 and every A_j in (I_Z)_k
-        Z = FatScheme(random_points(9, 20260810, p), mults)
-        triples = plane_syzygies(Z, k)
-        assert triples.dtype == np.int64 and not triples.flags.writeable
-        assert triples.shape == (mu_rank(Z, k).kernel_dim, 3, dim_forms(k)) and len(triples)
-        assert MatFp(triples.reshape(len(triples), -1), p).rank() == len(triples)
-        relation = np.zeros((len(triples), dim_forms(k + 1)), dtype=np.int64)
-        for j in range(3):
-            relation[:, var_shift(k, j)] += triples[:, j]
-        assert not (relation % p).any()
-        conditions = conditions_matrix(Z, k).entries
-        assert not ((triples[:, :, None, :] * conditions % p).sum(axis=-1) % p).any()
