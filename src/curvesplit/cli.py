@@ -98,6 +98,8 @@ def _points_for(T: NumType, cfg: Config):
 
 
 def _cmd_exc_enum(args, cfg: Config) -> int:
+    if args.dmax is not None:
+        cfg.check_degree(args.dmax)
     types = sorted(enum_exceptional(args.r, args.dmax), key=lambda t: t.sort_key())
     for T in types:
         print(json.dumps(T.to_json()))

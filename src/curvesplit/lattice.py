@@ -216,20 +216,6 @@ def smooth_rational_numerics_ok(D: DivClass) -> bool:
     return D.dot(D) == -2 - canonical_class(D.r).dot(D)
 
 
-def _quad_images(T: NumType) -> Iterable[NumType]:
-    d = T.d
-    m = T.m
-    for i, j, k in itertools.combinations(range(T.r), 3):
-        c = d - m[i] - m[j] - m[k]
-        if c == 0:
-            continue
-        mm = list(m)
-        mm[i] += c
-        mm[j] += c
-        mm[k] += c
-        yield NumType(d + c, tuple(mm))
-
-
 def enum_exceptional(r: int, dmax: int | None) -> set[NumType]:
     """All normalized exceptional numerical types with degree <= dmax.
 
@@ -327,26 +313,38 @@ def ascenzi_degree_bound(j: int) -> int:
 def orbit_closure(D: DivClass, dmax: int | None = None) -> set[NumType]:
     """Weyl-orbit of D as normalized types, capped at degree dmax.
 
-    Breadth-first closure under quad reflections, de-duplicated on
-    sort-normalized types.  For r <= 8 the group is finite and no cap is needed; for r >= 9 a cap is
-    mandatory.
+    Breadth-first closure under quad reflections, run on plain ``(d, m)``
+    tuples with m sorted non-increasing: ``NumType``'s normal form, so tuple
+    equality is type equality and each type becomes a ``NumType`` once.  A
+    type is reflected once per distinct value triple, not per slot triple:
+    the quad adds c = d - m_i - m_j - m_k to d and to those three entries,
+    so the normalized image depends only on their values.  An image with
+    c = 0 or degree above dmax is never built.  r >= 9 needs a cap.
     """
     if dmax is None and D.r > 8:
         raise ValueError("orbit can be infinite for r >= 9; pass a degree cap")
+    cap = math.inf if dmax is None else dmax
     seed = NumType.of(D)
-    seen = {seed}
-    frontier = [seed]
+    frontier = [(seed.d, seed.m)]
+    seen = set(frontier)
     while frontier:
-        new: list[NumType] = []
-        for T in frontier:
-            for img in _quad_images(T):
-                if dmax is not None and img.d > dmax:
+        new = []
+        for d, m in frontier:
+            done = set()
+            for i, j, k in itertools.combinations(range(len(m)), 3):
+                c = d - m[i] - m[j] - m[k]
+                if c == 0 or d + c > cap or (m[i], m[j], m[k]) in done:
                     continue
+                done.add((m[i], m[j], m[k]))
+                mm = list(m)
+                for s in (i, j, k):
+                    mm[s] += c
+                img = (d + c, tuple(sorted(mm, reverse=True)))
                 if img not in seen:
                     seen.add(img)
                     new.append(img)
         frontier = new
-    return seen
+    return {NumType(d, m) for d, m in seen}
 
 
 def reduce_to_base(D: DivClass) -> tuple[WeylWord, DivClass]:

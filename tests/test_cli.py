@@ -99,6 +99,7 @@ def test_resume_without_out_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("exc-enum", "--r", "9", "--dmax", "250"),
         ("param", "--type", "250,1"),
         ("split", "--type", "250,1"),
         ("scan-conj9", "--dmax", "250"),
@@ -127,6 +128,22 @@ def test_list7_check_refuses_members_above_the_degree_cap(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: degree 205 exceeds the configured cap 200\n")
     with pytest.raises(Built):
         main(["list7-check", "--dmax-param", "38"])
+
+
+def test_exc_enum_refuses_a_cap_above_the_degree_cap(capsys, monkeypatch):
+    import curvesplit.cli as cli
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(cli, "enum_exceptional", refuse)
+    code, out, err = run_cli(capsys, "exc-enum", "--r", "9", "--dmax", "201")
+    assert (code, out, err) == (1, "", "error: degree 201 exceeds the configured cap 200\n")
+    with pytest.raises(Built):
+        main(["exc-enum", "--r", "9", "--dmax", "200"])
 
 
 @pytest.mark.parametrize(

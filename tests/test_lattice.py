@@ -228,7 +228,63 @@ class TestDegreeBound:
             ascenzi_degree_bound(-3)
 
 
+def _reference_orbit_closure(D, dmax=None):
+    # the slot-triple search that orbit_closure replaced: one NumType per
+    # slot triple of every type, de-duplicated after it is built
+    def quad_images(T):
+        d = T.d
+        m = T.m
+        for i, j, k in itertools.combinations(range(T.r), 3):
+            c = d - m[i] - m[j] - m[k]
+            if c == 0:
+                continue
+            mm = list(m)
+            mm[i] += c
+            mm[j] += c
+            mm[k] += c
+            yield NumType(d + c, tuple(mm))
+
+    seed = NumType.of(D)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        new = []
+        for T in frontier:
+            for img in quad_images(T):
+                if dmax is not None and img.d > dmax:
+                    continue
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return seen
+
+
 class TestOrbitClosure:
+    @pytest.mark.parametrize(
+        "D, dmax",
+        [(point_class(r, r), None) for r in range(3, 9)]
+        + [
+            (point_class(9, 9), 30),
+            (point_class(9, 9), 61),
+            (point_class(9, 9), 100),
+            (DivClass(2, (0,) * 7), None),
+            (DivClass(3, (1,) * 6), None),
+            (DivClass(4, (2, 1, 1, 1, 1, 1, 1, 0)), None),
+            (line_class(9), 2),
+            (DivClass(5, (2, 2, 1, 1, 1, 1, 0, 0, 0)), 30),
+            # seeds with a negative entry: here every one of the three values
+            # of a triple matters, so a dedupe keyed on two of them loses types
+            (DivClass(5, (2, 2, 1, 1, 1, 1, 0, 0, -1)), 12),
+            (DivClass(6, (3, 3, 3, -2)), None),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_matches_the_slot_triple_search(self, D, dmax):
+        got = orbit_closure(D, dmax)
+        assert got == _reference_orbit_closure(D, dmax)
+        assert all(type(T) is NumType for T in got)
+
     def test_e7_orbit(self):
         types = orbit_closure(point_class(7, 7))
         assert {tuple(t.to_json()) for t in types} == {
