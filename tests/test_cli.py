@@ -99,7 +99,6 @@ def test_resume_without_out_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("exc-enum", "--r", "9", "--dmax", "250"),
         ("param", "--type", "250,1"),
         ("split", "--type", "250,1"),
         ("scan-conj9", "--dmax", "250"),
