@@ -351,6 +351,11 @@ PINNED_DIGESTS = {
     "exc-enum --r 9 --dmax 61": "9b23d0f9ece765668793b3ac4d807d93b8ff58a667a7516737ebd93fdb5d83c1",
     "exc-enum --r 8": "9c86460107487e3b43bebb34a0d648fe72dfd73cf59707fcfbaa45daa0040a90",
     "exc-enum --r 7": "f02cb083098e6d525f96d96274c45d514d0db228d5a7815fc2cc40db0b07fc93",
+    # gap 4: saturation eliminates at K = 8 and 14, the minimal syzygy at K = 8
+    "split --type 16,6,6,6,6,6,6,6 --seed 3": "15623fb9a9c184e00ccc099159e93bc64774f81c46b7eb82a3455fd2d263e1da",
+    # d = 2: saturation eliminates at K = 0, the minimal syzygy at K = 1
+    "split --type 2,1,1,1,1,1 --seed 3": "96f5459572894eb008861f3bf85a758745d8ef94205d60e90dda5cfed7e5b414",
+    "split --type 3,2,1,1,1,1,1,1 --seed 3 --p 1009": "0167f97ff0a4ba3a61c8118db954fb25b652c9f6a44ea4928e0b3b178520ac01",
 }
 
 
