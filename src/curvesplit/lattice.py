@@ -311,7 +311,7 @@ def ascenzi_degree_bound(j: int) -> int:
 
 
 def orbit_closure(D: DivClass, dmax: int | None = None) -> set[NumType]:
-    """Weyl-orbit of D as normalized types, capped at degree dmax.
+    """Weyl-orbit of D as normalized types, capped at |degree| <= dmax.
 
     Breadth-first closure under quad reflections, run on plain ``(d, m)``
     tuples with m sorted non-increasing: ``NumType``'s normal form, so tuple
@@ -319,7 +319,10 @@ def orbit_closure(D: DivClass, dmax: int | None = None) -> set[NumType]:
     type is reflected once per distinct value triple, not per slot triple:
     the quad adds c = d - m_i - m_j - m_k to d and to those three entries,
     so the normalized image depends only on their values.  An image with
-    c = 0 or degree above dmax is never built.  r >= 9 needs a cap.
+    c = 0 or |degree| above dmax is never built.  r >= 9 needs a cap: the
+    quads keep D^2 = d^2 - sum m_i^2, so |d| <= dmax bounds sum m_i^2 and
+    leaves finitely many classes, also for an orbit whose degrees have no
+    lower bound, as that of -L.
     """
     if dmax is None and D.r > 8:
         raise ValueError("orbit can be infinite for r >= 9; pass a degree cap")
@@ -333,7 +336,7 @@ def orbit_closure(D: DivClass, dmax: int | None = None) -> set[NumType]:
             done = set()
             for i, j, k in itertools.combinations(range(len(m)), 3):
                 c = d - m[i] - m[j] - m[k]
-                if c == 0 or d + c > cap or (m[i], m[j], m[k]) in done:
+                if c == 0 or abs(d + c) > cap or (m[i], m[j], m[k]) in done:
                     continue
                 done.add((m[i], m[j], m[k]))
                 mm = list(m)

@@ -307,6 +307,17 @@ class TestOrbitClosure:
         assert (2, 1, 1, 1, 0, 0, 0, 0, 0, 0) in got
         assert all(t[0] <= 2 for t in got)
 
+    @pytest.mark.parametrize(
+        "D, count",
+        [(DivClass(-1, (0,) * 9), 8), (DivClass(0, (1, 1, 1) + (0,) * 6), 15)],
+        ids=str,
+    )
+    def test_orbits_unbounded_below_end_at_the_cap(self, D, count):
+        # these orbits reach every negative degree: the cap bounds |d|
+        types = orbit_closure(D, 5)
+        assert len(types) == count
+        assert {t.d for t in types} == set(range(-5, D.d + 1))
+
 
 class TestReduceToBase:
     def test_three_nodes_quartic(self):
