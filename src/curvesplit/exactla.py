@@ -6,10 +6,13 @@ products (the 3x3 frame products of ``param`` run on plain int64 arrays).
 All elimination is done with modular inverses, so results are exact.  There
 is one elimination, ``MatFp.rref``: a forward pass to row-echelon form, then
 back-substitution on the free columns of the pivot rows.  ``rank`` and
-``kernel_basis`` are its only users.  The forward pass of a matrix with at
-most 128 columns is the leaf, which updates in place, on the columns from
-each pivot on, the block of rows from the first to the last one below the
-pivot that is nonzero in its column.  A wider matrix goes by panels of 32
+``kernel_basis`` read it, and so does ``splitting``, which keeps one RREF of
+a syzygy matrix for saturation and the minimal syzygy and reads a kernel
+vector off it through ``_kernel_rows``, the code of ``kernel_basis``.  The
+forward pass of a matrix with at most 128 columns is the leaf, which
+updates in place, on the columns from each pivot on, the block of rows from
+the first to the last one below the pivot that is nonzero in its column.
+A wider matrix goes by panels of 32
 columns: the leaf, run on a copy of the first rows of the panel's remaining
 rows (twice the panel's width, doubled until the panel has a pivot in every
 column or every row is in), gives the panel's pivot columns and row order,
@@ -182,13 +185,27 @@ class MatFp:
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """``kernel_basis`` and the free column of each of its rows."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        basis[range(len(free)), free] = 1
-        basis[:, list(pivots)] = (-red[: len(pivots), free].T) % self.p
-        basis.flags.writeable = False
-        return basis, np.array(free, dtype=np.int64)
+        free = _free_columns(pivots, self.cols)
+        return _kernel_rows(red, pivots, free, self.p), np.array(free, dtype=np.int64)
+
+
+def _free_columns(pivots: tuple[int, ...], ncols: int) -> list[int]:
+    """The columns of ``range(ncols)`` that are not pivots, in order."""
+    pivot_set = set(pivots)
+    return [c for c in range(ncols) if c not in pivot_set]
+
+
+def _kernel_rows(red: np.ndarray, pivots: tuple[int, ...], free: list[int], p: int) -> np.ndarray:
+    """The kernel vectors of the free columns ``free`` of a matrix whose RREF
+    is ``red`` with ``pivots``, as one read-only int64 array, row i for
+    ``free[i]``: a 1 in coordinate ``free[i]``, zeros in the other free
+    coordinates, and minus that column of ``red`` in the pivot coordinates.
+    ``MatFp.kernel_basis`` is this on every free column."""
+    basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, list(pivots)] = (-red[: len(pivots), free].T) % p
+    basis.flags.writeable = False
+    return basis
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -199,8 +216,7 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     else:
         pivots, starts = _blocked_echelon(a, p)
     r = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.shape[1]) if c not in pivot_set]
+    free = _free_columns(pivots, a.shape[1])
     if free and r > 1:
         fb = a[:r, free]
         bounds = [*starts, r]

@@ -3,9 +3,7 @@
 For a degree-d parameterization the pulled-back twisted cotangent bundle
 splits as O(-a) + O(-b) with a <= b and a + b = d, and the syzygies of
 (phi0, phi1, phi2) have dim Syz_k = (k - a + 1)_+ + (k - b + 1)_+, which
-gives the moving-line law below for odd d too.  Three independent routes,
-each one elimination, save that saturation eliminates a second time when
-the gap is 3 or more:
+gives the moving-line law below for odd d too.  Three routes:
 
 * moving lines: the nullity p of the coefficient matrix of the map
   (S_{n-1})^3 -> S_{n-1+d} (d = 2n + delta) gives a = n - p;
@@ -21,7 +19,11 @@ of a free column f, zero right of f, is the same for every K >= f // 3.
 Saturation reads (and checks dim Syz_k for) every k <= K off the pivots at
 K = min(d // 2, d - 2), and again at K = d - 2 only when that prefix never
 saturates (gap >= 3); the minimal syzygy is the first free column's vector
-at K = d // 2.
+at K = d // 2.  Both read ``_syzygy_rref``, which eliminates
+``syzygy_matrix(phi, K)`` once per triple and K, so for d >= 3 saturation
+and the minimal syzygy share one elimination at K = d // 2.  Moving lines
+eliminate their own matrix (K = d // 2 - 1), an independent check of the
+other two.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binform import BinForm, ParamTriple
-from .exactla import MatFp
+from .exactla import MatFp, _free_columns, _kernel_rows
 
 __all__ = [
     "SplitType",
@@ -110,6 +112,21 @@ def syzygy_matrix(phi: ParamTriple, k: int) -> MatFp:
     return MatFp(mat, p)
 
 
+def _syzygy_rref(phi: ParamTriple, K: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``syzygy_matrix(phi, K).rref()``, eliminated once per triple and K.
+
+    The results live in a private entry of the triple's own ``__dict__``,
+    so they die with it: an equal triple built anew eliminates again.  The
+    reduced array is read-only.
+    """
+    memo = vars(phi).setdefault("_splitting_rrefs", {})
+    if K not in memo:
+        red, pivots = syzygy_matrix(phi, K).rref()
+        red.flags.writeable = False
+        memo[K] = red, pivots
+    return memo[K]
+
+
 def moving_line_matrix(phi: ParamTriple) -> MatFp:
     """The (n+d) x 3n moving-line matrix in degree n-1, for d = 2n + delta."""
     d = phi.degree
@@ -148,7 +165,7 @@ def splitting_saturation(phi: ParamTriple) -> SplitType:
     if d < 2:
         raise ValueError("saturation analysis needs degree >= 2")
     for K in sorted({min(d // 2, d - 2), d - 2}):
-        pivots = syzygy_matrix(phi, K).rref()[1]
+        pivots = _syzygy_rref(phi, K)[1]
         k = np.arange(K + 1)
         ranks = np.searchsorted(pivots, 3 * (k + 1))
         saturated = np.flatnonzero(ranks == k + d + 1)
@@ -165,13 +182,20 @@ def splitting_saturation(phi: ParamTriple) -> SplitType:
 
 
 def min_syzygy(phi: ParamTriple) -> Syzygy:
-    """A nonzero syzygy of least degree (at least 1); that degree equals a."""
+    """A nonzero syzygy of least degree (at least 1); that degree equals a.
+
+    It is the kernel vector of the first free column of
+    ``syzygy_matrix(phi, d // 2)``, read off the elimination that
+    ``splitting_saturation`` shares for d >= 3.
+    """
     d = phi.degree
     if d < 2:
         raise ValueError("syzygy search needs degree >= 2")
     # 3(K+1) columns exceed K+d+1 rows at K = d // 2, so a free column f
     # exists; the vector of the first one ends at f, in degree f // 3
-    vec = syzygy_matrix(phi, d // 2).kernel_basis()[0]
+    K = d // 2
+    red, pivots = _syzygy_rref(phi, K)
+    vec = _kernel_rows(red, pivots, _free_columns(pivots, 3 * (K + 1))[:1], phi.p)[0]
     k = max(1, int(np.flatnonzero(vec)[-1]) // 3)
     syz = Syzygy(k, tuple(BinForm(vec[i : 3 * (k + 1) : 3], phi.p) for i in range(3)))
     if not is_syzygy(phi, syz):

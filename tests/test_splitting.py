@@ -256,3 +256,66 @@ class TestOneEliminationPerRoute:
         monkeypatch.setattr(splitting, "syzygy_matrix", column_zeroed)
         with pytest.raises(AssertionError, match="syzygy dimensions"):
             splitting_saturation(phi)
+
+
+# (type, the distinct K that saturation and the minimal syzygy eliminate)
+SHARED_CASES = [
+    (NumType(8, (3,) * 7), {4}),
+    (NumType(16, (6,) * 7), {8, 14}),
+    (NumType(2, (1,) * 5), {0, 1}),
+]
+
+
+class TestSharedElimination:
+    """Saturation and the minimal syzygy read one elimination per triple and K."""
+
+    @staticmethod
+    def counted_rrefs(monkeypatch):
+        real = MatFp.rref
+        shapes = []
+
+        def counting(self):
+            shapes.append(self.cols)
+            return real(self)
+
+        monkeypatch.setattr(MatFp, "rref", counting)
+        return shapes
+
+    @staticmethod
+    def fresh(phi):
+        return ParamTriple(phi.phi0, phi.phi1, phi.phi2)
+
+    @pytest.mark.parametrize("p", [P, 211, 1009])
+    @pytest.mark.parametrize("T, degrees", SHARED_CASES, ids=str)
+    @pytest.mark.parametrize("first", ["saturation", "min_syzygy"])
+    def test_one_rref_per_distinct_degree_in_either_order(self, monkeypatch, T, degrees, p, first):
+        phi = parameterize(T, random_points(max(T.r, 3), 1, p), 1)
+        want_sat, want_syz = splitting_saturation(self.fresh(phi)), min_syzygy(self.fresh(phi))
+        shapes = self.counted_rrefs(monkeypatch)
+        if first == "saturation":
+            sat, syz = splitting_saturation(phi), min_syzygy(phi)
+        else:
+            syz, sat = min_syzygy(phi), splitting_saturation(phi)
+        assert sorted(shapes) == sorted(3 * (K + 1) for K in degrees)
+        assert sat == want_sat
+        assert syz.to_json() == want_syz.to_json()
+
+    @pytest.mark.parametrize("p", [P, 211, 1009])
+    @pytest.mark.parametrize("T, degrees", SHARED_CASES, ids=str)
+    def test_memo_is_read_only_and_scoped_to_the_instance(self, monkeypatch, T, degrees, p):
+        phi = self.fresh(parameterize(T, random_points(max(T.r, 3), 1, p), 1))
+        splitting_saturation(phi)
+        min_syzygy(phi)
+        for K in degrees:
+            red = splitting._syzygy_rref(phi, K)[0]
+            with pytest.raises(ValueError):
+                red[0, 0] = 1
+        again = self.fresh(phi)
+        assert again == phi
+        shapes = self.counted_rrefs(monkeypatch)
+        splitting_saturation(phi)
+        min_syzygy(phi)
+        assert shapes == []
+        splitting_saturation(again)
+        min_syzygy(again)
+        assert sorted(shapes) == sorted(3 * (K + 1) for K in degrees)
