@@ -272,14 +272,14 @@ class TestSharedElimination:
     @staticmethod
     def counted_rrefs(monkeypatch):
         real = MatFp.rref
-        shapes = []
+        widths = []
 
         def counting(self):
-            shapes.append(self.cols)
+            widths.append(self.cols)
             return real(self)
 
         monkeypatch.setattr(MatFp, "rref", counting)
-        return shapes
+        return widths
 
     @staticmethod
     def fresh(phi):
@@ -291,12 +291,12 @@ class TestSharedElimination:
     def test_one_rref_per_distinct_degree_in_either_order(self, monkeypatch, T, degrees, p, first):
         phi = parameterize(T, random_points(max(T.r, 3), 1, p), 1)
         want_sat, want_syz = splitting_saturation(self.fresh(phi)), min_syzygy(self.fresh(phi))
-        shapes = self.counted_rrefs(monkeypatch)
+        widths = self.counted_rrefs(monkeypatch)
         if first == "saturation":
             sat, syz = splitting_saturation(phi), min_syzygy(phi)
         else:
             syz, sat = min_syzygy(phi), splitting_saturation(phi)
-        assert sorted(shapes) == sorted(3 * (K + 1) for K in degrees)
+        assert sorted(widths) == sorted(3 * (K + 1) for K in degrees)
         assert sat == want_sat
         assert syz.to_json() == want_syz.to_json()
 
@@ -312,10 +312,10 @@ class TestSharedElimination:
                 red[0, 0] = 1
         again = self.fresh(phi)
         assert again == phi
-        shapes = self.counted_rrefs(monkeypatch)
+        widths = self.counted_rrefs(monkeypatch)
         splitting_saturation(phi)
         min_syzygy(phi)
-        assert shapes == []
+        assert widths == []
         splitting_saturation(again)
         min_syzygy(again)
-        assert sorted(shapes) == sorted(3 * (K + 1) for K in degrees)
+        assert sorted(widths) == sorted(3 * (K + 1) for K in degrees)
