@@ -88,6 +88,28 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ("199", "modulus 199 must exceed the degree cap 200"),
+        ("200", "modulus 200 is not prime"),
+        ("2", "modulus must be an odd prime >= 3, got 2"),
+        ("3037000507", "modulus 3037000507 too large for int64 arithmetic"),
+    ],
+)
+def test_bad_modulus_is_a_domain_error(capsys, p, message):
+    code, out, err = run_cli(capsys, "classify", "--type", "2,1,1,1,1,1", "--p", p)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_unknown_format_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--type", "2,1,1,1,1,1", "--format", "xml"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'xml'" in captured.err
+
+
 def test_resume_without_out_is_a_usage_error(capsys):
     # with no file to resume from, the scan would silently start over
     with pytest.raises(SystemExit) as exc:
