@@ -273,13 +273,14 @@ def div_exact(f: BinForm, g: BinForm) -> BinForm:
     return BinForm(_div_exact(f.coeffs, g.coeffs, f.p), f.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamTriple:
     """Three coprime binary forms of equal degree d >= 1: a map P^1 -> P^2.
 
     The components must not have a common factor.  That also makes the image
     a curve: proportional components would share their common form, of
-    degree d >= 1, as a factor.
+    degree d >= 1, as a factor.  Equality and hash are the components', so
+    a subclass instance equals the plain triple of its components.
     """
 
     phi0: BinForm
@@ -301,6 +302,14 @@ class ParamTriple:
     @property
     def phis(self) -> tuple[BinForm, BinForm, BinForm]:
         return (self.phi0, self.phi1, self.phi2)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParamTriple):
+            return NotImplemented
+        return self.phis == other.phis
+
+    def __hash__(self) -> int:
+        return hash(self.phis)
 
     @property
     def degree(self) -> int:

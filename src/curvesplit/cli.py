@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .conjscan import (
     R7_FAMILIES,
@@ -38,25 +37,10 @@ DEFAULT_SEED = 1
 DEGREE_CAP = 200
 
 
-@dataclass(frozen=True)
-class Config:
-    """Run-wide knobs; p must be prime and exceed every degree in play."""
-
-    p: int
-    seed: int
-    fmt: str
-
-    def __post_init__(self):
-        check_modulus(self.p)
-        if self.fmt not in ("json", "table"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.p <= DEGREE_CAP:
-            raise ValueError(f"modulus {self.p} must exceed the degree cap {DEGREE_CAP}")
-
-    def check_degree(self, k: int) -> int:
-        if k > DEGREE_CAP:
-            raise ValueError(f"degree {k} exceeds the configured cap {DEGREE_CAP}")
-        return k
+def check_degree(k: int) -> int:
+    if k > DEGREE_CAP:
+        raise ValueError(f"degree {k} exceeds the configured cap {DEGREE_CAP}")
+    return k
 
 
 def _parse_type(text: str) -> NumType:
@@ -85,28 +69,28 @@ def _non_negative(flag: str, value: int) -> int:
     return value
 
 
-def _emit(obj: dict, cfg: Config) -> None:
-    if cfg.fmt == "json":
+def _emit(obj: dict, args) -> None:
+    if args.format == "json":
         print(json.dumps(obj))
     else:
         for key, val in obj.items():
             print(f"{key:>24}  {val}")
 
 
-def _points_for(T: NumType, cfg: Config):
-    return random_points(max(T.r, 3), cfg.seed, cfg.p)
+def _points_for(T: NumType, args):
+    return random_points(max(T.r, 3), args.seed, args.p)
 
 
-def _cmd_exc_enum(args, cfg: Config) -> int:
+def _cmd_exc_enum(args) -> int:
     if args.dmax is not None:
-        cfg.check_degree(args.dmax)
+        check_degree(args.dmax)
     types = sorted(enum_exceptional(args.r, args.dmax), key=lambda t: t.sort_key())
     for T in types:
         print(json.dumps(T.to_json()))
     return 0
 
 
-def _cmd_classify(args, cfg: Config) -> int:
+def _cmd_classify(args) -> int:
     T = _parse_type(args.type)
     D = T.to_divclass()
     pred = ascenzi_classify(T) if T.d >= 1 else None
@@ -120,29 +104,29 @@ def _cmd_classify(args, cfg: Config) -> int:
             "smooth_rational_numerics": smooth_rational_numerics_ok(D),
             "semi_adjoint": sa.to_json() if sa else None,
         },
-        cfg,
+        args,
     )
     return 0
 
 
-def _cmd_param(args, cfg: Config) -> int:
+def _cmd_param(args) -> int:
     T = _parse_type(args.type)
-    cfg.check_degree(T.d)
-    pts = _points_for(T, cfg)
+    check_degree(T.d)
+    pts = _points_for(T, args)
     # a trace is audited against the given points, so it gets one attempt
-    res = parameterize(T, pts, cfg.seed, max_retries=1) if args.trace else parameterize(T, pts, cfg.seed)
-    out = {"type": T.to_json(), "seed": cfg.seed, "p": cfg.p, "triple": res.to_json()}
+    res = parameterize(T, pts, args.seed, max_retries=1) if args.trace else parameterize(T, pts, args.seed)
+    out = {"type": T.to_json(), "seed": args.seed, "p": args.p, "triple": res.to_json()}
     if args.trace:
         out["trace"] = [s.to_json() for s in res.steps]
-    _emit(out, cfg)
+    _emit(out, args)
     return 0
 
 
-def _cmd_split(args, cfg: Config) -> int:
+def _cmd_split(args) -> int:
     T = _parse_type(args.type)
-    cfg.check_degree(T.d)
-    pts = _points_for(T, cfg)
-    triple = parameterize(T, pts, cfg.seed)
+    check_degree(T.d)
+    pts = _points_for(T, args)
+    triple = parameterize(T, pts, args.seed)
     ml = splitting_moving_lines(triple)
     sat = splitting_saturation(triple)
     syz = min_syzygy(triple)
@@ -157,41 +141,41 @@ def _cmd_split(args, cfg: Config) -> int:
             "method": "moving-lines = saturation = min-syzygy",
             "sigma": sat.b + triple.degree - 1,
             "syzygy": syz.to_json(),
-            "seed": cfg.seed,
+            "seed": args.seed,
         },
-        cfg,
+        args,
     )
     return 0
 
 
-def _cmd_fatpoints(args, cfg: Config) -> int:
+def _cmd_fatpoints(args) -> int:
     mults = tuple(int(v) for v in args.mults.split(","))
-    pts = random_points(len(mults), cfg.seed, cfg.p)
+    pts = random_points(len(mults), args.seed, args.p)
     Z = FatScheme(pts, mults)
-    krange = [cfg.check_degree(k) for k in _parse_krange(args.k)]
+    krange = [check_degree(k) for k in _parse_krange(args.k)]
     reports, alpha = _betti_alpha(Z, krange, alpha=True)
     _emit(
         {
             "mults": list(mults),
-            "seed": cfg.seed,
-            "p": cfg.p,
+            "seed": args.seed,
+            "p": args.p,
             "length": Z.length,
             "alpha": alpha,
             "table": [rep.to_json() for rep in reports],
         },
-        cfg,
+        args,
     )
     return 0
 
 
-def _cmd_scan(args, cfg: Config) -> int:
-    cfg.check_degree(args.dmax)
+def _cmd_scan(args) -> int:
+    check_degree(args.dmax)
     resumed = []
     if args.resume and os.path.exists(args.out):
         with open(args.out) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
         resumed = [ScanRecord.from_json(obj) for obj in lines if "type" in obj]
-    records, summary = scan_conjecture9(args.dmax, cfg.seed, cfg.p, certify=args.certify, resumed=resumed)
+    records, summary = scan_conjecture9(args.dmax, args.seed, args.p, certify=args.certify, resumed=resumed)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for rec in records:
@@ -203,34 +187,34 @@ def _cmd_scan(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_search(args, cfg: Config) -> int:
+def _cmd_search(args) -> int:
     T = _parse_type(args.type)
-    cfg.check_degree(T.d)
+    check_degree(T.d)
     if args.damax is not None:
-        cfg.check_degree(_non_negative("--damax", args.damax))
+        check_degree(_non_negative("--damax", args.damax))
     D = T.to_divclass()
-    pts = _points_for(T, cfg)
-    res = search_min_product(D, pts, args.damax, compare_seed=cfg.seed if args.compare else None)
+    pts = _points_for(T, args)
+    res = search_min_product(D, pts, args.damax, compare_seed=args.seed if args.compare else None)
     _emit(
         {
             "type": T.to_json(),
             "damax": args.damax,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "result": res.to_json() if res else None,
         },
-        cfg,
+        args,
     )
     return 0
 
 
-def _cmd_list7(args, cfg: Config) -> int:
+def _cmd_list7(args) -> int:
     top = _non_negative("--dmax-param", args.dmax_param)
     # a member's degree is affine in its parameter: the largest is at 0 or at the top
-    cfg.check_degree(max(fam.member(d).d for fam in R7_FAMILIES for d in ((0, top) if fam.step else (0,))))
+    check_degree(max(fam.member(d).d for fam in R7_FAMILIES for d in ((0, top) if fam.step else (0,))))
     rows = []
     nbad = 0
     for fam in R7_FAMILIES:
-        for row in classification7_spotcheck(fam, range(top + 1), cfg.seed, cfg.p):
+        for row in classification7_spotcheck(fam, range(top + 1), args.seed, args.p):
             rows.append(row.to_json())
             nbad += 0 if row.ok else 1
     for row in rows:
@@ -302,8 +286,10 @@ def main(argv=None) -> int:
     if getattr(args, "resume", False) and not args.out:
         parser.error("--resume needs --out: it skips the types already present there")
     try:
-        cfg = Config(p=args.p, seed=args.seed, fmt=args.format)
-        return args.func(args, cfg)
+        check_modulus(args.p)
+        if args.p <= DEGREE_CAP:
+            raise ValueError(f"modulus {args.p} must exceed the degree cap {DEGREE_CAP}")
+        return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,22 +5,23 @@ reduced to ``[0, p)``, with its RREF, rank and kernel basis and no public
 products (the 3x3 frame products of ``param`` run on plain int64 arrays).
 All elimination is done with modular inverses, so results are exact.  There
 is one elimination, ``MatFp.rref``: a forward pass to row-echelon form, then
-back-substitution on the free columns of the pivot rows.  ``rank`` and
-``kernel_basis`` read it, and so does ``splitting``, which keeps one RREF of
-a syzygy matrix for saturation and the minimal syzygy and reads a kernel
-vector off it through ``_kernel_rows``, the code of ``kernel_basis``.  The
-forward pass of a matrix with at most 128 columns is the leaf, which
-updates in place, on the columns from each pivot on, the block of rows from
-the first to the last one below the pivot that is nonzero in its column.
-A wider matrix goes by panels of 32
-columns: the leaf, run on a copy of the first rows of the panel's remaining
-rows (twice the panel's width, doubled until the panel has a pivot in every
-column or every row is in), gives the panel's pivot columns and row order,
-the panel's pivot rows are multiplied by the inverse of their pivot block,
-and the rows below get the Schur update ``B2 - A21 U12``; the
+back-substitution on the free columns of the pivot rows.  ``rank`` reads its
+pivots.  ``_kernel_rows`` reads the kernel basis and the free column of each
+basis row off an RREF: ``kernel_basis`` is its basis, ``fatpoints`` reads
+the ideals of every degree off one basis and its free columns, and
+``splitting`` keeps one RREF of a syzygy matrix for saturation and the
+minimal syzygy and takes the first kernel row.  The forward pass of a matrix
+with at most 128 columns is the leaf, which updates in place, on the columns
+from each pivot on, the block of rows from the first to the last one below
+the pivot that is nonzero in its column.  A wider matrix goes by panels of
+32 columns: the leaf, run on a copy of the first rows of the panel's
+remaining rows (twice the panel's width, doubled until the panel has a pivot
+in every column or every row is in), gives the panel's pivot columns and row
+order, the panel's pivot rows are multiplied by the inverse of their pivot
+block, and the rows below get the Schur update ``B2 - A21 U12``; the
 back-substitution then goes one panel of pivot rows at a time.  Those
-products, forward and back, are float64 matmuls (BLAS) over 16-bit limbs,
-in chunks of 128 columns.
+products, forward and back, are float64 matmuls (BLAS) over 16-bit limbs, in
+chunks of 128 columns.
 
 Two bounds keep every step exact:
 
@@ -130,11 +131,6 @@ class MatFp:
     def __repr__(self) -> str:
         return f"MatFp({self.rows}x{self.cols} mod {self.p})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatFp):
-            return NotImplemented
-        return self.p == other.p and np.array_equal(self.entries, other.entries)
-
     def rref(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Reduced row-echelon form and the tuple of pivot columns.
 
@@ -180,13 +176,7 @@ class MatFp:
         and the pivot coordinates filled from the RREF.  ``M v == 0`` for
         every row ``v``.
         """
-        return self._kernel()[0]
-
-    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
-        """``kernel_basis`` and the free column of each of its rows."""
-        red, pivots = self.rref()
-        free = _free_columns(pivots, self.cols)
-        return _kernel_rows(red, pivots, free, self.p), np.array(free, dtype=np.int64)
+        return _kernel_rows(*self.rref(), self.p)[0]
 
 
 def _free_columns(pivots: tuple[int, ...], ncols: int) -> list[int]:
@@ -195,17 +185,18 @@ def _free_columns(pivots: tuple[int, ...], ncols: int) -> list[int]:
     return [c for c in range(ncols) if c not in pivot_set]
 
 
-def _kernel_rows(red: np.ndarray, pivots: tuple[int, ...], free: list[int], p: int) -> np.ndarray:
-    """The kernel vectors of the free columns ``free`` of a matrix whose RREF
-    is ``red`` with ``pivots``, as one read-only int64 array, row i for
-    ``free[i]``: a 1 in coordinate ``free[i]``, zeros in the other free
-    coordinates, and minus that column of ``red`` in the pivot coordinates.
-    ``MatFp.kernel_basis`` is this on every free column."""
+def _kernel_rows(red: np.ndarray, pivots: tuple[int, ...], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel basis of a matrix whose RREF is ``red`` with ``pivots``, as
+    one read-only int64 array, and the free column of each of its rows as an
+    int64 array ``free``: row i has a 1 in coordinate ``free[i]``, zeros in
+    the other free coordinates, and minus that column of ``red`` in the pivot
+    coordinates.  ``MatFp.kernel_basis`` is the first element."""
+    free = _free_columns(pivots, red.shape[1])
     basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
     basis[range(len(free)), free] = 1
     basis[:, list(pivots)] = (-red[: len(pivots), free].T) % p
     basis.flags.writeable = False
-    return basis
+    return basis, np.array(free, dtype=np.int64)
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

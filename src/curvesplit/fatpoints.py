@@ -38,7 +38,7 @@ from math import comb
 
 import numpy as np
 
-from .exactla import MatFp
+from .exactla import MatFp, _kernel_rows
 from .lattice import DivClass, canonical_class, is_exceptional_class
 from .param import PointSet
 from .plane import dim_forms, monomials, var_shift
@@ -143,7 +143,7 @@ def _prefix_basis(Z: FatScheme, K: int) -> tuple[np.ndarray, np.ndarray]:
     for i, (x, m) in enumerate(zip(Z.points.coords.tolist(), Z.mults)):
         if m and x[0] == 0:
             raise ValueError(f"point {i} {tuple(x)} of multiplicity {m} lies on x0 = 0; x0 must be a unit at every point")
-    return conditions_matrix(Z, K)._kernel()
+    return _kernel_rows(*conditions_matrix(Z, K).rref(), Z.p)
 
 
 def _least_degree(n: int) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binform import BinForm, ParamTriple
-from .exactla import MatFp, _free_columns, _kernel_rows
+from .exactla import MatFp, _kernel_rows
 
 __all__ = [
     "SplitType",
@@ -194,8 +194,7 @@ def min_syzygy(phi: ParamTriple) -> Syzygy:
     # 3(K+1) columns exceed K+d+1 rows at K = d // 2, so a free column f
     # exists; the vector of the first one ends at f, in degree f // 3
     K = d // 2
-    red, pivots = _syzygy_rref(phi, K)
-    vec = _kernel_rows(red, pivots, _free_columns(pivots, 3 * (K + 1))[:1], phi.p)[0]
+    vec = _kernel_rows(*_syzygy_rref(phi, K), phi.p)[0][0]
     k = max(1, int(np.flatnonzero(vec)[-1]) // 3)
     syz = Syzygy(k, tuple(BinForm(vec[i : 3 * (k + 1) : 3], phi.p) for i in range(3)))
     if not is_syzygy(phi, syz):

@@ -12,6 +12,7 @@ from curvesplit.exactla import (
     MODULUS,
     MatFp,
     _echelon,
+    _kernel_rows,
     _mul_mod,
     _panel_pivots,
     check_modulus,
@@ -282,6 +283,34 @@ def test_multi_panel_pivots_span_the_panels():
     assert not set(range(200, 210)) & set(stair)
     assert MatFp(_multi_panel_case("dense", P), P).rref()[1] == tuple(range(70))
     assert MatFp(_multi_panel_case("all_p_minus_1", 7), 7).rref()[1] == tuple(range(0, 160, 4))
+
+
+def _kernel_rows_cases(p: int):
+    rng = np.random.default_rng(p)
+    wide = _LEAF_COLS + 12
+    return {
+        "wide": rng.integers(0, p, size=(5, 9)),
+        "no_free_column": np.vstack([np.eye(5, dtype=np.int64), rng.integers(0, p, size=(4, 5))]),
+        "all_zero": np.zeros((4, 6), dtype=np.int64),
+        "staircase": _staircase(12, 20, [0, 3, 4, 9, 15], p, rng),
+        "panels": _staircase(30, wide, sorted(rng.choice(wide, size=20, replace=False).tolist()), p, rng),
+    }
+
+
+@pytest.mark.parametrize("p", [7, 211, P])
+@pytest.mark.parametrize("kind", ["wide", "no_free_column", "all_zero", "staircase", "panels"])
+def test_kernel_rows_gives_each_row_its_free_column(kind, p):
+    m = MatFp(_kernel_rows_cases(p)[kind], p)
+    basis, free = _kernel_rows(*m.rref(), p)
+    assert free.dtype == np.int64 and len(free) == len(basis) == m.cols - m.rank()
+    if kind == "no_free_column":
+        assert len(free) == 0
+    if kind == "all_zero":
+        assert free.tolist() == list(range(m.cols))
+    for v, f in zip(basis, free):
+        assert not _mulvec(m, v).any()
+        assert np.flatnonzero(v)[-1] == f and v[f] == 1
+    assert np.array_equal(m.kernel_basis(), basis)
 
 
 @pytest.mark.parametrize("shape", [(0, 200), (0, 0), (50, 0), (3, _LEAF_COLS + 1)])

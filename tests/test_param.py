@@ -720,6 +720,14 @@ class TestParameterizationFibres:
         assert set(res.to_json()) == {"degree", "p", "components"}
 
 
+def test_parameterization_equals_the_triple_of_its_components():
+    phi = parameterize(NumType(8, (3,) * 7), random_points(9, 1), 1)
+    t = ParamTriple(phi.phi0, phi.phi1, phi.phi2)
+    assert phi == t and t == phi
+    assert hash(phi) == hash(t) and len({phi, t}) == 1
+    assert phi != ParamTriple(phi.phi1, phi.phi0, phi.phi2)
+
+
 class TestPushForward:
     """``CremonaStep.push_forward`` undoes ``pull_back`` up to one scalar."""
 
