@@ -8,9 +8,11 @@ is only tallied.  The second predicts a_E as the minimum of A.E over
 divisors A with -K.A = 2, h^1 = 0 and linear excess 1.
 
 A full dmax=61 scan (1054 types, `scan-conj9 --dmax 61 --seed 1`) took
-11.9-12.5 s in two runs on a 2-core Intel Xeon with Python 3.11 and numpy 2.4,
-whose speed varies by up to 1.8x over time.  This demo caps the degree lower
-to stay snappy.
+8.3-8.9 s in two runs from the command line, and `scan_conjecture9(61, s)`
+6.2-6.3 s at seed 1 and 7.0-7.1 s at seed 2, on a 2-core Intel Xeon with
+Python 3.11 and numpy 2.4, whose speed swings by up to 1.5x over time (the
+seed-1 scan has read 5.8 to 8.4 s).  This demo caps the degree lower to stay
+snappy.
 """
 
 from curvesplit import DivClass, random_points
