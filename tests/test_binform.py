@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +242,21 @@ class TestParamTriple:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             ParamTriple(form(1), form(2), form(3))
+
+    def test_json_bytes(self):
+        tri = ParamTriple(form(1, 0), form(0, 1), zero(1))
+        assert json.dumps(tri.to_json()) == (
+            '{"degree": 1, "p": 2147483647, "components": [[1, [1, 0]], [1, [0, 1]], [-1, []]]}'
+        )
+
+    @pytest.mark.parametrize(
+        "rows, factor",
+        [(((1, 0, 0), (0, 1, 0), (1, 1, 0)), "s"), (((1, 2), (2, 4), (3, 6)), "s + 2*t")],
+        ids=["s", "s+2t"],
+    )
+    def test_shared_factor_message(self, rows, factor):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'components share the factor {factor}')}$"):
+            ParamTriple(*(form(*row) for row in rows))
 
 
 # The binform arithmetic before the in-place kernel, kept as a reference: a
