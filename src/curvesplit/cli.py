@@ -2,7 +2,8 @@
 splitting, fat points and the conjecture scans.
 
 Every subcommand is deterministic given (argv, seed, p), and the run is read
-from argv alone.  Exit codes: 0 success, 1 domain error, 2 usage error.
+from argv alone.  Exit codes: 0 success, 1 domain error or stdout closed
+before the output ended, 2 usage error.
 """
 
 from __future__ import annotations
@@ -289,9 +290,15 @@ def main(argv=None) -> int:
         check_modulus(args.p)
         if args.p <= DEGREE_CAP:
             raise ValueError(f"modulus {args.p} must exceed the degree cap {DEGREE_CAP}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout now goes nowhere, so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

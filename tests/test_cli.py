@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curvesplit
 from curvesplit import conjscan
 from curvesplit.cli import main
 
@@ -188,6 +193,20 @@ def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "split", "--type", "3,1,1")  # fails genus numerics
     assert code == 1
     assert "error" in err
+
+
+def test_closed_stdout_exits_one_quietly():
+    # exc-enum --r 9 --dmax 150 writes about 538 KB, far more than a pipe
+    # holds, so a write after the reader closes the pipe always fails
+    src = str(Path(curvesplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "curvesplit.cli", "exc-enum", "--r", "9", "--dmax", "150"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_byte_identical_reruns(capsys):
