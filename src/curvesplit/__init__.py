@@ -7,7 +7,7 @@ points via Cremona reduction, three independent splitting algorithms, and
 fat-point interpolation for the cohomological certificates.
 """
 
-from .binform import BinForm, ParamTriple, div_exact, gcd_many
+from .binform import ParamTriple, div_exact, gcd_many
 from .exactla import MODULUS, MatFp
 from .fatpoints import (
     FatScheme,

@@ -1,24 +1,24 @@
 """Homogeneous forms in two variables s, t over F_p.
 
-A form of degree d is a coefficient vector ``c`` of length d+1 with ``c[i]``
-the coefficient of ``s^(d-i) t^i``.  Every form has a degree, the zero form
-included: the zero of degree d is d+1 zero coefficients, as a syzygy of
-degree k may have zero components in S_k.  So a product with a zero is the
-zero of the summed degree, a sum needs one degree whether or not a term is
-zero, and zeros of different degrees are different forms.  An empty vector
-is refused.  ``to_json`` prints every zero as ``[-1, []]`` and ``to_text``
-as ``0``, whatever its degree.
+A form of degree d is an int64 row ``c`` of d+1 reduced coefficients with
+``c[i]`` the coefficient of ``s^(d-i) t^i``, and the package passes forms
+as such rows.  Every form has a degree, the zero form included: the zero of
+degree d is d+1 zero coefficients, as a syzygy of degree k may have zero
+components in S_k.  So a product with a zero is the zero of the summed
+degree, and zeros of different degrees are different forms.  ``_to_json``
+prints every zero as ``[-1, []]`` and ``_to_text`` as ``0``, whatever its
+degree.
 
 One kernel, ``_reduce``, divides univariate polynomials in place, and both
-gcds and exact division run on it.  A form t^k u is dehomogenized at t = 1
-into a copy of u(s, 1); the Euclidean algorithm runs on those copies, and the
-common power of t is restored once, at the end.  All gcd outputs are
-normalized so their first nonzero coefficient is 1.
+``gcd_many`` and ``div_exact`` run on it.  A form t^k u is dehomogenized at
+t = 1 into a copy of u(s, 1); the Euclidean algorithm runs on those copies,
+and the common power of t is restored once, at the end.  All gcd outputs
+are normalized so their first nonzero coefficient is 1.  ``_conv_mod``
+multiplies stacked rows.
 
-Products and exact division also work on bare coefficient rows, for callers
-that carry arrays: ``_conv_mod`` multiplies stacked rows, and
-``BinForm.__mul__`` is its one-row case; ``div_exact`` is the ``BinForm``
-wrapper of ``_div_exact``.
+``ParamTriple`` holds its three components as one (3, d + 1) array.
+``BinForm`` is a row with its modulus, the value type for callers outside
+the package; its product is the one-row case of ``_conv_mod``.
 """
 
 from __future__ import annotations
@@ -100,8 +100,39 @@ def _reduce(a: np.ndarray, b: np.ndarray, p: int, q: np.ndarray | None = None) -
     return a[:n]
 
 
+def _to_text(row: np.ndarray) -> str:
+    """The form of a coefficient row as text, ``0`` for a zero of any degree."""
+    if not row.any():
+        return "0"
+    d = row.size - 1
+    parts = []
+    for i, c in enumerate(row.tolist()):
+        if c == 0:
+            continue
+        factors = []
+        if c != 1:
+            factors.append(str(c))
+        if d - i > 0:
+            factors.append("s" if d - i == 1 else f"s^{d - i}")
+        if i > 0:
+            factors.append("t" if i == 1 else f"t^{i}")
+        if not factors:
+            factors.append("1")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _to_json(row: np.ndarray) -> list:
+    """[degree, coefficients] of a coefficient row, ``[-1, []]`` for a zero of
+    any degree."""
+    if not row.any():
+        return [-1, []]
+    return [row.size - 1, row.tolist()]
+
+
 class BinForm:
-    """A homogeneous binary form over F_p, immutable after construction."""
+    """A homogeneous binary form over F_p, immutable after construction: a
+    coefficient row with its modulus, for callers outside the package."""
 
     __slots__ = ("coeffs", "p")
 
@@ -113,15 +144,6 @@ class BinForm:
         arr.flags.writeable = False
         self.coeffs = arr
         self.p = p
-
-    @classmethod
-    def _of(cls, coeffs: np.ndarray, p: int) -> "BinForm":
-        """The form on a fresh 1-D array of reduced int64 coefficients, taken
-        over without a copy or a check."""
-        coeffs.flags.writeable = False
-        form = object.__new__(cls)
-        form.coeffs, form.p = coeffs, p
-        return form
 
     @property
     def is_zero(self) -> bool:
@@ -142,102 +164,50 @@ class BinForm:
     def __repr__(self) -> str:
         return f"BinForm({self.to_text()!r} mod {self.p})"
 
-    def __add__(self, other: "BinForm") -> "BinForm":
-        self._compat(other)
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        return BinForm(self.coeffs + other.coeffs, self.p)
-
-    def __sub__(self, other: "BinForm") -> "BinForm":
-        return self + (-other)
-
-    def __neg__(self) -> "BinForm":
-        return BinForm(-self.coeffs, self.p)
-
     def __mul__(self, other: "BinForm") -> "BinForm":
-        self._compat(other)
-        return BinForm._of(_conv_mod(self.coeffs[None], other.coeffs[None], self.p)[0], self.p)
-
-    def scale(self, c: int) -> "BinForm":
-        return BinForm(self.coeffs * (c % self.p) % self.p, self.p)
-
-    def t_multiplicity(self) -> int:
-        """Largest k with t^k dividing the form."""
-        nonzero = self.coeffs.nonzero()[0]
-        if not nonzero.size:
-            raise ValueError("the zero form is divisible by every power of t")
-        return int(nonzero[0])
-
-    def monic(self) -> "BinForm":
-        """Scale so the first nonzero coefficient is 1."""
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero form")
-        lead = int(self.coeffs[self.t_multiplicity()])
-        return self.scale(pow(lead, -1, self.p))
-
-    def _compat(self, other: "BinForm") -> None:
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
+        return BinForm(_conv_mod(self.coeffs[None], other.coeffs[None], self.p)[0], self.p)
 
     def to_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        d = self.degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            factors = []
-            if c != 1:
-                factors.append(str(int(c)))
-            if d - i > 0:
-                factors.append("s" if d - i == 1 else f"s^{d - i}")
-            if i > 0:
-                factors.append("t" if i == 1 else f"t^{i}")
-            if not factors:
-                factors.append("1")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return _to_text(self.coeffs)
 
     def to_json(self) -> list:
-        if self.is_zero:
-            return [-1, []]
-        return [self.degree, [int(c) for c in self.coeffs]]
+        return _to_json(self.coeffs)
 
 
-def gcd_many(forms) -> BinForm:
-    """Monic gcd of any number of forms (zeros allowed, not all zero).
+def gcd_many(rows, p: int) -> np.ndarray:
+    """Monic gcd of any number of forms, as reduced int64 coefficient rows
+    (zeros allowed, not all zero); a (k, d + 1) array is k rows.
 
     Each nonzero form t^k u(s, t) is dehomogenized once, into a copy of
     u(s, 1), and the remainder sequence runs in place on those copies.  The
     least k is put back and the result normalized once, at the end.
     """
-    first = acc = None
+    acc = None
     t_common = 0
-    for f in forms:
-        if first is None:
-            first = f
-        first._compat(f)
-        if f.is_zero:
+    for f in rows:
+        nonzero = f.nonzero()[0]
+        if not nonzero.size:
             continue
-        t = f.t_multiplicity()
-        u = f.coeffs[t:][::-1].copy()
+        t = int(nonzero[0])
+        u = f[t:][::-1].copy()
         if acc is None:
             acc, t_common = u, t
         else:
             t_common = min(t_common, t)
             while u.size:
-                acc, u = u, _reduce(acc, u, f.p)
+                acc, u = u, _reduce(acc, u, p)
         if acc.size == 1 and t_common == 0:
             break
     if acc is None:
         raise ValueError("gcd of all-zero forms")
-    coeffs = np.zeros(t_common + acc.size, dtype=np.int64)
-    coeffs[t_common:] = acc[::-1] * pow(int(acc[-1]), -1, first.p) % first.p
-    return BinForm(coeffs, first.p)
+    out = np.zeros(t_common + acc.size, dtype=np.int64)
+    out[t_common:] = acc[::-1] * pow(int(acc[-1]), -1, p) % p
+    return out
 
 
-def _div_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+def div_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     """Coefficients of f/g for reduced int64 coefficient rows when g divides
     f exactly; raises ValueError otherwise.
 
@@ -266,62 +236,49 @@ def _div_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def div_exact(f: BinForm, g: BinForm) -> BinForm:
-    """Quotient f/g when g divides f exactly; raises ValueError otherwise
-    (``_div_exact``)."""
-    f._compat(g)
-    return BinForm(_div_exact(f.coeffs, g.coeffs, f.p), f.p)
-
-
 @dataclass(frozen=True, eq=False)
 class ParamTriple:
     """Three coprime binary forms of equal degree d >= 1: a map P^1 -> P^2.
 
-    The components must not have a common factor.  That also makes the image
-    a curve: proportional components would share their common form, of
-    degree d >= 1, as a factor.  Equality and hash are the components', so
-    a subclass instance equals the plain triple of its components.
+    ``coeffs`` is the read-only (3, d + 1) int64 array of the components'
+    reduced coefficient rows.  The components must not have a common factor.
+    That also makes the image a curve: proportional components would share
+    their common form, of degree d >= 1, as a factor.  Equality and hash are
+    (p, coeffs), so a subclass instance equals the plain triple of its
+    components.
     """
 
-    phi0: BinForm
-    phi1: BinForm
-    phi2: BinForm
+    coeffs: np.ndarray
+    p: int
 
     def __post_init__(self):
-        phis = self.phis
-        for f in phis:
-            f._compat(phis[0])
-        if len({f.degree for f in phis}) != 1:
-            raise ValueError("components must share one degree")
-        if self.degree < 1:
+        check_modulus(self.p)
+        arr = np.remainder(np.asarray(self.coeffs, dtype=np.int64), self.p)
+        if arr.ndim != 2 or len(arr) != 3:
+            raise ValueError("a triple is three rows of d + 1 coefficients")
+        if arr.shape[1] < 2:
             raise ValueError("parameterization degree must be >= 1")
-        g = gcd_many(phis)
-        if g.degree != 0:
-            raise ValueError(f"components share the factor {g.to_text()}")
-
-    @property
-    def phis(self) -> tuple[BinForm, BinForm, BinForm]:
-        return (self.phi0, self.phi1, self.phi2)
+        g = gcd_many(arr, self.p)
+        if g.size != 1:
+            raise ValueError(f"components share the factor {_to_text(g)}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamTriple):
             return NotImplemented
-        return self.phis == other.phis
+        return self.p == other.p and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self) -> int:
-        return hash(self.phis)
+        return hash((self.p, self.coeffs.tobytes()))
 
     @property
     def degree(self) -> int:
-        return self.phi0.degree
-
-    @property
-    def p(self) -> int:
-        return self.phi0.p
+        return self.coeffs.shape[1] - 1
 
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
             "p": self.p,
-            "components": [f.to_json() for f in self.phis],
+            "components": [_to_json(row) for row in self.coeffs],
         }

@@ -9,11 +9,10 @@ finds them; each inverse map then divides the components by the fibres over
 its centers, hands back the fibres over the centers it restores and passes
 every other fibre on unchanged.  The verify reads each multiplicity m_i as
 the degree of the fibre carried to point i, so neither a step nor the verify
-needs a gcd of degree d.  The chain runs on int64 arrays: the curve as its
-(3, d + 1) coefficient array, the fibres as rows, and one kernel,
-``_bracket``, for the divisions and products of a step in either direction.
-``BinForm`` appears only at the boundary: the pencil's coprimality check,
-``fibre_at`` and ``Parameterization``.
+needs a gcd of degree d.  The chain runs on int64 arrays from the base
+curve to ``Parameterization``: the curve as its (3, d + 1) coefficient
+array, the fibres as rows, and one kernel, ``_bracket``, for the divisions
+and products of a step in either direction.
 
 The carried fibres are the gcd fibres exactly, so the verify decides as a
 gcd would.  The fibre of f = (f_0, f_1, f_2) over q is the monic gcd of the
@@ -61,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .binform import BinForm, ParamTriple, _conv_mod, _div_exact, gcd_many
+from .binform import ParamTriple, _conv_mod, div_exact, gcd_many
 from .exactla import MODULUS, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
 
@@ -295,7 +294,7 @@ def _bracket(
         if not f.any():
             raise DegenerateConfigurationError("image curve lies on a fundamental line")
         try:
-            hs.append(_div_exact(f, prods[c, : sizes[i] + sizes[j] - 1], p))
+            hs.append(div_exact(f, prods[c, : sizes[i] + sizes[j] - 1], p))
         except ValueError as exc:
             raise DegenerateConfigurationError(f"fibre product does not divide component {c}: {exc}") from exc
     hp = _pad(hs)
@@ -460,22 +459,22 @@ def cremona_apply(points: PointSet, i: int, j: int, k: int) -> CremonaStep:
     return CremonaStep((i, j, k), points, after, n_matrix)
 
 
-def fibre_at(phis: tuple[BinForm, BinForm, BinForm], points: PointSet, i: int) -> BinForm:
-    """Monic fibre of the parameterized curve over row i of ``points``.
+def fibre_at(coeffs: np.ndarray, points: PointSet, i: int) -> np.ndarray:
+    """Monic fibre, as a coefficient row, of the curve whose components are
+    the rows of the (3, d + 1) array ``coeffs`` over row i of ``points``.
 
     With the point normalized at its first nonzero coordinate c, the
     parameter values mapping to the point are the common roots of
     phi_a - x_a phi_c and phi_b - x_b phi_c; the fibre is their gcd, a
     constant off the curve.
     """
-    if phis[0].p != points.p:
-        raise ValueError("mixed moduli")
-    x = points.coords[i].tolist()
-    c = x.index(1)  # the first nonzero coordinate, scaled to 1
-    diffs = [phis[a] - phis[c].scale(x[a]) if x[a] else phis[a] for a in range(3) if a != c]
-    if all(f.is_zero for f in diffs):
+    p, x = points.p, points.coords[i]
+    c = x.tolist().index(1)  # the first nonzero coordinate, scaled to 1
+    others = [a for a in range(3) if a != c]
+    diffs = (coeffs[others] - x[others, None] * coeffs[c] % p) % p
+    if not diffs.any():
         raise ValueError("components are proportional at this point; not a curve")
-    return gcd_many(diffs)
+    return gcd_many(diffs, p)
 
 
 def multiplicity_at(phi: ParamTriple, points: PointSet, i: int) -> int:
@@ -486,7 +485,9 @@ def multiplicity_at(phi: ParamTriple, points: PointSet, i: int) -> int:
     ``parameterize`` does not call it: it reads the fibres it carries.  This
     is the independent check the tests hold those against.
     """
-    return fibre_at(phi.phis, points, i).degree
+    if phi.p != points.p:
+        raise ValueError("mixed moduli")
+    return fibre_at(phi.coeffs, points, i).size - 1
 
 
 def _base_fibres(r: int, slots, fibres, p: int) -> list[np.ndarray]:
@@ -582,7 +583,7 @@ def _parameterize_pencil(d: int, mults, points: PointSet, rng: SeededRng, p: int
     for idx in simple:
         hvec[0] = 0
         hvec[0] = -_pencil_at(gvec, hvec, frame[idx], p) * pow(frame[idx][0], -d, p) % p
-    if not any(gvec) or gcd_many([BinForm(gvec, p), BinForm(hvec, p)]).degree != 0:
+    if not any(gvec) or gcd_many([np.array(v, dtype=np.int64) for v in (gvec, hvec)], p).size != 1:
         raise DegenerateConfigurationError("gcd(G, H) != 1")
     if any(_pencil_at(gvec, hvec, frame[idx], p) == 0 for idx, m in enumerate(mults) if m == 0):
         raise DegenerateConfigurationError("the pencil curve passes through a point of multiplicity 0")
@@ -603,15 +604,15 @@ class ParameterizationError(ValueError):
 class Parameterization(ParamTriple):
     """A triple with the points it was built through and verified at, the
     Cremona steps of its reduction, the first starting at those points, and
-    its monic fibres over those points in point order, carried through the
-    pull-backs (module docstring).
+    its monic fibres over those points in point order as read-only int64
+    rows, carried through the pull-backs (module docstring).
 
     Equality, hash and ``to_json`` are the triple's.
     """
 
     points: PointSet
     steps: tuple[CremonaStep, ...]
-    fibres: tuple[BinForm, ...]
+    fibres: tuple[np.ndarray, ...]
 
 
 def _base_curve(base: DivClass, points: PointSet, rng: SeededRng) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -651,16 +652,16 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
         if got != cls.d:
             raise DegenerateConfigurationError(f"pull-back degree {got}, class predicts {cls.d}")
 
+    for fibre in fibres:
+        fibre.flags.writeable = False
     try:
-        res = Parameterization(
-            *(BinForm(row, p) for row in coeffs), pts, tuple(steps), tuple(BinForm(f, p) for f in fibres)
-        )
+        res = Parameterization(coeffs, p, pts, tuple(steps), tuple(fibres))
     except ValueError as exc:
         raise DegenerateConfigurationError(str(exc)) from exc
     if res.degree != D.d:
         raise DegenerateConfigurationError("final degree disagrees with the class")
     for idx, m in enumerate(D.m):
-        got = res.fibres[idx].degree
+        got = res.fibres[idx].size - 1
         if got != m:
             raise DegenerateConfigurationError(f"multiplicity {got} != {m} at point {idx + 1}")
     return res

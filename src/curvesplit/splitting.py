@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binform import BinForm, ParamTriple
+from .binform import ParamTriple, _conv_mod, _to_json
 from .exactla import MatFp, _kernel_rows
 
 __all__ = [
@@ -70,26 +70,43 @@ class SplitType:
         return {"a": self.a, "b": self.b, "gap": self.gap}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Syzygy:
-    """A degree-k relation alpha0 phi0 + alpha1 phi1 + alpha2 phi2 = 0."""
+    """A degree-k relation alpha0 phi0 + alpha1 phi1 + alpha2 phi2 = 0.
+
+    ``alphas`` is the read-only (3, k + 1) int64 array of the reduced
+    coefficient rows of alpha0, alpha1, alpha2; equality and hash are
+    (degree, alphas).
+    """
 
     degree: int
-    alphas: tuple[BinForm, BinForm, BinForm]
+    alphas: np.ndarray
 
     def __post_init__(self):
-        if all(f.is_zero for f in self.alphas):
+        alphas = np.array(self.alphas, dtype=np.int64)
+        if not alphas.any():
             raise ValueError("the zero syzygy is not a syzygy")
-        if any(f.degree != self.degree for f in self.alphas):
+        if alphas.shape != (3, self.degree + 1):
             raise ValueError("syzygy components must share the stated degree")
+        alphas.flags.writeable = False
+        object.__setattr__(self, "alphas", alphas)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Syzygy):
+            return NotImplemented
+        return self.degree == other.degree and np.array_equal(self.alphas, other.alphas)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.alphas.tobytes()))
 
     def to_json(self) -> dict:
-        return {"degree": self.degree, "alphas": [f.to_json() for f in self.alphas]}
+        return {"degree": self.degree, "alphas": [_to_json(row) for row in self.alphas]}
 
 
 def is_syzygy(phi: ParamTriple, syz: Syzygy) -> bool:
-    (a0, a1, a2), (f0, f1, f2) = syz.alphas, phi.phis
-    return (a0 * f0 + a1 * f1 + a2 * f2).is_zero
+    """Whether alpha0 phi0 + alpha1 phi1 + alpha2 phi2 is zero: the three
+    products in one stacked ``_conv_mod``, then their sum."""
+    return not (_conv_mod(syz.alphas, phi.coeffs, phi.p).sum(axis=0) % phi.p).any()
 
 
 def syzygy_matrix(phi: ParamTriple, k: int) -> MatFp:
@@ -106,9 +123,8 @@ def syzygy_matrix(phi: ParamTriple, k: int) -> MatFp:
     rows = k + d + 1
     mat = np.zeros((rows, 3 * (k + 1)), dtype=np.int64)
     for w in range(k + 1):
-        for i, f in enumerate(phi.phis):
-            # s^(k-w) t^w shifts the t-exponent of every coefficient by w
-            mat[w : w + d + 1, 3 * w + i] = f.coeffs
+        # s^(k-w) t^w shifts the t-exponent of every coefficient by w
+        mat[w : w + d + 1, 3 * w : 3 * w + 3] = phi.coeffs.T
     return MatFp(mat, p)
 
 
@@ -196,7 +212,7 @@ def min_syzygy(phi: ParamTriple) -> Syzygy:
     K = d // 2
     vec = _kernel_rows(*_syzygy_rref(phi, K), phi.p)[0][0]
     k = max(1, int(np.flatnonzero(vec)[-1]) // 3)
-    syz = Syzygy(k, tuple(BinForm(vec[i : 3 * (k + 1) : 3], phi.p) for i in range(3)))
+    syz = Syzygy(k, vec[: 3 * (k + 1)].reshape(k + 1, 3).T)
     if not is_syzygy(phi, syz):
         raise AssertionError("kernel vector is not a syzygy; matrix layout broken")
     return syz

@@ -1,8 +1,11 @@
-"""Every module's ``__all__`` names exactly its public API."""
+"""Every module's ``__all__`` names exactly its public API, and no module
+but ``binform`` names ``BinForm``."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import curvesplit
 
@@ -35,3 +38,20 @@ def test_all_names_exactly_the_public_api():
         if listed != want:
             mismatches[info.name] = {"unlisted": sorted(want - listed), "stale": sorted(listed - want)}
     assert mismatches == {}
+
+
+def test_only_binform_names_binform():
+    # inside the package a form is its int64 coefficient row; ``BinForm`` is
+    # the value type for callers outside it, so wrapping rows again elsewhere
+    # would bring back a second representation
+    named = []
+    sources = sorted(Path(curvesplit.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        if path.name == "binform.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "BinForm":
+                named.append((path.name, node.lineno))
+    assert named == []

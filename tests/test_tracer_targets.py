@@ -59,3 +59,22 @@ def test_scan_record_hands_the_split3_functions_its_parameterization(monkeypatch
     sat = splitting.splitting_saturation(phi)
     syz = splitting.min_syzygy(phi)
     assert ml == sat == rec.split and syz.degree == ml.a
+
+
+def test_chain_divides_through_the_traced_name(monkeypatch):
+    """The tracer's ``binform.div`` layer rebinds ``div_exact`` wherever the
+    package holds it; the Cremona chain's exact divisions go through
+    ``param.div_exact``, so the layer sees them."""
+    from curvesplit import param
+    from curvesplit.lattice import NumType
+
+    calls = []
+    real = param.div_exact
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(param, "div_exact", counting)
+    param.parameterize(NumType(8, (3,) * 7), param.random_points(9, 1), 1)
+    assert len(calls) > 0
