@@ -390,6 +390,8 @@ PINNED_DIGESTS = {
     "param --type 5,4,1 --seed 1": "266863bb9429e9edde1b94d4b371677570e6e68b8e7bf59752526388f8330eea",
     # the first attempt's pencil passes through the point of multiplicity 0
     "param --type 7,4,3,3,3,1,1,0 --seed 8 --p 211": "09fb365956cee55b2fc93367355ab25eca212fdcd9ce68eab4479b17ea6beba1",
+    # the first attempt's point 8 lies on a fundamental line
+    "param --type 8,3,3,3,3,3,3,3,1,1 --seed 1 --p 211": "d779a1118f1be191506ef6589c6c2c108eeb427b31337c7d1af4fca9c89b942e",
     "exc-enum --r 9 --dmax 61": "9b23d0f9ece765668793b3ac4d807d93b8ff58a667a7516737ebd93fdb5d83c1",
     "exc-enum --r 8": "9c86460107487e3b43bebb34a0d648fe72dfd73cf59707fcfbaa45daa0040a90",
     "exc-enum --r 7": "f02cb083098e6d525f96d96274c45d514d0db228d5a7815fc2cc40db0b07fc93",
