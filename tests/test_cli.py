@@ -189,6 +189,18 @@ def test_empty_or_negative_bounds_are_domain_errors(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x", "cannot parse type 'x'; expected d,m1,...,mr"),
+        ("3", "a type needs a degree and at least one multiplicity"),
+    ],
+)
+def test_unparsable_type_is_a_domain_error(capsys, text, message):
+    code, out, err = run_cli(capsys, "classify", "--type", text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "split", "--type", "3,1,1")  # fails genus numerics
     assert code == 1

@@ -327,3 +327,8 @@ class TestFaultInjection:
         assert bad[0].error == "ValueError: injected"
         assert (bad[0].h1_a, bad[0].le_a, bad[0].split) == (None, None, None)
         assert summary["n_types"] == 15 and summary["n_errors"] == 1
+
+
+def test_a_family_without_a_parameter_refuses_a_member_past_0():
+    with pytest.raises(ValueError, match=r"^E7:\(0, 0, 0, 0, 0, 0, 0, -1\) has no parameter$"):
+        R7_FAMILIES[0].member(1)

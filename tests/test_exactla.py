@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,28 @@ def test_bad_moduli_rejected():
         check_modulus(91)
     with pytest.raises(ValueError):
         check_modulus(2**40)
+
+
+def test_miller_rabin_rejects_composites_without_a_small_factor():
+    assert not is_prime(0) and not is_prime(1)
+    # 1763 = 41 * 43; 1373653 = 829 * 1657 is a strong pseudoprime to bases
+    # 2 and 3, so only a later witness rejects it
+    assert not is_prime(1763) and not is_prime(1373653)
+    assert is_prime(829) and is_prime(1657)
+
+
+_REFUSALS = [
+    (lambda: MatFp(np.zeros(3, dtype=np.int64)), "expected a 2-d array, got shape (3,)"),
+    (lambda: check_modulus(1763), "modulus 1763 is not prime"),
+    (lambda: check_modulus(1373653), "modulus 1373653 is not prime"),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS, ids=[message for _, message in _REFUSALS])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError
 
 
 def test_rank_identity():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -500,3 +501,25 @@ class TestEliminationCounts:
         res = search_min_product(E, points9, dA_max=3)
         assert res is not None and res.witness == (3, 1, 1, 1, 1, 1, 1, 1, 0, 0)
         assert len(condition_degrees) == res.tested
+
+
+_REFUSALS = [
+    (lambda pts: FatScheme(pts, (1,) * 8), "one multiplicity per point"),
+    (lambda pts: FatScheme(pts, (-1,) + (0,) * 8), "multiplicities must be non-negative"),
+    (lambda pts: h0_class(DivClass(1, (0,) * 10), pts), "class touches 10 points but only 9 given"),
+    (
+        lambda pts: check_nongeneric_resolution(DivClass(4, (3,) + (1,) * 7), random_points(8, 1)),
+        "the construction lives on 9-point blow-ups",
+    ),
+    (
+        lambda pts: check_nongeneric_resolution(DivClass(4, (3,) + (1,) * 7 + (0,)), pts),
+        "DivClass(d=4, m=(3, 1, 1, 1, 1, 1, 1, 1, 0)) is not exceptional",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS, ids=[message for _, message in _REFUSALS])
+def test_input_refusals(points9, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call(points9)
+    assert info.type is ValueError

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from curvesplit.lattice import (
     Swap,
     ascenzi_classify,
     ascenzi_degree_bound,
+    ascenzi_gap,
     canonical_class,
     derive_unbalanced_exceptional,
     enum_exceptional,
@@ -442,3 +444,32 @@ class TestJson:
         T = NumType(4, (1, 3, 1, 1))
         assert T.m == (3, 1, 1, 1)
         assert NumType.from_json(T.to_json()) == T
+
+
+_REFUSALS = [
+    (lambda: DivClass(1, ()), "need at least one blown-up point"),
+    (lambda: Swap(1, 1), "invalid swap indices (1, 1)"),
+    (lambda: Quad(2, 1, 3), "quad indices must satisfy i < j < k, got (2, 1, 3)"),
+    (lambda: point_class(0, 3), "index 0 out of range 1..3"),
+    (lambda: reflect(DivClass(1, (0, 0)), [Swap(1, 3)]), "swap index 3 out of range for r=2"),
+    (lambda: reflect(DivClass(1, (0, 0)), [Quad(1, 2, 3)]), "quad index 3 out of range for r=2"),
+    (lambda: enum_exceptional(2, 5), "r=2 outside the supported range 3..9"),
+    (lambda: enum_exceptional(9, -1), "dmax must be non-negative"),
+    (lambda: ascenzi_classify(NumType(0, (1,))), "classification needs degree >= 1"),
+    (lambda: ascenzi_gap(NumType(8, (3,) * 7)), "NumType(d=8, m=(3, 3, 3, 3, 3, 3, 3)) is not Ascenzi"),
+    (lambda: derive_unbalanced_exceptional(DivClass(3, (1, 1))), "DivClass(d=3, m=(1, 1)) is not an exceptional class"),
+    (
+        lambda: derive_unbalanced_exceptional(DivClass(1, (0, 1, 1))),
+        "multiplicities must be sorted non-increasing and non-negative",
+    ),
+    (lambda: orbit_closure(DivClass(1, (0,) * 9)), "orbit can be infinite for r >= 9; pass a degree cap"),
+    (lambda: reduce_to_base(DivClass(0, (0, 0, 0))), "reduction needs degree >= 1"),
+    (lambda: reduce_to_base(DivClass(3, (1, 1))), "DivClass(d=3, m=(1, 1)) fails the rational smoothness numerics"),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS, ids=[message for _, message in _REFUSALS])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError

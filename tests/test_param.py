@@ -15,6 +15,7 @@ from curvesplit.param import (
     _CONIC_BRACKETS,
     CremonaStep,
     DegenerateConfigurationError,
+    ParameterizationError,
     PointSet,
     RetryLimitError,
     SeededRng,
@@ -1003,3 +1004,41 @@ class TestBaseCurves:
         with pytest.raises(ValueError, match="is not parameterizable"):
             _parameterize_pencil(3, (2, 1, 1, 0, 0, 0, 0, 0, 0), points9, rng, P)
         assert _parameterize_pencil(3, (2, 1, 0, 0, 0, 0, 0, 0, 0), points9, rng, P)
+
+
+_REFUSALS = [
+    (lambda pts: random_points(0, 1), ValueError, "need at least one point"),
+    (
+        lambda pts: cremona_apply(pts, 2, 1, 3),
+        ValueError,
+        "center indices (2, 1, 3) must satisfy 1 <= i < j < k <= 9",
+    ),
+    (
+        lambda pts: parameterize(DivClass(3, (2, 1, 1, 1, 1, 0, 0, 0, -1)), pts, 1),
+        ValueError,
+        "multiplicities must be non-negative",
+    ),
+    (
+        lambda pts: parameterize(NumType(1, (1, 1) + (0,) * 8), pts, 1),
+        ValueError,
+        "type needs 10 points but only 9 given",
+    ),
+    (
+        lambda pts: parameterize(NumType(1, (1, 1, 1, 1)), pts, 1),
+        ValueError,
+        "not a line type: multiplicities (1, 1, 1, 1, 0, 0, 0, 0, 0)",
+    ),
+    # (9; 6, 5, 3) passes the numerics, but its base class does not exist
+    (
+        lambda pts: parameterize(NumType(9, (6, 5, 3)), pts, 1),
+        ParameterizationError,
+        "base class DivClass(d=4, m=(1, 0, -2, 0, 0, 0, 0, 0, 0)) has negative multiplicities",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", _REFUSALS, ids=[message for *_, message in _REFUSALS])
+def test_input_refusals(points9, call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call(points9)
+    assert info.type is exc

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 import curvesplit.splitting as splitting
@@ -313,3 +316,21 @@ class TestSharedElimination:
         splitting_saturation(again)
         min_syzygy(again)
         assert sorted(widths) == sorted(3 * (K + 1) for K in degrees)
+
+
+_LINE = ParamTriple(np.array([[1, 0], [0, 1], [1, 1]]), MODULUS)
+_REFUSALS = [
+    (lambda: SplitType(2, 1), "splitting (2, 1) violates 0 <= a <= b"),
+    (lambda: Syzygy(1, np.zeros((3, 2), dtype=np.int64)), "the zero syzygy is not a syzygy"),
+    (lambda: Syzygy(1, np.ones((3, 3), dtype=np.int64)), "syzygy components must share the stated degree"),
+    (lambda: syzygy_matrix(_LINE, -1), "syzygy degree must be non-negative"),
+    (lambda: splitting_saturation(_LINE), "saturation analysis needs degree >= 2"),
+    (lambda: min_syzygy(_LINE), "syzygy search needs degree >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS, ids=[message for _, message in _REFUSALS])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError
