@@ -114,8 +114,7 @@ def _cmd_param(args) -> int:
     T = _parse_type(args.type)
     check_degree(T.d)
     pts = _points_for(T, args)
-    # a trace is audited against the given points, so it gets one attempt
-    res = parameterize(T, pts, args.seed, max_retries=1) if args.trace else parameterize(T, pts, args.seed)
+    res = parameterize(T, pts, args.seed)
     out = {"type": T.to_json(), "seed": args.seed, "p": args.p, "triple": res.to_json()}
     if args.trace:
         out["trace"] = [s.to_json() for s in res.steps]

@@ -251,13 +251,15 @@ def ascenzi_classify(T: NumType) -> tuple[int, int] | None:
 
     For d <= 2m the type splits as (d-m, m); for d == 2m+1 as (m, m+1),
     where m is the maximum point multiplicity of the curve (at least 1 for
-    positive degree).  Requires d >= 1: a point has no splitting type.
+    positive degree).  None also when m > d: no curve of degree d has a
+    point of multiplicity above d.  Requires d >= 1: a point has no
+    splitting type.
     """
     if T.d < 1:
         raise ValueError("classification needs degree >= 1")
-    if not is_ascenzi(T):
-        return None
     m = max(T.max_mult, 1)
+    if not is_ascenzi(T) or m > T.d:
+        return None
     if T.d <= 2 * m:
         return (T.d - m, m)
     return (m, m + 1)

@@ -49,7 +49,8 @@ degenerate configuration (collinear centers, a point landing on a fundamental
 line, a base draw that misses genericity) raises
 DegenerateConfigurationError with its reason.  Each base case draws once;
 the attempt loop of ``parameterize`` is the only retry, on points and a base
-rng regenerated deterministically from seed + attempt counter.
+rng regenerated deterministically from seed + attempt counter, for at most
+``ATTEMPTS`` attempts.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ __all__ = [
 _MASK = (1 << 64) - 1
 # point sets random_points draws before it gives up on the modulus
 POINT_TRIES = 32
+# configurations parameterize tries before it gives up on the modulus
+ATTEMPTS = 24
 
 
 def _combine(matrix: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -602,7 +605,8 @@ class ParameterizationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Parameterization(ParamTriple):
-    """A triple with the points it was built through and verified at, the
+    """A triple with the points it was built through and verified at (the
+    given points, or the retried set after a degenerate configuration), the
     Cremona steps of its reduction, the first starting at those points, and
     its monic fibres over those points in point order as read-only int64
     rows, carried through the pull-backs (module docstring).
@@ -667,20 +671,16 @@ def _parameterize_once(D: DivClass, pts: PointSet, rng: SeededRng) -> Parameteri
     return res
 
 
-def parameterize(
-    ntype: NumType | DivClass,
-    points: PointSet,
-    seed: int,
-    max_retries: int = 24,
-) -> Parameterization:
+def parameterize(ntype: NumType | DivClass, points: PointSet, seed: int) -> Parameterization:
     """Parameterize a curve of the given type through the given points.
 
     The i-th multiplicity is imposed at the i-th point and verified there
     (a mismatch is a degenerate configuration).  The type must pass the
     rational-smoothness numerics and have degree >= 1.  A degenerate
-    configuration retries on fresh points drawn from seed and the retry
-    counter, so the result's ``points`` are the given ones only when the
-    first attempt succeeds, as ``max_retries=1`` ensures.
+    configuration retries on fresh points drawn from seed and the attempt
+    counter, up to ``ATTEMPTS`` configurations in all.  The result's
+    ``points``, and so its first step's ``points_before``, are the given
+    ones when the first attempt succeeds and the retried set otherwise.
     """
     D = ntype.to_divclass() if isinstance(ntype, NumType) else ntype
     if D.d < 1:
@@ -696,7 +696,7 @@ def parameterize(
 
     pts = points
     last = "no attempt"
-    for attempt in range(max_retries):
+    for attempt in range(ATTEMPTS):
         if attempt:
             pts = random_points(points.r, mix_seed(seed, attempt, 0x52455452), points.p)
         rng = SeededRng(mix_seed(seed, attempt, 0x504152))
@@ -704,4 +704,4 @@ def parameterize(
             return _parameterize_once(D, pts, rng)
         except DegenerateConfigurationError as exc:
             last = str(exc)
-    raise RetryLimitError(f"parameterization failed after {max_retries} attempts: {last}")
+    raise RetryLimitError(f"parameterization failed after {ATTEMPTS} attempts: {last}")

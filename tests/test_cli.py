@@ -236,20 +236,29 @@ def test_param_trace_flag(capsys):
     assert len(step["quad_forms"]) == 3 and len(step["quad_forms"][0]) == 6
 
 
-def test_param_trace_does_not_retry(capsys):
-    # at p = 211 the first configuration of seed 1 is degenerate: the trace
-    # reports it, while a plain parameterization retries on fresh points
-    argv = ("param", "--type", "8,3,3,3,3,3,3,3,1,1", "--seed", "1", "--p", "211")
-    code, out, err = run_cli(capsys, *argv, "--trace")
-    assert (code, out) == (1, "")
-    assert err == "error: parameterization failed after 1 attempts: point 8 lies on a fundamental line\n"
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and json.loads(out)["triple"]["degree"] == 8
-    # a degenerate base draw is such an error too, with its reason
-    argv = ("param", "--type", "7,4,3,3,3,1,1,0", "--seed", "8", "--p", "211")
-    code, out, err = run_cli(capsys, *argv, "--trace")
-    assert (code, out) == (1, "")
-    assert err.endswith("after 1 attempts: the pencil curve passes through a point of multiplicity 0\n")
+@pytest.mark.parametrize(
+    "cmd, r, nsteps",
+    [
+        # the first configuration's point 8 lies on a fundamental line
+        ("param --type 8,3,3,3,3,3,3,3,1,1 --seed 1 --p 211", 9, 5),
+        # the first configuration's pencil passes through the point of multiplicity 0
+        ("param --type 7,4,3,3,3,1,1,0 --seed 8 --p 211", 7, 2),
+    ],
+)
+def test_param_trace_lists_the_steps_of_the_retried_parameterization(capsys, cmd, r, nsteps):
+    from curvesplit.param import random_points
+
+    code, out, err = run_cli(capsys, *cmd.split(), "--trace")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    trace = data.pop("trace")
+    # without its trace the output is the plain, pinned one
+    plain = json.dumps(data) + "\n"
+    assert plain == run_cli(capsys, *cmd.split())[1]
+    assert hashlib.sha256(plain.encode()).hexdigest() == PINNED_DIGESTS[cmd]
+    # and its steps start at the retried points, not at the given ones
+    assert len(trace) == nsteps
+    assert trace[0]["points_before"] != random_points(r, data["seed"], data["p"]).coords.tolist()
 
 
 def test_classify_output(capsys):
@@ -260,6 +269,20 @@ def test_classify_output(capsys):
     assert data["predicted_split"] == [1, 3]
     assert data["exceptional"] is True
     assert data["semi_adjoint"] == [1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("text", ["1,2", "2,3"])
+def test_classify_predicts_nothing_for_a_point_above_the_degree(capsys, text):
+    code, out, _ = run_cli(capsys, "classify", "--type", text)
+    assert code == 0
+    assert json.loads(out) == {
+        "type": [int(v) for v in text.split(",")],
+        "ascenzi": True,
+        "predicted_split": None,
+        "exceptional": False,
+        "smooth_rational_numerics": False,
+        "semi_adjoint": None,
+    }
 
 
 def test_fatpoints_table(capsys):

@@ -160,6 +160,13 @@ class TestAscenzi:
         # no marked point on the curve; its smooth points still have m = 1
         assert ascenzi_classify(NumType(2, (0, 0, 0))) == (1, 1)
 
+    @pytest.mark.parametrize("d, m", [(1, (2,)), (2, (3,)), (3, (4, 1)), (5, (6, 2, 2))])
+    def test_no_prediction_for_a_point_above_the_degree(self, d, m):
+        # no curve of degree d has a point of multiplicity above d, so no
+        # (d - m, m) with d - m < 0
+        assert is_ascenzi(NumType(d, m))
+        assert ascenzi_classify(NumType(d, m)) is None
+
 
 class TestSemiAdjoint:
     def test_flagship(self):

@@ -532,7 +532,7 @@ class TestParameterize:
         assert a == b
 
     def test_trace_exposed(self, points9):
-        res = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=9, max_retries=1)
+        res = parameterize(NumType(4, (2, 2, 2, 1, 1, 1, 1, 1)), points9, seed=9)
         assert res.degree == 4
         assert res.steps, "the quartic needs at least one quadratic step"
         for step in res.steps:
@@ -549,14 +549,14 @@ class TestParameterizePaths:
     QUARTIC = NumType(4, (2, 2, 2, 1, 1, 1, 1, 1))
 
     def test_trace_triple_is_the_parameterization(self, points9):
-        res = parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
+        res = parameterize(self.QUARTIC, points9, seed=9)
         assert isinstance(res, Parameterization) and isinstance(res, ParamTriple)
         assert res == parameterize(self.QUARTIC, points9, seed=9)
         assert hash(res) == hash(parameterize(self.QUARTIC, points9, seed=9))
         assert res.to_json() == ParamTriple(res.coeffs, res.p).to_json()
 
     def test_trace_steps_start_at_the_given_points(self, points9):
-        res = parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
+        res = parameterize(self.QUARTIC, points9, seed=9)
         # nothing retried, so the result went through the points handed in
         assert res.points is points9
         assert res.steps[0].points_before is res.points
@@ -597,10 +597,22 @@ class TestParameterizePaths:
 
         monkeypatch.setattr(param, "_parameterize_once", always_degenerate)
         monkeypatch.setattr(param, "random_points", counting)
+        monkeypatch.setattr(param, "ATTEMPTS", 3)
         with pytest.raises(RetryLimitError, match="after 3 attempts: forced"):
-            parameterize(self.QUARTIC, points9, seed=9, max_retries=3)
+            parameterize(self.QUARTIC, points9, seed=9)
         # attempts 1 and 2 draw fresh points, from the same seeds as before
         assert seeds == [mix_seed(9, attempt, 0x52455452) for attempt in (1, 2)]
+
+    def test_the_attempt_budget_is_24(self, points9, monkeypatch):
+        from curvesplit import param
+
+        def always_degenerate(*args):
+            raise DegenerateConfigurationError("forced")
+
+        monkeypatch.setattr(param, "_parameterize_once", always_degenerate)
+        assert param.ATTEMPTS == 24
+        with pytest.raises(RetryLimitError, match="^parameterization failed after 24 attempts: forced$"):
+            parameterize(self.QUARTIC, points9, seed=9)
 
 
 class TestPullBackFibres:
@@ -680,8 +692,9 @@ class TestPullBackFibres:
         assert _multiplicities(res, res.points) == list(self.QUARTIC.m) + [0]
 
         calls.clear()
+        monkeypatch.setattr(param, "ATTEMPTS", 1)
         with pytest.raises(RetryLimitError, match="after 1 attempts: fibre product does not divide"):
-            parameterize(self.QUARTIC, points9, seed=9, max_retries=1)
+            parameterize(self.QUARTIC, points9, seed=9)
 
 
 class TestParameterizationFibres:
@@ -991,8 +1004,10 @@ class TestBaseCurves:
         first = mix_seed(seed, 0, 0x504152)
         monkeypatch.setattr(param, "SeededRng", lambda s: _ConstantRng(5) if s == first else SeededRng(s))
         D = DivClass(d, mults)
-        with pytest.raises(RetryLimitError, match=f"after 1 attempts: {re.escape(reason)}$"):
-            parameterize(D, pts, seed, max_retries=1)
+        with monkeypatch.context() as one_attempt:
+            one_attempt.setattr(param, "ATTEMPTS", 1)
+            with pytest.raises(RetryLimitError, match=f"after 1 attempts: {re.escape(reason)}$"):
+                parameterize(D, pts, seed)
         res = parameterize(D, pts, seed)
         assert res.points.seed == mix_seed(seed, 1, 0x52455452)
         assert _multiplicities(res, res.points) == list(mults)
