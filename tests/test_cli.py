@@ -237,15 +237,15 @@ def test_param_trace_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "cmd, r, nsteps",
+    "cmd, nsteps",
     [
         # the first configuration's point 8 lies on a fundamental line
-        ("param --type 8,3,3,3,3,3,3,3,1,1 --seed 1 --p 211", 9, 5),
+        ("param --type 8,3,3,3,3,3,3,3,1,1 --seed 1 --p 211", 5),
         # the first configuration's pencil passes through the point of multiplicity 0
-        ("param --type 7,4,3,3,3,1,1,0 --seed 8 --p 211", 7, 2),
+        ("param --type 7,4,3,3,3,1,1,0 --seed 8 --p 211", 2),
     ],
 )
-def test_param_trace_lists_the_steps_of_the_retried_parameterization(capsys, cmd, r, nsteps):
+def test_param_trace_lists_the_steps_of_the_retried_parameterization(capsys, cmd, nsteps):
     from curvesplit.param import random_points
 
     code, out, err = run_cli(capsys, *cmd.split(), "--trace")
@@ -258,7 +258,8 @@ def test_param_trace_lists_the_steps_of_the_retried_parameterization(capsys, cmd
     assert hashlib.sha256(plain.encode()).hexdigest() == PINNED_DIGESTS[cmd]
     # and its steps start at the retried points, not at the given ones
     assert len(trace) == nsteps
-    assert trace[0]["points_before"] != random_points(r, data["seed"], data["p"]).coords.tolist()
+    before = trace[0]["points_before"]
+    assert before != random_points(len(before), data["seed"], data["p"]).coords.tolist()
 
 
 def test_classify_output(capsys):

@@ -41,17 +41,15 @@ def test_bad_moduli_rejected():
         check_modulus(2**40)
 
 
-def test_miller_rabin_rejects_composites_without_a_small_factor():
+def test_no_prime_below_2():
     assert not is_prime(0) and not is_prime(1)
-    # 1763 = 41 * 43; 1373653 = 829 * 1657 is a strong pseudoprime to bases
-    # 2 and 3, so only a later witness rejects it
-    assert not is_prime(1763) and not is_prime(1373653)
-    assert is_prime(829) and is_prime(1657)
 
 
 _REFUSALS = [
     (lambda: MatFp(np.zeros(3, dtype=np.int64)), "expected a 2-d array, got shape (3,)"),
+    # 41 * 43 has no factor <= 37, so a Miller-Rabin witness rejects it
     (lambda: check_modulus(1763), "modulus 1763 is not prime"),
+    # 829 * 1657 is a strong pseudoprime to bases 2 and 3; base 5 rejects it
     (lambda: check_modulus(1373653), "modulus 1373653 is not prime"),
 ]
 
