@@ -16,7 +16,7 @@ from curvesplit import (
     splitting_moving_lines,
     splitting_saturation,
 )
-from curvesplit.binform import BinForm
+from curvesplit.binform import _to_text
 
 points = random_points(9, seed=2026)
 
@@ -35,7 +35,7 @@ print("saturation:       ", sat)
 print("min syzygy degree:", syz.degree, "(= a)")
 
 # The syzygy itself is a moving line: alpha0 phi0 + alpha1 phi1 + alpha2 phi2 = 0.
-print("syzygy components:", [BinForm(f, phi.p).to_text() for f in syz.alphas])
+print("syzygy components:", [_to_text(f) for f in syz.alphas])
 
 # A tour through the golden cases, with the gap gamma = b - a.
 for d, m in [

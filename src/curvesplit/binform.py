@@ -13,12 +13,12 @@ One kernel, ``_reduce``, divides univariate polynomials in place, and both
 ``gcd_many`` and ``div_exact`` run on it.  A form t^k u is dehomogenized at
 t = 1 into a copy of u(s, 1); the Euclidean algorithm runs on those copies,
 and the common power of t is restored once, at the end.  All gcd outputs
-are normalized so their first nonzero coefficient is 1.  ``_conv_mod``
-multiplies stacked rows.
+are normalized by ``_monic`` so their first nonzero coefficient is 1.
+``_conv_mod`` multiplies stacked rows.
 
 ``ParamTriple`` holds its three components as one (3, d + 1) array.
-``BinForm`` is a row with its modulus, the value type for callers outside
-the package; its product is the one-row case of ``_conv_mod``.
+``BinForm`` is a row with its modulus and a product, the one-row case of
+``_conv_mod``; the benchmark harness alone still builds one.
 """
 
 from __future__ import annotations
@@ -131,8 +131,10 @@ def _to_json(row: np.ndarray) -> list:
 
 
 class BinForm:
-    """A homogeneous binary form over F_p, immutable after construction: a
-    coefficient row with its modulus, for callers outside the package."""
+    """A coefficient row with its modulus and a product, immutable after
+    construction.  Kept only because the benchmark harness rebinds
+    ``BinForm.__mul__`` and multiplies one; ROADMAP item 14 deletes it once
+    items 5 and 11 land.  Everything else passes forms as rows."""
 
     __slots__ = ("coeffs", "p")
 
@@ -145,35 +147,15 @@ class BinForm:
         self.coeffs = arr
         self.p = p
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.count_nonzero(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinForm):
-            return NotImplemented
-        return self.p == other.p and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BinForm({self.to_text()!r} mod {self.p})"
-
     def __mul__(self, other: "BinForm") -> "BinForm":
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
         return BinForm(_conv_mod(self.coeffs[None], other.coeffs[None], self.p)[0], self.p)
 
-    def to_text(self) -> str:
-        return _to_text(self.coeffs)
 
-    def to_json(self) -> list:
-        return _to_json(self.coeffs)
+def _monic(row: np.ndarray, p: int) -> np.ndarray:
+    """A nonzero coefficient row scaled so its first nonzero entry is 1."""
+    return row * pow(int(row[row.nonzero()[0][0]]), -1, p) % p
 
 
 def gcd_many(rows, p: int) -> np.ndarray:
@@ -203,8 +185,8 @@ def gcd_many(rows, p: int) -> np.ndarray:
     if acc is None:
         raise ValueError("gcd of all-zero forms")
     out = np.zeros(t_common + acc.size, dtype=np.int64)
-    out[t_common:] = acc[::-1] * pow(int(acc[-1]), -1, p) % p
-    return out
+    out[t_common:] = acc[::-1]
+    return _monic(out, p)
 
 
 def div_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:

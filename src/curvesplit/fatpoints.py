@@ -203,9 +203,9 @@ def mu_rank(Z: FatScheme, k: int) -> MuReport:
 def _scheme_for(D: DivClass, points: PointSet) -> FatScheme:
     if D.r > points.r:
         raise ValueError(f"class touches {D.r} points but only {points.r} given")
-    sub = PointSet(points.coords[: D.r], points.seed, points.p)
-    # negative multiplicities are fixed components; they do not change h^0
-    return FatScheme(sub, tuple(max(m, 0) for m in D.m))
+    # negative multiplicities are fixed components; they do not change h^0.
+    # The points past D.r get multiplicity 0: no condition row, no length
+    return FatScheme(points, tuple(max(m, 0) for m in D.m) + (0,) * (points.r - D.r))
 
 
 def h0_class(D: DivClass, points: PointSet) -> int:

@@ -236,14 +236,17 @@ def enum_exceptional(r: int, dmax: int | None) -> set[NumType]:
 
 
 def is_ascenzi(T: NumType) -> bool:
-    """d <= 2*m_max + 1; degree-0 types (points) count as Ascenzi.
+    """m <= d <= 2m + 1 for m = max(m_max, 1); degree-0 types (points) count
+    as Ascenzi.
 
     The maximum multiplicity of a curve of positive degree is at least 1
-    (its smooth points), even when no marked point lies on it.
+    (its smooth points), even when no marked point lies on it, and at most
+    d: no curve of degree d has a point of multiplicity above d.
     """
     if T.d == 0:
         return True
-    return T.d <= 2 * max(T.max_mult, 1) + 1
+    m = max(T.max_mult, 1)
+    return m <= T.d <= 2 * m + 1
 
 
 def ascenzi_classify(T: NumType) -> tuple[int, int] | None:
@@ -251,15 +254,13 @@ def ascenzi_classify(T: NumType) -> tuple[int, int] | None:
 
     For d <= 2m the type splits as (d-m, m); for d == 2m+1 as (m, m+1),
     where m is the maximum point multiplicity of the curve (at least 1 for
-    positive degree).  None also when m > d: no curve of degree d has a
-    point of multiplicity above d.  Requires d >= 1: a point has no
-    splitting type.
+    positive degree).  Requires d >= 1: a point has no splitting type.
     """
     if T.d < 1:
         raise ValueError("classification needs degree >= 1")
-    m = max(T.max_mult, 1)
-    if not is_ascenzi(T) or m > T.d:
+    if not is_ascenzi(T):
         return None
+    m = max(T.max_mult, 1)
     if T.d <= 2 * m:
         return (T.d - m, m)
     return (m, m + 1)

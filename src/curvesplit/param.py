@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .binform import ParamTriple, _conv_mod, div_exact, gcd_many
+from .binform import ParamTriple, _conv_mod, _monic, div_exact, gcd_many
 from .exactla import MODULUS, check_modulus
 from .lattice import DivClass, NumType, reduce_to_base, reflect, smooth_rational_numerics_ok
 
@@ -254,11 +254,6 @@ def random_points(r: int, seed: int, p: int = MODULUS) -> PointSet:
         if genericity_certificate(coords, p):
             return PointSet(coords, seed, p)
     raise RetryLimitError(f"no generic configuration of {r} points found mod {p}")
-
-
-def _monic(row: np.ndarray, p: int) -> np.ndarray:
-    """A nonzero coefficient row scaled so its first nonzero entry is 1."""
-    return row * pow(int(row[row.nonzero()[0][0]]), -1, p) % p
 
 
 def _pad(rows: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarray:

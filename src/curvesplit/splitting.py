@@ -75,29 +75,32 @@ class Syzygy:
     """A degree-k relation alpha0 phi0 + alpha1 phi1 + alpha2 phi2 = 0.
 
     ``alphas`` is the read-only (3, k + 1) int64 array of the reduced
-    coefficient rows of alpha0, alpha1, alpha2; equality and hash are
-    (degree, alphas).
+    coefficient rows of alpha0, alpha1, alpha2, so its width gives k;
+    equality and hash are the array's.
     """
 
-    degree: int
     alphas: np.ndarray
 
     def __post_init__(self):
         alphas = np.array(self.alphas, dtype=np.int64)
+        if alphas.ndim != 2 or len(alphas) != 3:
+            raise ValueError("a syzygy is three rows of k + 1 coefficients")
         if not alphas.any():
             raise ValueError("the zero syzygy is not a syzygy")
-        if alphas.shape != (3, self.degree + 1):
-            raise ValueError("syzygy components must share the stated degree")
         alphas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
+
+    @property
+    def degree(self) -> int:
+        return self.alphas.shape[1] - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Syzygy):
             return NotImplemented
-        return self.degree == other.degree and np.array_equal(self.alphas, other.alphas)
+        return np.array_equal(self.alphas, other.alphas)
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.alphas.tobytes()))
+        return hash(self.alphas.tobytes())
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "alphas": [_to_json(row) for row in self.alphas]}
@@ -212,7 +215,7 @@ def min_syzygy(phi: ParamTriple) -> Syzygy:
     K = d // 2
     vec = _kernel_rows(*_syzygy_rref(phi, K), phi.p)[0][0]
     k = max(1, int(np.flatnonzero(vec)[-1]) // 3)
-    syz = Syzygy(k, vec[: 3 * (k + 1)].reshape(k + 1, 3).T)
+    syz = Syzygy(vec[: 3 * (k + 1)].reshape(k + 1, 3).T)
     if not is_syzygy(phi, syz):
         raise AssertionError("kernel vector is not a syzygy; matrix layout broken")
     return syz

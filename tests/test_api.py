@@ -1,5 +1,5 @@
-"""Every module's ``__all__`` names exactly its public API, and no module
-but ``binform`` names ``BinForm``."""
+"""Every module's ``__all__`` names exactly its public API, and nothing but
+``binform`` and the shim's own tests names ``BinForm``."""
 
 import ast
 import importlib
@@ -8,6 +8,9 @@ import pkgutil
 from pathlib import Path
 
 import curvesplit
+
+# the tests in tests/test_binform.py that exercise the ``BinForm`` shim
+SHIM_TESTS = {"test_empty_vector_refused", "test_shim_product_and_moduli"}
 
 # exported names that are neither functions nor classes: constants and aliases
 NON_CALLABLE_EXPORTS = {"conjscan": {"R7_FAMILIES"}, "exactla": {"MODULUS"}, "lattice": {"WeylWord"}}
@@ -41,17 +44,25 @@ def test_all_names_exactly_the_public_api():
 
 
 def test_only_binform_names_binform():
-    # inside the package a form is its int64 coefficient row; ``BinForm`` is
-    # the value type for callers outside it, so wrapping rows again elsewhere
-    # would bring back a second representation
+    # a form is its int64 coefficient row; ``BinForm`` survives only for the
+    # benchmark harness, so nothing else in the package, the tests or the
+    # demos may name it but the shim's own tests
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src" / "curvesplit").glob("*.py"))
+    sources += sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py"))
+    assert len(sources) > 20
     named = []
-    sources = sorted(Path(curvesplit.__file__).parent.glob("*.py"))
-    assert len(sources) > 5
     for path in sources:
         if path.name == "binform.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "test_binform.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name in SHIM_TESTS:
+                    allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            if name == "BinForm":
+            if name == "BinForm" and id(node) not in allowed:
                 named.append((path.name, node.lineno))
     assert named == []

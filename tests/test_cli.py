@@ -278,7 +278,7 @@ def test_classify_predicts_nothing_for_a_point_above_the_degree(capsys, text):
     assert code == 0
     assert json.loads(out) == {
         "type": [int(v) for v in text.split(",")],
-        "ascenzi": True,
+        "ascenzi": False,
         "predicted_split": None,
         "exceptional": False,
         "smooth_rational_numerics": False,

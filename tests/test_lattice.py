@@ -164,8 +164,13 @@ class TestAscenzi:
     def test_no_prediction_for_a_point_above_the_degree(self, d, m):
         # no curve of degree d has a point of multiplicity above d, so no
         # (d - m, m) with d - m < 0
-        assert is_ascenzi(NumType(d, m))
+        assert not is_ascenzi(NumType(d, m))
         assert ascenzi_classify(NumType(d, m)) is None
+
+    def test_is_ascenzi_is_having_a_prediction(self):
+        for d, m1, m2 in itertools.product(range(1, 10), range(12), range(3)):
+            T = NumType(d, (m1, min(m1, m2)))
+            assert is_ascenzi(T) == (ascenzi_classify(T) is not None), T
 
 
 class TestSemiAdjoint:

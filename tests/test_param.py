@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from curvesplit.binform import BinForm, ParamTriple
+from curvesplit.binform import ParamTriple, _conv_mod
 from curvesplit.exactla import MODULUS
 from curvesplit.lattice import DivClass, NumType, Quad, enum_exceptional, reduce_to_base, reflect
 from curvesplit.param import (
@@ -48,16 +48,20 @@ def _substitute(row, k, phi):
     powers of phi built afresh for this row, then one scaled monomial added
     at a time over Python ints."""
     p = phi.p
+
+    def mul(f, g):
+        return _conv_mod(f[None], g[None], p)[0]
+
     pows = []
     for f in phi.coeffs:
-        cur = [BinForm((1,), p)]
+        cur = [np.ones(1, dtype=np.int64)]
         for _ in range(k):
-            cur.append(cur[-1] * BinForm(f, p))
+            cur.append(mul(cur[-1], f))
         pows.append(cur)
     total = [0] * (phi.degree * k + 1)
     for c, (a, b, cc) in zip(row.tolist(), monomials(k)):
         if c:
-            term = (pows[0][a] * pows[1][b] * pows[2][cc]).coeffs.tolist()
+            term = mul(mul(pows[0][a], pows[1][b]), pows[2][cc]).tolist()
             total = [(x + c * y) % p for x, y in zip(total, term)]
     return np.array(total, dtype=np.int64)
 
@@ -683,7 +687,7 @@ class TestPullBackFibres:
             calls.append(points)
             coeffs, fibres = real(base, points, rng)
             if len(calls) == 1:
-                fibres[0] = (BinForm(fibres[0], points.p) * BinForm((1, 1), points.p)).coeffs
+                fibres[0] = _conv_mod(fibres[0][None], np.ones((1, 2), dtype=np.int64), points.p)[0]
             return coeffs, fibres
 
         monkeypatch.setattr(param, "_base_curve", wrong_first)

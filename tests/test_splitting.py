@@ -155,7 +155,7 @@ def reference_min_syzygy(phi):
         if len(kernel):
             vec = kernel[0]
             alphas = [[vec[3 * w + i] for w in range(k + 1)] for i in range(3)]
-            return Syzygy(k, alphas)
+            return Syzygy(alphas)
     raise AssertionError("no syzygy found up to degree d/2")
 
 
@@ -321,8 +321,8 @@ class TestSharedElimination:
 _LINE = ParamTriple(np.array([[1, 0], [0, 1], [1, 1]]), MODULUS)
 _REFUSALS = [
     (lambda: SplitType(2, 1), "splitting (2, 1) violates 0 <= a <= b"),
-    (lambda: Syzygy(1, np.zeros((3, 2), dtype=np.int64)), "the zero syzygy is not a syzygy"),
-    (lambda: Syzygy(1, np.ones((3, 3), dtype=np.int64)), "syzygy components must share the stated degree"),
+    (lambda: Syzygy(np.zeros((3, 2), dtype=np.int64)), "the zero syzygy is not a syzygy"),
+    (lambda: Syzygy(np.ones((2, 3), dtype=np.int64)), "a syzygy is three rows of k + 1 coefficients"),
     (lambda: syzygy_matrix(_LINE, -1), "syzygy degree must be non-negative"),
     (lambda: splitting_saturation(_LINE), "saturation analysis needs degree >= 2"),
     (lambda: min_syzygy(_LINE), "syzygy search needs degree >= 2"),
