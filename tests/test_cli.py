@@ -436,6 +436,12 @@ PINNED_DIGESTS = {
     # d = 2: saturation eliminates at K = 0, the minimal syzygy at K = 1
     "split --type 2,1,1,1,1,1 --seed 3": "96f5459572894eb008861f3bf85a758745d8ef94205d60e90dda5cfed7e5b414",
     "split --type 3,2,1,1,1,1,1,1 --seed 3 --p 1009": "0167f97ff0a4ba3a61c8118db954fb25b652c9f6a44ea4928e0b3b178520ac01",
+    # the largest multiplicity is tied, and not at the first point
+    "fatpoints --mults 1,3,2,3,1,1,1,1,1 --k 2..6 --seed 3": "51da3f3c08c4a64379daa5da40bb4833175456ec4cbe99d149bb75e1e41b64aa",
+    # points of multiplicity 0 come first
+    "fatpoints --mults 0,0,4,1,1 --k 1..4 --seed 2 --p 1009": "0b5d3467031233d0429d1693f1d2b5ba260bc59804f1ac226c82242bc2fa3800",
+    # the largest multiplicity exceeds the eliminated degree K = 5
+    "fatpoints --mults 1,1,6,1 --k 1..4 --seed 5 --p 211": "a5d68739d8405e2d309d3f4309a1d9385be32d628fd68f2a4a67fa33e901c2b6",
 }
 
 
