@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from curvesplit.exactla import MODULUS, MatFp
+from curvesplit.exactla import MODULUS, MatFp, _kernel_rows
 from curvesplit.fatpoints import (
     FatScheme,
     MuReport,
@@ -152,10 +152,21 @@ def walk_down_alpha(Z: FatScheme) -> int:
     return k
 
 
+def moved_scheme(Z: FatScheme) -> FatScheme:
+    """Z under T = [[1, 0, 0], [-y, 1, 0], [-z, 0, 1]], for (1, y, z) its first
+    point of largest multiplicity, which T sends to e0 = (1, 0, 0)."""
+    x = Z.points.coords
+    top = Z.mults.index(max(Z.mults))
+    moved = x - np.outer(x[:, 0], x[top] * (0, 1, 1))
+    assert moved[top].tolist() == [1, 0, 0]
+    return FatScheme(PointSet(moved, Z.points.seed, Z.p), Z.mults)
+
+
 @pytest.mark.parametrize("p", [211, 1009, P])
 def test_one_elimination_reads_every_lower_degree(p):
-    # at points (1, y, z), the prefixes of one C_K give the same dims and
-    # the same bases as one conditions matrix per degree j <= K
+    # at points (1, y, z), the prefixes of one C_K give the same dims as one
+    # conditions matrix per degree j <= K, and the same bases as those of the
+    # moved scheme, whose largest point sits at e0 with its full multiplicity
     rng = random.Random(p)
     for trial in range(12):
         K = rng.randint(0, 9)
@@ -163,10 +174,11 @@ def test_one_elimination_reads_every_lower_degree(p):
         # zeros, small multiplicities, and m >= j + 2 for the lower degrees
         Z = FatScheme(pts, tuple(rng.choice([0, 1, 2, 3, K // 2 + 2, K + 1, K + 3]) for _ in range(pts.r)))
         basis, free = _prefix_basis(Z, K)
+        assert not basis.flags.writeable
         for j in range(K + 1):
             rows = basis[free < dim_forms(j), : dim_forms(j)]
             assert len(rows) == ideal_dim(Z, j), (Z.mults, K, j)
-            ref = ideal_basis(Z, j)
+            ref = ideal_basis(moved_scheme(Z), j)
             assert len(ref) == len(rows) and all(np.array_equal(a, b) for a, b in zip(rows, ref)), (Z.mults, K, j)
         assert alpha_degree(Z) == walk_down_alpha(Z), Z.mults
 
@@ -194,6 +206,84 @@ def test_schemes_through_x0_zero_are_refused():
     off = PointSet(np.vstack([nine[:3], [(0, 1, 7)], nine[4:]]), 0, p)
     with pytest.raises(ValueError, match=r"point 3 \(0, 1, 7\) of multiplicity 1 lies on x0 = 0"):
         check_nongeneric_resolution(DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)), off)
+
+
+def unframed_prefix_basis(Z: FatScheme, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ``_prefix_basis``: one RREF of all of C_K, in Z's own
+    coordinates."""
+    for i, (x, m) in enumerate(zip(Z.points.coords.tolist(), Z.mults)):
+        if m and x[0] == 0:
+            raise ValueError(f"point {i} {tuple(x)} of multiplicity {m} lies on x0 = 0; x0 must be a unit at every point")
+    return _kernel_rows(*conditions_matrix(Z, K).rref(), Z.p)
+
+
+def framed_cases(rng: random.Random, p: int) -> list[tuple[FatScheme, range]]:
+    """Schemes and degree ranges for the frame: ties for the largest
+    multiplicity, no multiplicity at all, m > K, and points (0, 1, c) of
+    multiplicity 0, also in the first slot; then random ones."""
+    pts = random_points(6, seed=rng.getrandbits(32), p=p).coords
+    off = PointSet(np.vstack([[(0, 1, 5)], pts[1:]]), 0, p)
+    onto = PointSet(pts, 0, p)
+    cases = [
+        (FatScheme(onto, (1, 3, 2, 3, 1, 1)), range(1, 7)),
+        (FatScheme(onto, (0,) * 6), range(0, 4)),
+        (FatScheme(off, (0,) * 6), range(0, 4)),
+        (FatScheme(onto, (1, 1, 7, 1, 0, 2)), range(0, 5)),
+        (FatScheme(off, (0, 4, 1, 4, 2, 1)), range(2, 7)),
+    ]
+    for _ in range(12):
+        K = rng.randint(1, 9)
+        r = rng.randint(1, 6)
+        mults = tuple(rng.choice([0, 1, 2, 3, K // 2 + 2, K + 1, K + 3]) for _ in range(r))
+        # mults[0] = 0 so that the point off x0 = 0 may take slot 0
+        scheme = FatScheme(PointSet((off if mults[0] == 0 else onto).coords[:r], 0, p), mults)
+        cases.append((scheme, range(rng.randint(0, K - 1), K)))
+    return cases
+
+
+# criterion-5 classes (2d'; 2m' + 1), their multiplicities shuffled below
+_CERTIFIED = [
+    DivClass(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)),
+    DivClass(8, (3, 3, 3, 3, 3, 3, 3, 1, 1)),
+    DivClass(12, (5, 5, 5, 5, 3, 3, 3, 3, 3)),
+    DivClass(16, (7, 7, 5, 5, 5, 5, 5, 5, 3)),
+    DivClass(24, (7, 9, 9, 9, 9, 9, 7, 7, 5)),
+]
+
+
+@pytest.mark.parametrize("p", [211, 1009, P])
+def test_frame_matches_the_unframed_elimination(p, monkeypatch):
+    # T is a graded ring automorphism that sends I_Z to I_TZ, so every dim,
+    # rank, alpha and certificate is that of the unframed elimination
+    import curvesplit.fatpoints as fp
+
+    rng = random.Random(p)
+    cases = framed_cases(rng, p)
+    certs = [
+        (DivClass(c.d, tuple(rng.sample(c.m, 9))), random_points(9, seed=rng.getrandbits(32), p=p))
+        for c in _CERTIFIED
+    ]
+
+    def outputs():
+        return (
+            [betti_report(Z, ks) for Z, ks in cases],
+            [alpha_degree(Z) for Z, _ in cases],
+            [check_nongeneric_resolution(c, pts) for c, pts in certs],
+        )
+
+    framed = outputs()
+    monkeypatch.setattr(fp, "_prefix_basis", unframed_prefix_basis)
+    assert framed == outputs()
+
+
+def test_x0_refusal_comes_before_the_degree_guard():
+    # K = p: C_K's p > K guard would refuse, but the x0 refusal comes first
+    p = 211
+    pts = PointSet([(1, 2, 3), (0, 1, 5)], 0, p)
+    with pytest.raises(ValueError, match=r"^point 1 \(0, 1, 5\) of multiplicity 1 lies on x0 = 0"):
+        betti_report(FatScheme(pts, (2, 1)), [p - 1])
+    with pytest.raises(ValueError, match=r"^modulus 211 too small for degree 211; "):
+        betti_report(FatScheme(pts, (2, 0)), [p - 1])
 
 
 class TestIdealDim:
@@ -446,8 +536,9 @@ class TestNongenericResolution:
 
 def test_large_certificate_eliminates_two_matrices(monkeypatch):
     # MatFp.rref is the only elimination entry point, and the benchmark
-    # tracer's boundary: the d'=12 certificate calls it twice, on C_36 and
-    # on mu_35, and nothing inside an elimination calls it again
+    # tracer's boundary: the d'=12 certificate calls it twice, on C_36 less
+    # the 91 rows and columns of its first 13-fold point, moved to e0, and on
+    # mu_35, and nothing inside an elimination calls it again
     import curvesplit.exactla as ex
 
     shapes = []
@@ -459,7 +550,7 @@ def test_large_certificate_eliminates_two_matrices(monkeypatch):
 
     monkeypatch.setattr(ex.MatFp, "rref", counting)
     rep = check_nongeneric_resolution(DivClass(24, (7, 9, 9, 9, 9, 9, 7, 7, 5)), random_points(9, 101))
-    assert shapes == [(648, 703), (703, 54)]
+    assert shapes == [(557, 612), (703, 54)]
     assert rep.alpha == 35 and rep.hilbert_maximal and rep.nongeneric
 
 
