@@ -29,23 +29,19 @@ column, are ``ideal_basis(Z, j)``.  ``mu_rank``, ``betti_report``,
 refuse a point of positive multiplicity on x0 = 0; the certificate reads
 C_(k0+1), k0 the counting bound on alpha, so its p > k guard checks k0 + 1.
 
-That one RREF is taken in a frame where the first point of largest
-multiplicity m, (1, y, z), sits at e0 = (1, 0, 0):
-T = [[1, 0, 0], [-y, 1, 0], [-z, 0, 1]] sends (x0, x1, x2) to
-(x0, x1 - y x0, x2 - z x0).  T is a graded automorphism of the ring that
-sends I_Z to I_TZ and commutes with multiplication by R_1, so every
-dim (I_Z)_j, alpha and rank of mu_k is exactly that of TZ, for any points,
-not only general ones.  At e0 the Taylor coefficients of order < m of a
-degree-K form are its coefficients on x0^a x1^b x2^c with b + c < m, which
-are the first C(m+1, 2) columns (all of them when m > K): that point's rows
-are units there, so it is eliminated by deleting those columns with their
-rows, and the rest of C_K(TZ) is eliminated once; at m = 0 nothing is
-deleted.  The x0 prefix survives: T fixes x0, so x0 is still 1 at every
-other point, and the deleted columns are the first ones of every prefix
-x0^(K-j) S_j (those with a > K - m), so each prefix is the same prefix of
-the smaller matrix after those deletions, with the same pivots.  Its
-kernel vectors, put back at full width with zeros on the deleted columns,
-are ``ideal_basis(TZ, j)``.
+That RREF is taken in a frame where the first point of largest multiplicity
+m, (1, y, z), sits at e0 = (1, 0, 0): T = [[1, 0, 0], [-y, 1, 0],
+[-z, 0, 1]] sends x to (x0, x1 - y x0, x2 - z x0).  T is a graded ring
+automorphism that sends I_Z to I_TZ and commutes with multiplication by R_1,
+so every dim, alpha and mu rank of TZ is exactly that of Z, at any points,
+not only general ones.  At e0 the conditions of order < m on a degree-K form
+are its coefficients on x0^a x1^b x2^c with b + c < m, the first C(m+1, 2)
+columns (all of them when m > K): they are deleted with the point's rows,
+and the rest of C_K(TZ) is eliminated once; m = 0 deletes nothing.  T fixes
+x0, so x0 is still 1 at every other point of positive multiplicity, and the
+deleted columns (a > K - m) lead every prefix x0^(K-j) S_j, so each prefix
+keeps its pivots; its kernel vectors, zero on the deleted columns, are
+``ideal_basis(TZ, j)``.
 """
 
 from __future__ import annotations
@@ -156,15 +152,13 @@ def ideal_basis(Z: FatScheme, k: int) -> np.ndarray:
 
 
 def _prefix_basis(Z: FatScheme, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """ideal_basis(TZ, K) as rows and each row's free column, for TZ the image
-    of Z under T = [[1, 0, 0], [-y, 1, 0], [-z, 0, 1]], (1, y, z) the first
-    point of largest multiplicity m (see the module docstring); the rows with
-    free column below C(j+2, 2), cut there, are ideal_basis(TZ, j) for j <= K.
-
-    T moves that point to e0 = (1, 0, 0), where its rows are units on the
-    first C(m+1, 2) columns: the rest of C_K(TZ) is eliminated once, and its
-    kernel rows come back at full width, zero on the deleted columns, with
-    their free columns in the indices of C_K.  The rows are read-only."""
+    """ideal_basis(TZ, K) as read-only rows and each row's free column in
+    C_K's indices, for TZ = Z moved by T so that its first point of largest
+    multiplicity m is at e0, which keeps every dim and mu rank exactly (see
+    the module docstring); the rows with free column below C(j+2, 2), cut
+    there, are ideal_basis(TZ, j) for j <= K.  At e0 that point's conditions
+    are the first C(m+1, 2) columns, so only the rest of C_K(TZ) is
+    eliminated."""
     coords = Z.points.coords.tolist()
     for i, (x, m) in enumerate(zip(coords, Z.mults)):
         if m and x[0] == 0:

@@ -219,8 +219,8 @@ def unframed_prefix_basis(Z: FatScheme, K: int) -> tuple[np.ndarray, np.ndarray]
 
 def framed_cases(rng: random.Random, p: int) -> list[tuple[FatScheme, range]]:
     """Schemes and degree ranges for the frame: ties for the largest
-    multiplicity, no multiplicity at all, m > K, and points (0, 1, c) of
-    multiplicity 0, also in the first slot; then random ones."""
+    multiplicity, no multiplicity at all, no point at all, m > K, and points
+    (0, 1, c) of multiplicity 0, also in the first slot; then random ones."""
     pts = random_points(6, seed=rng.getrandbits(32), p=p).coords
     off = PointSet(np.vstack([[(0, 1, 5)], pts[1:]]), 0, p)
     onto = PointSet(pts, 0, p)
@@ -228,6 +228,7 @@ def framed_cases(rng: random.Random, p: int) -> list[tuple[FatScheme, range]]:
         (FatScheme(onto, (1, 3, 2, 3, 1, 1)), range(1, 7)),
         (FatScheme(onto, (0,) * 6), range(0, 4)),
         (FatScheme(off, (0,) * 6), range(0, 4)),
+        (FatScheme(PointSet(np.zeros((0, 3), dtype=np.int64), 0, p), ()), range(0, 3)),
         (FatScheme(onto, (1, 1, 7, 1, 0, 2)), range(0, 5)),
         (FatScheme(off, (0, 4, 1, 4, 2, 1)), range(2, 7)),
     ]
@@ -235,7 +236,7 @@ def framed_cases(rng: random.Random, p: int) -> list[tuple[FatScheme, range]]:
         K = rng.randint(1, 9)
         r = rng.randint(1, 6)
         mults = tuple(rng.choice([0, 1, 2, 3, K // 2 + 2, K + 1, K + 3]) for _ in range(r))
-        # mults[0] = 0 so that the point off x0 = 0 may take slot 0
+        # the point (0, 1, 5) takes slot 0 only where its multiplicity is 0
         scheme = FatScheme(PointSet((off if mults[0] == 0 else onto).coords[:r], 0, p), mults)
         cases.append((scheme, range(rng.randint(0, K - 1), K)))
     return cases
